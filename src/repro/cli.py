@@ -707,7 +707,6 @@ def _service_config(args: argparse.Namespace):
         max_tenants=args.max_tenants,
         cache_dir=args.cache_dir,
         shared_dir=args.shared_dir,
-        batch_enabled=not args.no_batch,
         batch_window_ms=args.batch_window_ms,
         max_batch_points=args.max_batch_points,
         drain_timeout=args.drain_timeout,
@@ -848,8 +847,8 @@ def _cmd_bench_service(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro import perf
-    from repro.service import ServiceConfig, run_load_test
-    from repro.service.bench import BATCH_BASELINE_PATH, run_batch_comparison
+    from repro.service import ServiceConfig, run_distinct_test, run_load_test
+    from repro.service.bench import BATCH_BASELINE_PATH
 
     if args.chaos:
         # The chaos drill is a correctness gate, not a latency gate: no
@@ -876,19 +875,15 @@ def _cmd_bench_service(args: argparse.Namespace) -> int:
         max_pending=max(64, args.clients * 64),
     )
     if args.distinct:
-        # The cross-request batching gate: all-distinct trace, batched
-        # vs unbatched phases, hard p99 speedup floor.
+        # The cross-request batching gate: the all-distinct trace,
+        # pipelined, with kernel-dispatch and occupancy assertions.
         baseline_path = (
             Path(args.baseline)
             if args.baseline is not None
             else BATCH_BASELINE_PATH
         )
         try:
-            report = run_batch_comparison(
-                n_clients=args.clients,
-                config=config,
-                speedup_floor=args.min_speedup,
-            )
+            report = run_distinct_test(n_clients=args.clients, config=config)
         except ConfigError as exc:
             print(f"SERVICE GATE  {exc}", file=sys.stderr)
             return 1
@@ -1247,18 +1242,14 @@ def build_parser() -> argparse.ArgumentParser:
         "waiting out the window (default 256)",
     )
     p.add_argument(
-        "--no-batch", action="store_true",
-        help="disable cross-request batching (every request takes the "
-        "per-request compute path)",
-    )
-    p.add_argument(
         "--max-pending", type=int, default=64,
-        help="admission-control bound on queued+running computations; "
-        "beyond it requests get a backpressure rejection (default 64)",
+        help="admission-control bound on requests holding work they "
+        "started; beyond it a request needing new work gets a "
+        "backpressure rejection (default 64)",
     )
     p.add_argument(
-        "--memo", type=int, default=512,
-        help="in-process memo entries (default 512)",
+        "--memo", type=int, default=4096,
+        help="in-process work-item memo entries (default 4096)",
     )
     p.add_argument(
         "--quota-rate", type=float, default=None,
@@ -1339,14 +1330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--distinct", action="store_true",
         help="run the cross-request batching gate instead: an "
-        "all-distinct analytical trace, batched vs unbatched phases, "
-        "bit-identity asserted, batched p99 must beat unbatched by "
-        "--min-speedup",
-    )
-    p.add_argument(
-        "--min-speedup", type=float, default=2.0,
-        help="with --distinct, fail below this batched/unbatched p99 "
-        "latency ratio (default 2.0)",
+        "all-distinct analytical trace, bit-identity asserted, every "
+        "point priced by the kernel, > 4 points per dispatch",
     )
     p.add_argument(
         "--clients", type=int, default=16,

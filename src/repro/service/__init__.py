@@ -3,15 +3,15 @@
 An asyncio TCP server (:mod:`~repro.service.server`) exposing the
 :mod:`repro.api` facade to concurrent multi-tenant clients over a
 newline-delimited JSON protocol (:mod:`~repro.service.protocol`), with
-single-flight request coalescing, admission control with backpressure,
-per-tenant token-bucket quotas, a tiered result lookup (in-process
-memo → private disk cache → shared locked cache) and a cross-request
-batch scheduler (:mod:`~repro.service.batch`) that stitches *distinct*
-analytical requests into shared vectorized kernel dispatches.  The
-resilience layer adds per-request deadlines, cancellation propagation,
-graceful drain on SIGTERM, a kernel circuit breaker that degrades the
-batch path to scalar, and a deterministic chaos drill
-(:mod:`~repro.service.chaos`).  A small synchronous client with a
+admission control with backpressure and per-tenant token-bucket quotas.
+Every request decomposes into keyed work items, and one scheduler
+(:mod:`~repro.service.batch`) owns their memo, single-flight coalescing,
+disk → shared cache tiers, dispatch and write-back, stitching distinct
+analytical points into shared vectorized kernel dispatches.  The
+resilience layer adds per-request deadlines, cancellation through
+waiter refcounts, graceful drain on SIGTERM, a kernel circuit breaker
+that switches dispatches to per-point pricing, and a deterministic chaos
+drill (:mod:`~repro.service.chaos`).  A small synchronous client with a
 retry policy (:mod:`~repro.service.client`) and a load-test harness
 (:mod:`~repro.service.bench`) ride along; ``repro serve`` /
 ``repro client`` / ``repro bench-service`` are the CLI entries.
@@ -19,15 +19,14 @@ retry policy (:mod:`~repro.service.client`) and a load-test harness
 See ``docs/service.md`` for the protocol and operational semantics.
 """
 
-from repro.service.batch import BatchScheduler, KernelBreaker, batchable
+from repro.service.batch import BatchScheduler, KernelBreaker, work_items
 from repro.service.bench import (
-    BatchCompareReport,
     ChaosReport,
     LoadReport,
     distinct_trace,
     mixed_trace,
-    run_batch_comparison,
     run_chaos_drill,
+    run_distinct_test,
     run_load_test,
 )
 from repro.service.chaos import (
@@ -64,7 +63,6 @@ from repro.service.server import (
 __all__ = [
     "MAX_FRAME_BYTES",
     "PROTOCOL",
-    "BatchCompareReport",
     "BatchScheduler",
     "ChaosError",
     "ChaosInjector",
@@ -84,15 +82,15 @@ __all__ = [
     "SimulationServer",
     "SimulationService",
     "TokenBucket",
-    "batchable",
     "decode_frame",
     "default_workers",
     "distinct_trace",
     "encode_frame",
     "execute_request",
     "mixed_trace",
-    "run_batch_comparison",
     "run_chaos_drill",
+    "run_distinct_test",
     "run_load_test",
     "serve",
+    "work_items",
 ]

@@ -1,70 +1,55 @@
-"""Cross-request batch scheduler: stitch distinct requests onto the
-vectorized kernel.
+"""The service's work scheduler: every request is a set of keyed work
+items, and this module owns them from lookup to write-back.
 
-The broker (:mod:`repro.service.server`) deduplicates *identical*
-requests; this module goes after the remaining cost — N tenants asking
-for N **different** analytical points still paid N engine runs.  The
-TrainBox thesis is that throughput comes from batching work until the
-hardware is saturated, and PR 7's structure-of-arrays kernel
-(:func:`repro.core.analytical_batch.evaluate_points`) prices hundreds of
-points per pass; what was missing is the stitching layer between them.
+:func:`work_items` decomposes a request.  ``simulate`` and ``sweep``
+requests of every engine become their evaluation points
+(:meth:`repro.api.SimulationRequest.points` /
+:meth:`~repro.api.SweepRequest.points`), keyed by
+:func:`repro.core.sweeps.cache_key` — the ``sweep-point`` key space
+:func:`~repro.core.sweeps.run_sweep` reads and writes, so sweeps and the
+service share warm cache entries.  Fault-schedule requests and profiled
+requests are one item keyed by the request fingerprint and priced whole
+by :func:`~repro.service.server.execute_request`.
 
-The scheduler decomposes every batchable request into canonical
-evaluation points (:meth:`repro.api.SimulationRequest.points` /
-:meth:`~repro.api.SweepRequest.points`), accumulates them in a
-micro-batching queue, and flushes on whichever trigger fires first:
+:class:`BatchScheduler` owns, for every item alike:
 
-* **size** — the queue reached ``max_batch_points``;
-* **window** — ``batch_window_ms`` elapsed since the first point was
-  queued (an ``asyncio`` timer, so an isolated request pays at most one
-  window of extra latency).
+* **the memo** — a bounded in-process LRU of item payloads
+  (``memo_entries``);
+* **single-flight** — an item already queued or in flight under any
+  request hands back its future instead of a second dispatch.  Waiter
+  refcounts decide an item's fate: a request that is cancelled (its
+  connection died) or whose ``deadline_ms`` expires releases its items;
+  an item other requests still wait on keeps running; an item left with
+  no waiters before an engine thread picked it up is abandoned
+  (``service.batch_point_abandoned``) — nobody wants the answer, so
+  nobody pays for it;
+* **dispatch** — analytical points wait up to ``batch_window_ms`` (or
+  until ``max_batch_points`` are queued) and are priced in one
+  :func:`~repro.core.analytical_batch.evaluate_points` pass, with
+  :func:`~repro.core.sweeps.evaluate_point` for the points the kernel
+  declines.  Every other item dispatches at once as its own executor
+  task, so a DES run never holds kernel batch-mates;
+* **the cache tiers** — a dispatch scans the private disk tier, then the
+  shared tier (backfilling shared hits to disk), and writes what it
+  priced to the disk tier and, deferred off the request path, to the
+  shared tier under its cross-process lock;
+* **error isolation** — a failing item fails only the requests that
+  contain it, with the very exception its engine raised.
 
-One flush is one kernel dispatch on the service executor: a point-level
-cache-tier scan (``disk`` → ``shared``, the same ``sweep-point`` keys
-:func:`repro.core.sweeps.run_sweep` reads and writes, so sweeps and the
-service share warm entries), then a single ragged
-:func:`~repro.core.analytical_batch.evaluate_points` pass, scalar
-fallback for the points the kernel declines, and per-point write-back
-into both disk tiers.  Results scatter to per-point futures; requests
-assemble their payloads from those futures — bit-identical to a direct
-:func:`~repro.service.server.execute_request` evaluation, which the
-bench asserts before any timing.
+The :class:`KernelBreaker` is a dispatch-mode switch: repeated
+dispatch-level kernel failures open it, and window dispatches then price
+their points with ``evaluate_point`` until a probe dispatch comes back
+clean.  Items, tiers and futures are the same in both modes
+(``service.batch_point_kernel`` / ``service.batch_point_scalar`` show
+which one priced a point).
 
-Points get the same single-flight treatment requests do: a point that is
-already queued or in flight (under any tenant's request) hands back the
-existing future instead of a second queue slot, and a small point-level
-LRU memo serves repeat points without touching the queue at all.  Per
-point **error isolation** is a hard requirement — one poisoned point
-(invalid scenario, degenerate rates) fails only the requests that
-contain it, never its batch-mates; the captured exception is the very
-object the scalar engine would have raised, so the error envelope is
-identical to the unbatched path's.
-
-Everything except the kernel dispatch runs on the event-loop thread, so
-the queue, the point table and the memo need no locks; counters accrue
-in the service registry (``service.batch_*``) and each dispatch's
-hermetic engine manifest is merged in exactly once.
-
-Resilience (PR 10) adds three mechanisms on top:
-
-* **waiter accounting** — every request holds a reference on each point
-  future it awaits; a cancelled request (its connection died) or one
-  whose ``deadline_ms`` budget expires releases its references, and a
-  point still *queued* whose last waiter left is abandoned before it
-  ever reaches the kernel (``service.batch_point_abandoned``) — nobody
-  wants the answer, so nobody pays for it.  Points already dispatched
-  run to completion for the cache tiers.
-* **deadline enforcement at scatter time** — ``run_request`` waits for
-  its point futures at most until the request's deadline; past it the
-  request answers ``deadline_exceeded`` while the shared futures keep
-  serving other waiters.
-* **a kernel breaker** — repeated *dispatch-level* failures (the whole
-  kernel pass dying, as opposed to per-point isolated errors) trip a
-  counter-gated circuit breaker; while open, the broker routes batchable
-  requests down the scalar compute path (``served_by: computed``), so a
-  poisoned kernel degrades throughput instead of availability.  After a
-  configured number of bypassed requests one probe is let through; a
-  clean probe dispatch closes the breaker again.
+A request is served by the costliest source among its items, in the
+order of :data:`SOURCES`; responses are bit-identical to a direct
+:func:`~repro.service.server.execute_request` evaluation.  Everything but
+the executor body (``_compute_batch``) runs on the event-loop thread, so
+the tables need no locks; counters accrue in the service registry
+(``service.batch_*``) and each dispatch's hermetic engine manifest is
+merged in exactly once.
 """
 
 from __future__ import annotations
@@ -72,48 +57,75 @@ from __future__ import annotations
 import asyncio
 import collections
 import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro import obs
-from repro.core.sweeps import cache_key, evaluate_point
-from repro.errors import ConfigError, SimulationError
+from repro import api, obs
+from repro.cache import ResultCache, fingerprint
+from repro.core.sweeps import SweepPoint, cache_key, evaluate_point
+from repro.errors import ConfigError
 from repro.service.protocol import DeadlineExceeded
 
-__all__ = ["BatchScheduler", "KernelBreaker", "batchable"]
+__all__ = [
+    "SOURCES",
+    "Backpressure",
+    "BatchScheduler",
+    "KernelBreaker",
+    "work_items",
+]
 
-#: Request kinds the scheduler can decompose into evaluation points.
-BATCHABLE_KINDS = ("simulate", "sweep")
+#: Where an item's payload came from, cheapest first.
+SOURCES = ("memo", "coalesced", "disk", "shared", "computed")
 
 
-def batchable(request, profile: bool = False) -> bool:
-    """Whether the cross-request batcher may serve this request.
+def work_items(
+    request, profile: bool = False
+) -> Tuple[str, List[Tuple[str, Any]]]:
+    """``(fingerprint, items)`` for one request; an item is ``(key, work)``.
 
-    Only analytical ``simulate``/``sweep`` requests decompose into
-    points the vectorized kernel understands; profiled requests want the
-    scalar engine's per-request trace spans, so they always take the
-    unbatched path.
+    ``simulate``/``sweep`` requests become ``(cache_key(point), point)``
+    pairs, and the fingerprint is derived from those keys exactly as the
+    request's own ``fingerprint()`` derives it, so every key is hashed
+    once.  Fault schedules and profiled requests are one
+    ``(fingerprint, request)`` item.  Raises what ``fingerprint()``
+    raises for a malformed request.
     """
-    if profile:
-        return False
-    kind = getattr(request, "kind", None)
-    if kind not in BATCHABLE_KINDS:
-        return False
-    return request.engine == "analytical"
+    if profile or not isinstance(
+        request, (api.SimulationRequest, api.SweepRequest)
+    ):
+        fp = request.fingerprint()
+        return fp, [(fp, request)]
+    points = request.points()
+    keys = [cache_key(point) for point in points]
+    body = keys[0] if request.kind == "simulate" else keys
+    fp = fingerprint(api.REQUEST_SCHEMA, request.kind, body)
+    return fp, list(zip(keys, points))
+
+
+class Backpressure(ConfigError):
+    """The request needs new work while ``max_pending`` requests already
+    hold some; ``retry_after`` grows with the backlog."""
+
+    def __init__(self, pending: int, limit: int, workers: int) -> None:
+        super().__init__(
+            f"{pending} computations pending (limit {limit}); retry later"
+        )
+        self.retry_after = round(0.05 * (1 + pending / workers), 4)
 
 
 class _ShuttingDown(ConfigError):
-    """Queued points abandoned because the service is closing."""
+    """Queued items abandoned because the service is closing."""
 
 
 class KernelBreaker:
     """A counter-gated circuit breaker over one batch kernel.
 
-    ``record_failure`` counts *consecutive* dispatch-level failures;
-    at ``threshold`` the breaker opens and :meth:`allow` starts
-    answering False, sending batchable requests down the scalar path.
-    Every ``probe_after``-th bypassed request is let through as a probe;
-    a successful dispatch (``record_success``) closes the breaker and
-    zeroes the failure count.  Purely counter-driven — no clocks — so
+    ``record_failure`` counts *consecutive* kernel-dispatch failures; at
+    ``threshold`` the breaker opens and :meth:`allow` starts answering
+    False, so window dispatches price their points without the kernel.
+    Every ``probe_after``-th bypassed dispatch is let through as a probe;
+    a successful kernel dispatch (``record_success``) closes the breaker
+    and zeroes the failure count.  Purely counter-driven — no clocks — so
     breaker behaviour is deterministic under test and chaos drills.
     """
 
@@ -131,11 +143,11 @@ class KernelBreaker:
         self.bypassed = 0
 
     def allow(self) -> bool:
-        """Whether the next batchable request may enter the batch path.
+        """Whether the next window dispatch may use the kernel.
 
-        While open, counts bypassed requests and admits one probe per
-        ``probe_after`` bypasses (the probe's dispatch outcome decides
-        whether the breaker closes or stays open)."""
+        While open, counts bypassed dispatches and admits one probe per
+        ``probe_after`` bypasses (the probe's outcome decides whether the
+        breaker closes or stays open)."""
         if not self.open:
             return True
         self.bypassed += 1
@@ -145,8 +157,8 @@ class KernelBreaker:
         return False
 
     def record_success(self) -> bool:
-        """A dispatch completed; returns True when this *reset* an open
-        breaker (the caller counts resets)."""
+        """A kernel dispatch completed; returns True when this *reset* an
+        open breaker (the caller counts resets)."""
         reset = self.open
         self.failures = 0
         self.open = False
@@ -154,8 +166,8 @@ class KernelBreaker:
         return reset
 
     def record_failure(self) -> bool:
-        """A dispatch died wholesale; returns True when this *tripped*
-        the breaker open."""
+        """A kernel dispatch died wholesale; returns True when this
+        *tripped* the breaker open."""
         self.failures += 1
         if self.failures >= self.threshold and not self.open:
             self.open = True
@@ -172,14 +184,35 @@ class KernelBreaker:
         }
 
 
-class BatchScheduler:
-    """The micro-batching queue between the broker and the kernel.
+class _Item:
+    """One keyed unit of work, shared by every request that needs it."""
 
-    Owned by one :class:`~repro.service.server.SimulationService`; all
-    state is touched only on its event-loop thread.  ``run_request`` is
-    the sole entry: it enqueues the request's unresolved points, arms
-    the window timer, awaits the point futures and assembles the
-    response payload.
+    __slots__ = ("key", "work", "profile", "future", "waiters", "job", "spans")
+
+    def __init__(self, key: str, work, profile: bool, future) -> None:
+        self.key = key
+        self.work = work  # a SweepPoint, or a request priced whole
+        self.profile = profile
+        self.future = future  # resolves to (payload, tier)
+        self.waiters = 0
+        # A lone item's executor job: cancellable until a thread picks it up.
+        self.job = None
+        self.spans = None  # the profiled dispatch's span summary
+
+
+def _windowed(work) -> bool:
+    """Analytical points wait for kernel batch-mates; nothing else does."""
+    return isinstance(work, SweepPoint) and work.engine == "analytical"
+
+
+class BatchScheduler:
+    """Memo, single-flight, dispatch, cache tiers and write-back for the
+    work items of one :class:`~repro.service.server.SimulationService`.
+
+    All state but the executor body is touched only on the service's
+    event-loop thread.  ``run_request`` is the sole entry: it serves a
+    request's items from the memo, attaches to the ones in flight,
+    starts the rest, and waits for them.
     """
 
     def __init__(self, service) -> None:
@@ -190,18 +223,46 @@ class BatchScheduler:
         self.breaker = KernelBreaker(
             config.breaker_threshold, config.breaker_probe_after
         )
+        self.pending = 0  # requests holding at least one item they started
+        self._executor = ThreadPoolExecutor(
+            max_workers=config.workers, thread_name_prefix="repro-engine"
+        )
+        self._disk = (
+            ResultCache(config.cache_dir)
+            if config.cache_dir is not None
+            else None
+        )
+        self._shared = (
+            ResultCache(config.shared_dir, locked=True)
+            if config.shared_dir is not None
+            else None
+        )
+        if service._chaos is not None:
+            # Fault-wrap the disk tiers: chaos decides per operation
+            # whether a deterministic OSError fires before the real I/O.
+            self._disk = service._chaos.wrap_cache(self._disk)
+            self._shared = service._chaos.wrap_cache(self._shared)
         self._memo: "collections.OrderedDict[str, Dict]" = (
             collections.OrderedDict()
         )
-        self._inflight: Dict[str, asyncio.Future] = {}
-        self._waiters: Dict[str, int] = {}
-        self._queue: List[Tuple[str, Any, asyncio.Future]] = []
+        self._inflight: Dict[str, _Item] = {}
+        self._queue: List[_Item] = []
         self._timer: Optional[asyncio.TimerHandle] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._dispatches: set = set()
+        self._writeback: "collections.deque" = collections.deque()
+        self._writeback_task: Optional[asyncio.Future] = None
         self._closed = False
 
-    # -- point memo (event-loop thread only) ---------------------------------
+    def __len__(self) -> int:
+        """Items queued for the kernel window (not yet dispatched)."""
+        return len(self._queue)
+
+    def busy(self) -> bool:
+        """Whether any item is queued or any dispatch is in flight."""
+        return bool(self._queue or self._dispatches)
+
+    # -- the memo (event-loop thread only) -----------------------------------
 
     def _memo_get(self, key: str) -> Optional[Dict]:
         payload = self._memo.get(key)
@@ -210,7 +271,7 @@ class BatchScheduler:
         return payload
 
     def _memo_put(self, key: str, payload: Dict) -> None:
-        limit = self.service.config.point_memo_entries
+        limit = self.service.config.memo_entries
         if limit <= 0:
             return
         self._memo[key] = payload
@@ -218,161 +279,123 @@ class BatchScheduler:
         while len(self._memo) > limit:
             self._memo.popitem(last=False)
 
-    def __len__(self) -> int:
-        """Points currently queued (not yet dispatched)."""
-        return len(self._queue)
-
-    def busy(self) -> bool:
-        """Whether any points are queued or any dispatch is in flight."""
-        return bool(self._queue or self._dispatches)
-
-    def admit(self) -> bool:
-        """Breaker-gated admission into the batch path.
-
-        False sends the request down the scalar compute path; the
-        breaker's trip/probe/reset transitions accrue as counters."""
-        if not self.breaker.open:
-            return True
-        if self.breaker.allow():
-            self.service._inc("service.breaker_probes")
-            return True
-        self.service._inc("service.breaker_bypassed")
-        return False
-
-    # -- waiter accounting (event-loop thread only) ---------------------------
-
-    def _acquire(self, key: str) -> None:
-        self._waiters[key] = self._waiters.get(key, 0) + 1
-
-    def _release(self, key: str) -> None:
-        """Drop one waiter reference; abandon a still-queued point whose
-        last waiter left (cancelled connection, expired deadline) — it
-        would compute an answer nobody reads."""
-        count = self._waiters.get(key, 0) - 1
-        if count > 0:
-            self._waiters[key] = count
-            return
-        self._waiters.pop(key, None)
-        for i, (queued_key, _point, future) in enumerate(self._queue):
-            if queued_key == key:
-                del self._queue[i]
-                self._inflight.pop(key, None)
-                future.cancel()
-                self.service._inc("service.batch_point_abandoned")
-                break
-
     # -- the request path (event-loop thread) --------------------------------
 
-    async def run_request(self, request, deadline: Optional[float] = None) -> Dict:
-        """Serve one batchable request; raises what the scalar path
-        would raise for the first failing point (in point order), or
-        :class:`~repro.service.protocol.DeadlineExceeded` when the
-        request's budget runs out before its points scatter."""
+    async def run_request(
+        self, items, deadline: Optional[float] = None, profile: bool = False
+    ) -> Tuple[List[Dict], str, Optional[list]]:
+        """Serve one request's items; returns ``(payloads, served_by,
+        spans)``.
+
+        Raises :class:`Backpressure` or
+        :class:`~repro.service.protocol.DeadlineExceeded` before starting
+        anything when the request needs new work it may not start; the
+        exception of its first failing item (in item order); or
+        ``DeadlineExceeded`` when its budget runs out before its items
+        scatter.
+        """
         if self._closed:
             raise _ShuttingDown("service shutting down")
-        self._loop = asyncio.get_running_loop()
-        points = request.points()
         inc = self.service._inc
-        slots: List[Tuple[Optional[asyncio.Future], Optional[Dict]]] = []
-        acquired: List[str] = []
-        for point in points:
-            key = cache_key(point)
-            payload = self._memo_get(key)
-            if payload is not None:
-                inc("service.batch_point_hits")
-                slots.append((None, payload))
-                continue
-            future = self._inflight.get(key)
-            if future is not None:
-                # Point-level single-flight: some other request already
-                # queued or dispatched this point.
-                inc("service.batch_point_stitched")
-            else:
-                future = self._loop.create_future()
-                self._inflight[key] = future
-                self._queue.append((key, point, future))
-                inc("service.batch_point_queued")
-                # Arm per point so ``max_batch_points`` caps the size of
-                # every dispatch — an oversize request flushes in chunks.
-                self._arm()
-            self._acquire(key)
-            acquired.append(key)
-            slots.append((future, None))
-
+        payloads = [self._memo_get(key) for key, _work in items]
+        if None not in payloads:
+            inc("service.batch_point_hits", len(items))
+            return payloads, "memo", None
+        fresh = any(
+            payload is None and key not in self._inflight
+            for (key, _work), payload in zip(items, payloads)
+        )
+        if fresh:
+            config = self.service.config
+            if self.pending >= config.max_pending:
+                raise Backpressure(
+                    self.pending, config.max_pending, config.workers
+                )
+            if deadline is not None and time.monotonic() >= deadline:
+                raise DeadlineExceeded("deadline_ms expired before dispatch")
+            self.pending += 1
+        self._loop = asyncio.get_running_loop()
+        held: List[Tuple[int, _Item, bool]] = []
         try:
-            # Shield every await: cancelling this request (its
-            # connection died) must not cancel a point future other
-            # requests share — the waiter refcount decides whether the
-            # point itself is abandoned.
-            waits = [
-                asyncio.shield(future)
-                for future, _payload in slots
-                if future is not None
-            ]
-            if waits:
-                gathered = asyncio.gather(*waits, return_exceptions=True)
-                if deadline is None:
-                    outcomes = await gathered
+            for i, (key, work) in enumerate(items):
+                if payloads[i] is not None:
+                    inc("service.batch_point_hits")
+                    continue
+                item = self._inflight.get(key)
+                started = item is None
+                if started:
+                    item = self._start(key, work, profile)
+                    inc("service.batch_point_queued")
                 else:
-                    remaining = deadline - time.monotonic()
-                    try:
-                        outcomes = await asyncio.wait_for(
-                            gathered, max(0.0, remaining)
-                        )
-                    except asyncio.TimeoutError:
-                        raise DeadlineExceeded(
-                            "deadline_ms expired before the batched "
-                            "points scattered"
-                        ) from None
-            else:
-                outcomes = []
+                    inc("service.batch_point_stitched")
+                item.waiters += 1
+                held.append((i, item, started))
+            # asyncio.wait never cancels what it waits on: a request that
+            # times out or is cancelled leaves the shared futures alone,
+            # and the waiter refcounts decide what happens to them.
+            timeout = (
+                None if deadline is None
+                else max(0.0, deadline - time.monotonic())
+            )
+            _done, waiting = await asyncio.wait(
+                {item.future for _i, item, _started in held}, timeout=timeout
+            )
+            if waiting:
+                raise DeadlineExceeded(
+                    "deadline_ms expired before the request's work scattered"
+                )
         finally:
-            for key in acquired:
-                self._release(key)
-        payloads: List[Optional[Dict]] = []
-        first_error: Optional[BaseException] = None
-        pos = 0
-        for future, payload in slots:
-            if future is None:
-                payloads.append(payload)
-                continue
-            outcome = outcomes[pos]
-            pos += 1
-            if isinstance(outcome, BaseException):
-                if first_error is None:
-                    first_error = outcome
-                payloads.append(None)
-            else:
-                payloads.append(outcome)
-        if first_error is not None:
-            # Every outcome was gathered (consumed), so raising the
-            # first cannot leave an un-retrieved exception behind.
-            raise first_error
-        return self._assemble(request, points, payloads)
+            for _i, item, _started in held:
+                self._release(item)
+            if fresh:
+                self.pending -= 1
+        sources = []
+        spans = None
+        for i, item, started in held:
+            if item.future.exception() is not None:
+                raise item.future.exception()
+            payloads[i], tier = item.future.result()
+            sources.append(tier if started else "coalesced")
+            if started and item.spans is not None:
+                spans = item.spans
+        if deadline is not None and time.monotonic() >= deadline:
+            # The work finished and feeds the memo and every other
+            # waiter, but past the budget the honest answer to THIS
+            # request is a rejection.
+            raise DeadlineExceeded(
+                "deadline_ms expired before the result scattered"
+            )
+        return payloads, max(sources, key=SOURCES.index), spans
 
-    @staticmethod
-    def _assemble(request, points, payloads: List[Dict]) -> Dict:
-        """The response payload, shaped exactly like ``execute_request``."""
-        if request.kind == "simulate":
-            return {
-                "kind": request.kind,
-                "engine": request.engine,
-                "result": payloads[0],
-            }
-        return {
-            "kind": request.kind,
-            "engine": request.engine,
-            "points": [
-                [p.workload.name, p.arch.name, p.scale] for p in points
-            ],
-            "results": payloads,
-        }
+    def _start(self, key: str, work, profile: bool) -> _Item:
+        item = _Item(key, work, profile, self._loop.create_future())
+        self._inflight[key] = item
+        if _windowed(work):
+            self._queue.append(item)
+            # Arm per item so ``max_batch_points`` caps the size of every
+            # dispatch — an oversize request flushes in chunks.
+            self._arm()
+        else:
+            item.job = self._launch([item], kernel=False)
+        return item
 
-    # -- flushing ------------------------------------------------------------
+    def _release(self, item: _Item) -> None:
+        """Drop one waiter reference; abandon an item whose last waiter
+        left before an engine thread picked it up."""
+        item.waiters -= 1
+        if item.waiters > 0 or item.future.done():
+            return
+        if item in self._queue:
+            self._queue.remove(item)
+        elif item.job is None or not item.job.cancel():
+            return  # already computing: it runs on for the cache tiers
+        self._inflight.pop(item.key, None)
+        item.future.cancel()
+        self.service._inc("service.batch_point_abandoned")
+
+    # -- dispatch ------------------------------------------------------------
 
     def _arm(self) -> None:
-        if not self._queue or self._loop is None:
-            return
         if len(self._queue) >= self.max_points:
             self._flush("size")
         elif self._timer is None:
@@ -384,184 +407,281 @@ class BatchScheduler:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        if not self._queue or self._loop is None:
+        if not self._queue:
             return
-        entries, self._queue = self._queue, []
-        self.service._inc(f"service.batch_flush_{trigger}")
-        task = self._loop.create_task(self._dispatch(entries))
+        items, self._queue = self._queue, []
+        svc = self.service
+        svc._inc(f"service.batch_flush_{trigger}")
+        svc._inc("service.batch_dispatches")
+        svc._inc("service.batch_points", len(items))
+        svc.registry.observe("service.batch_occupancy", float(len(items)))
+        self._launch(items, kernel=self._kernel_mode())
+
+    def _kernel_mode(self) -> bool:
+        """The breaker's mode switch for one window dispatch."""
+        if not self.breaker.open:
+            return True
+        if self.breaker.allow():
+            self.service._inc("service.breaker_probes")
+            return True
+        self.service._inc("service.breaker_bypassed")
+        return False
+
+    def _launch(self, items: List[_Item], kernel: bool):
+        """Submit one dispatch to the engine pool; returns its job."""
+        job = self._executor.submit(self._compute_batch, items, kernel)
+        task = self._loop.create_task(self._dispatch(items, kernel, job))
         self._dispatches.add(task)
         task.add_done_callback(self._dispatches.discard)
+        return job
 
-    async def _dispatch(
-        self, entries: List[Tuple[str, Any, asyncio.Future]]
-    ) -> None:
-        """One kernel dispatch: compute off-loop, scatter on-loop."""
+    async def _dispatch(self, items: List[_Item], kernel: bool, job) -> None:
+        """Await one executor job, then scatter its results on the loop."""
         svc = self.service
-        svc._inc("service.batch_dispatches")
-        svc._inc("service.batch_points", len(entries))
-        svc.registry.observe("service.batch_occupancy", float(len(entries)))
         try:
-            out, manifest, tally = await self._loop.run_in_executor(
-                svc._executor, self._compute_batch, entries
-            )
-            if self.breaker.record_success():
-                svc._inc("service.breaker_reset")
-        except Exception as exc:  # defensive: fail the points, not the loop
+            out, manifest, tally, spans = await asyncio.wrap_future(job)
+        except asyncio.CancelledError:
+            if not job.cancelled():
+                raise  # this task itself was cancelled
+            return  # abandoned before an engine thread picked it up
+        except Exception as exc:  # the whole dispatch died: fail its items
             failure = ConfigError(
                 f"internal error: {type(exc).__name__}: {exc}"
             )
-            out = {key: failure for key, _point, _future in entries}
-            manifest, tally = None, {}
+            out = dict.fromkeys((item.key for item in items), failure)
+            manifest, tally, spans = None, {}, None
             svc._inc("service.batch_dispatch_errors")
-            if self.breaker.record_failure():
+            if kernel and self.breaker.record_failure():
                 svc._inc("service.breaker_tripped")
+        else:
+            if kernel and self.breaker.record_success():
+                svc._inc("service.breaker_reset")
         for name, value in tally.items():
             svc._inc(name, value)
-        svc._kick_writeback()
         if manifest is not None:
-            # One hermetic engine manifest per dispatch, merged exactly
-            # once — same discipline as the unbatched compute path.
             svc.registry.merge_manifest(manifest)
-        for key, _point, future in entries:
-            self._inflight.pop(key, None)
-            value = out.get(key)
+        self._kick_writeback()
+        for item in items:
+            self._inflight.pop(item.key, None)
+            if item.future.done():
+                continue
+            value = out[item.key]
             if isinstance(value, BaseException):
-                if not future.done():
-                    future.set_exception(value)
-                    future.exception()  # consumed if every waiter left
+                item.future.set_exception(value)
+                item.future.exception()  # consumed if every waiter left
             else:
-                if value is not None:
-                    self._memo_put(key, value)
-                if not future.done():
-                    future.set_result(value)
+                self._memo_put(item.key, value[0])
+                item.spans = spans
+                item.future.set_result(value)
 
     def _compute_batch(
-        self, entries: List[Tuple[str, Any, asyncio.Future]]
-    ) -> Tuple[Dict[str, Any], Optional[Dict], Dict[str, int]]:
-        """Executor-thread body: tiers, kernel pass, scalar fallback.
+        self, items: List[_Item], kernel: bool
+    ) -> Tuple[Dict[str, Any], Dict, Dict[str, int], Optional[list]]:
+        """Executor-thread body of one dispatch: tiers, then pricing.
 
-        Returns ``(per-key payload-or-exception, engine manifest,
-        counter tally)`` — pure data; all bookkeeping happens back on
-        the loop.
+        Returns ``(per-key (payload, tier) or exception, engine manifest,
+        counter tally, span summary of a profiled item)`` — pure data;
+        all bookkeeping happens back on the loop.
         """
         from repro.core.analytical_batch import evaluate_points
 
-        svc = self.service
-        disk, shared = svc._disk, svc._shared
-        chaos = svc._chaos
+        chaos = self.service._chaos
+        if chaos is not None and kernel:
+            # A dispatch-level chaos fault kills the whole kernel pass
+            # (the breaker's food); per-item faults are injected below.
+            chaos.before_dispatch()
         tally: Dict[str, int] = collections.defaultdict(int)
         out: Dict[str, Any] = {}
-        if chaos is not None:
-            # A dispatch-level chaos fault poisons the whole kernel pass
-            # (the breaker's food); per-point faults are injected below.
-            chaos.before_dispatch()
         registry = obs.MetricsRegistry()
-        with obs.session(metrics=registry):
+        tracer = obs.Tracer() if items[0].profile else None
+        with obs.session(tracer=tracer, metrics=registry):
             with obs.span(
-                "service.batch_dispatch", cat="service", points=len(entries)
+                "service.batch_dispatch", cat="service", points=len(items)
             ):
-                remaining: List[Tuple[str, Any]] = []
-                disk_hits: Dict[str, Dict] = {}
-                if disk is not None:
-                    try:
-                        disk_hits = disk.get_many(
-                            key for key, _p, _f in entries
-                        )
-                    except OSError:
-                        tally["service.cache_errors"] += 1
-                for key, point, _future in entries:
-                    payload = disk_hits.get(key)
-                    if payload is None and shared is not None:
-                        try:
-                            payload = shared.get(key)
-                        except OSError:
-                            payload = None
-                            tally["service.cache_errors"] += 1
-                        if payload is not None and disk is not None:
-                            try:
-                                disk.put(key, payload)
-                            except OSError:
-                                tally["service.cache_errors"] += 1
-                    if payload is not None:
-                        out[key] = payload
-                        tally["service.batch_point_disk"] += 1
+                todo = []
+                for item in items:
+                    found = self._lookup(item.key, tally)
+                    if found is None:
+                        todo.append(item)
                     else:
-                        remaining.append((key, point))
-                if remaining:
+                        out[item.key] = found
+                        tally["service.batch_point_disk"] += 1
+                if kernel and todo:
                     results, _reasons, errors = evaluate_points(
-                        [point for _key, point in remaining]
+                        [item.work for item in todo]
                     )
-                    for (key, point), result, error in zip(
-                        remaining, results, errors
-                    ):
+                    for item, result, error in zip(todo, results, errors):
+                        if error is None and chaos is not None:
+                            error = chaos.point_error(item.key)
                         if error is not None:
-                            out[key] = error
+                            out[item.key] = error
                             tally["service.batch_point_errors"] += 1
-                            continue
-                        if chaos is not None:
-                            injected = chaos.point_error(key)
-                            if injected is not None:
-                                out[key] = injected
-                                tally["service.batch_point_errors"] += 1
-                                continue
-                        if result is not None:
-                            payload = result.to_dict()
+                        elif result is not None:
+                            out[item.key] = self._store(
+                                item.key, result.to_dict(), tally
+                            )
                             tally["service.batch_point_kernel"] += 1
-                        else:
-                            # The kernel declined this point (other
-                            # sync strategy, unknown accelerator, ...):
-                            # price it scalar, isolating its errors too.
-                            try:
-                                payload = evaluate_point(point).to_dict()
-                            except (ConfigError, SimulationError) as exc:
-                                out[key] = exc
-                                tally["service.batch_point_errors"] += 1
-                                continue
-                            tally["service.batch_point_scalar"] += 1
-                        out[key] = payload
-                        if disk is not None:
-                            try:
-                                disk.put(key, payload)
-                            except OSError:
-                                tally["service.cache_errors"] += 1
-                        if shared is not None:
-                            # Shared-tier writes take a cross-process
-                            # lock; defer them off the request path (the
-                            # drain/flush machinery guarantees delivery).
-                            svc._defer_writeback(key, payload)
-        return out, registry.to_manifest(), dict(tally)
+                for item in todo:
+                    if item.key in out:
+                        continue
+                    # Priced alone: a non-analytical item, a point the
+                    # kernel declined, or any point while the breaker is
+                    # open.  Errors stay isolated to this item.
+                    try:
+                        if chaos is not None:
+                            chaos.before_compute(item.key)
+                        payload = self._price(item.work)
+                    except Exception as exc:
+                        out[item.key] = exc
+                        tally["service.batch_point_errors"] += 1
+                        continue
+                    out[item.key] = self._store(item.key, payload, tally)
+                    tally["service.batch_point_scalar"] += 1
+        spans = None
+        if tracer is not None:
+            spans = [
+                [s.name, s.count, round(s.total * 1e3, 6)]
+                for s in tracer.summarize(top=10)
+            ]
+        return out, registry.to_manifest(), dict(tally), spans
+
+    @staticmethod
+    def _price(work) -> Dict:
+        if isinstance(work, SweepPoint):
+            return evaluate_point(work).to_dict()
+        from repro.service import server  # late: server imports this module
+
+        return server.execute_request(work)
+
+    # -- cache tiers (executor threads) --------------------------------------
+
+    def _lookup(self, key: str, tally) -> Optional[Tuple[Dict, str]]:
+        """The disk tier, then the shared tier (backfilled to disk)."""
+        for tier, cache in (("disk", self._disk), ("shared", self._shared)):
+            if cache is None:
+                continue
+            try:
+                payload = cache.get(key)
+            except OSError:
+                tally["service.cache_errors"] += 1
+                continue
+            if payload is not None:
+                if tier == "shared":
+                    self._put_disk(key, payload, tally)
+                return payload, tier
+        return None
+
+    def _put_disk(self, key: str, payload: Dict, tally) -> None:
+        if self._disk is not None:
+            try:
+                self._disk.put(key, payload)
+            except OSError:
+                tally["service.cache_errors"] += 1
+
+    def _store(self, key: str, payload: Dict, tally) -> Tuple[Dict, str]:
+        """Write a priced payload through; returns ``(payload, tier)``."""
+        self._put_disk(key, payload, tally)
+        if self._shared is not None:
+            # Shared writes take a cross-process lock; defer them off the
+            # request path (drain and close flush the queue).
+            self._writeback.append((key, payload))
+        return payload, "computed"
+
+    # -- deferred shared-tier write-backs ------------------------------------
+
+    def _kick_writeback(self) -> None:
+        """Loop thread: start a background flush unless one is running."""
+        if not self._writeback:
+            return
+        if self._writeback_task is not None and not self._writeback_task.done():
+            return
+        try:
+            task = self._loop.run_in_executor(
+                self._executor, self._flush_writebacks
+            )
+        except RuntimeError:
+            return  # executor already shut down; the final flush covers it
+        self._writeback_task = task
+        task.add_done_callback(self._writeback_done)
+
+    def _writeback_done(self, task) -> None:
+        if not task.cancelled() and task.exception() is None:
+            self._count_flush(task.result())
+
+    def _flush_writebacks(self) -> Tuple[int, int]:
+        """Drain the write-back queue; returns ``(flushed, errors)``.
+        Runs on an executor thread (or synchronously at shutdown); the
+        deque is thread-safe, so a concurrent flush just finds it empty.
+        """
+        flushed = errors = 0
+        while True:
+            try:
+                key, payload = self._writeback.popleft()
+            except IndexError:
+                break
+            try:
+                self._shared.put(key, payload)
+                flushed += 1
+            except (OSError, ConfigError):
+                errors += 1
+        return flushed, errors
+
+    def _count_flush(self, result: Tuple[int, int]) -> int:
+        flushed, errors = result
+        if flushed:
+            self.service._inc("service.writebacks_flushed", flushed)
+        if errors:
+            self.service._inc("service.cache_errors", errors)
+        return flushed
 
     # -- shutdown ------------------------------------------------------------
 
     def begin_drain(self) -> None:
-        """Graceful-drain entry: flush whatever is queued *now* instead
-        of waiting out the batching window.  The broker has already
-        stopped admitting requests, so no new points will arrive; the
-        in-flight dispatches finish on the executor and scatter
-        normally."""
+        """Graceful-drain entry: dispatch whatever is queued *now*
+        instead of waiting out the window.  The broker has stopped
+        admitting requests, so no new items arrive."""
         if self._queue:
             self._flush("drain")
 
-    def close(self) -> None:
-        """Stop the timer and fail every still-queued point fast."""
+    def _fail_queued(self) -> None:
+        """Stop the timer and fail every still-queued item fast."""
         self._closed = True
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        entries, self._queue = self._queue, []
-        self._waiters.clear()
-        for key, _point, future in entries:
-            self._inflight.pop(key, None)
-            if not future.done():
-                future.set_exception(
+        items, self._queue = self._queue, []
+        for item in items:
+            self._inflight.pop(item.key, None)
+            if not item.future.done():
+                item.future.set_exception(
                     _ShuttingDown("service shutting down")
                 )
-                future.exception()
+                item.future.exception()
 
-    async def aclose(self, timeout: Optional[float] = None) -> None:
-        """Close, then let in-flight dispatches scatter their results
-        (bounded by ``timeout`` when the caller's drain already gave up
-        — a wedged kernel must not wedge shutdown too)."""
-        self.close()
+    def close(self) -> None:
+        """Synchronous shutdown: fail queued items, wait for engine work,
+        flush the write-back queue."""
+        self._fail_queued()
+        self._executor.shutdown(wait=True)
+        self._count_flush(self._flush_writebacks())
+
+    async def aclose(self, timeout: Optional[float] = None) -> int:
+        """Graceful shutdown; returns the write-backs flushed.
+
+        In-flight dispatches scatter first (bounded by ``timeout`` when
+        the caller's drain already gave up — a wedged kernel must not
+        wedge shutdown too).  The engine pool stops BEFORE the final
+        flush: a compute still running could otherwise queue a
+        write-back after the flush and strand it.  Both run on the
+        loop's default executor (ours is being shut down).
+        """
+        self._fail_queued()
         if self._dispatches:
             await asyncio.wait(list(self._dispatches), timeout=timeout)
+        loop = asyncio.get_running_loop()
+        await loop.run_in_executor(
+            None, self._executor.shutdown, timeout is None
+        )
+        return self._count_flush(
+            await loop.run_in_executor(None, self._flush_writebacks)
+        )

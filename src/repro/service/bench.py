@@ -1,30 +1,28 @@
-"""Service load harness: N concurrent clients replaying a mixed trace.
+"""Service load harness: N concurrent clients replaying a trace.
 
 The gate behind ``repro bench-service`` and
 ``benchmarks/bench_service.py``.  A :class:`~repro.service.server.
 ServerThread` is started fresh (empty memo, optional empty disk tier), a
-deterministic trace of unique requests is inflated with duplicates and
-dealt round-robin to ``n_clients`` threads, and every response is
-checked **bit-identical** against a direct :func:`~repro.service.server.
-execute_request` evaluation of the same request object — the service
-may change *when* a result is computed, never *what*.
+deterministic trace is dealt round-robin to ``n_clients`` threads, and
+every response is checked **bit-identical** against a direct
+:func:`~repro.service.server.execute_request` evaluation of the same
+request object — the service may change *when* a result is computed,
+never *what*.
 
 Because the server starts cold, the accounting is deterministic whatever
-the interleaving: every unique request is served by exactly one engine
-pass (``computed + batched == unique``) and every duplicate is served
-without engine work — ``coalesced`` when it overlapped the computation
-in flight, ``memo`` when it arrived after — so ``coalesced + memo ==
-duplicates``.  Latency lands in the committed baseline as rates (1/p50,
-1/p99) so the existing :mod:`repro.perf` regression machinery gates it
-unchanged.
+the interleaving: every distinct work item in the trace (an evaluation
+point, or a whole fault-schedule request) is priced exactly once, and
+every request is answered from the memo, by coalescing onto work in
+flight, or by computing — ``memo + coalesced + computed == total``.
+Latency lands in the committed baseline as rates (1/p50, 1/p99) so the
+existing :mod:`repro.perf` regression machinery gates it unchanged.
 
-A second harness, :func:`run_batch_comparison`, targets the
-cross-request batch scheduler specifically: an **all-distinct**
-analytical trace (0% duplicates, so coalescing and the memo can do
-nothing) is pipelined from N clients against the same server config
-with batching on and off, and the batched run must beat the unbatched
-one by a committed p99 floor while every response stays bit-identical
-to :func:`~repro.service.server.execute_request`.
+:func:`run_load_test` replays the mixed trace with duplicates, one call
+at a time per client.  :func:`run_distinct_test` targets cross-request
+batching: an **all-distinct** analytical trace (no duplicates, so the
+memo and coalescing can do nothing) is pipelined from N clients, every
+point must be priced by a kernel dispatch, and the dispatches must hold
+more than a handful of points each.
 """
 
 from __future__ import annotations
@@ -37,11 +35,12 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro import api
 from repro.errors import ConfigError
 from repro.perf import Measurement
+from repro.service.batch import work_items
 from repro.service.chaos import ChaosInjector, ServiceChaosSpec
 from repro.service.client import ConnectionLost, RetryPolicy, ServiceClient
 from repro.service.server import (
@@ -53,13 +52,12 @@ from repro.service.server import (
 __all__ = [
     "BASELINE_PATH",
     "BATCH_BASELINE_PATH",
-    "BatchCompareReport",
     "ChaosReport",
     "LoadReport",
     "distinct_trace",
     "mixed_trace",
-    "run_batch_comparison",
     "run_chaos_drill",
+    "run_distinct_test",
     "run_load_test",
 ]
 
@@ -126,8 +124,8 @@ def mixed_trace() -> List:
 def distinct_trace() -> List:
     """An all-distinct analytical trace: every Table I workload crossed
     with four architectures and the full scale ladder (252 requests, no
-    two sharing a fingerprint).  Coalescing and the request memo cannot
-    help here — only cross-request batching can collapse the work.
+    two sharing a point).  Coalescing and the memo cannot help here —
+    only cross-request batching can collapse the work.
     """
     from repro.core.sweeps import SCALE_LADDER
     from repro.workloads.registry import workload_names
@@ -154,19 +152,27 @@ def _shuffled(items: List, seed: int) -> List:
 
 @dataclass
 class LoadReport:
-    """What one load-test run measured."""
+    """What one load-test run measured.
 
+    ``items`` counts the distinct work items in the trace and ``priced``
+    the items the server priced (kernel or scalar)."""
+
+    name: str
     n_clients: int
     total: int
     unique: int
     duplicates: int
+    items: int
+    priced: int
     computed: int
-    batched: int
     coalesced: int
     memo_hits: int
     disk_hits: int
     errors: int
     rejected: int
+    batch_points: int
+    batch_dispatches: int
+    batch_kernel: int
     wall_seconds: float
     latencies: List[float] = field(repr=False)
 
@@ -186,11 +192,11 @@ class LoadReport:
         return ordered[idx]
 
     @property
-    def coalesce_ratio(self) -> float:
-        """Fraction of duplicate requests served by single-flight."""
-        if self.duplicates <= 0:
+    def points_per_dispatch(self) -> float:
+        """Mean stitched points per kernel-window dispatch."""
+        if self.batch_dispatches <= 0:
             return 0.0
-        return self.coalesced / self.duplicates
+        return self.batch_points / self.batch_dispatches
 
     @property
     def cache_hit_ratio(self) -> float:
@@ -201,35 +207,163 @@ class LoadReport:
             self.coalesced + self.memo_hits + self.disk_hits
         ) / self.total
 
-    @property
-    def requests_per_s(self) -> float:
-        if self.wall_seconds <= 0:
-            return float("inf")
-        return self.total / self.wall_seconds
-
     def measurements(self) -> List[Measurement]:
         """The latency figures as :mod:`repro.perf` rate measurements
         (1/latency, so 'samples per second' still means faster=bigger
         and the standard regression tolerance applies unchanged)."""
         return [
-            Measurement("service_p50_rate", 1, self.p50_seconds),
-            Measurement("service_p99_rate", 1, self.p99_seconds),
-            Measurement("service_throughput", self.total, self.wall_seconds),
+            Measurement(f"{self.name}_p50_rate", 1, self.p50_seconds),
+            Measurement(f"{self.name}_p99_rate", 1, self.p99_seconds),
+            Measurement(
+                f"{self.name}_throughput", self.total, self.wall_seconds
+            ),
         ]
 
     def summary(self) -> str:
         return (
             f"{self.total} requests ({self.unique} unique, "
-            f"{self.duplicates} duplicates) over {self.n_clients} clients "
-            f"in {self.wall_seconds:.2f}s — "
+            f"{self.duplicates} duplicates, {self.items} work items) over "
+            f"{self.n_clients} clients in {self.wall_seconds:.2f}s — "
             f"p50 {self.p50_seconds * 1e3:.1f} ms, "
             f"p99 {self.p99_seconds * 1e3:.1f} ms, "
-            f"computed {self.computed}, batched {self.batched}, "
-            f"coalesced {self.coalesced}, "
+            f"computed {self.computed}, coalesced {self.coalesced}, "
             f"memo {self.memo_hits}, "
-            f"coalesce ratio {self.coalesce_ratio:.0%}, "
-            f"cache-hit ratio {self.cache_hit_ratio:.0%}"
+            f"cache-hit ratio {self.cache_hit_ratio:.0%}; "
+            f"{self.batch_points} points in {self.batch_dispatches} "
+            f"dispatches ({self.points_per_dispatch:.1f} points/dispatch, "
+            f"{self.batch_kernel} kernel-priced)"
         )
+
+
+def _replay(
+    name: str,
+    unique: List,
+    trace: List,
+    n_clients: int,
+    config: ServiceConfig,
+    check_identity: bool,
+    pipelined: bool,
+) -> LoadReport:
+    """One cold-server run: shard the trace over ``n_clients`` clients.
+
+    Pipelined clients write their whole shard before reading any
+    response, so the server sees the concurrent burst a batching window
+    needs; otherwise each client times one call at a time.  With
+    ``check_identity`` every response payload is compared — canonical
+    JSON, hence bit-for-bit — against a direct :func:`execute_request`
+    evaluation (which also warms the process-global model memos, so the
+    timed window pays no first-touch compilation), and each distinct
+    work item is asserted priced exactly once, with every request
+    answered by the memo, coalescing or computing.
+    """
+    expected: Dict[str, str] = {}
+    if check_identity:
+        for request in unique:
+            expected[request.fingerprint()] = json.dumps(
+                execute_request(request), sort_keys=True
+            )
+    shards = [trace[i::n_clients] for i in range(n_clients)]
+    shards = [s for s in shards if s]
+    latencies: List[List[float]] = [[] for _ in shards]
+    failures: List[str] = []
+    barrier = threading.Barrier(len(shards) + 1)
+
+    with ServerThread(config) as srv:
+        host, port = srv.address
+
+        def worker(idx: int) -> None:
+            try:
+                with ServiceClient(
+                    host, port, tenant=f"tenant-{idx % 4}"
+                ) as client:
+                    barrier.wait()
+                    if pipelined:
+                        responses = client.request_many(
+                            shards[idx], latencies=latencies[idx]
+                        )
+                    else:
+                        responses = []
+                        for request in shards[idx]:
+                            t0 = time.perf_counter()
+                            responses.append(client.call(request))
+                            latencies[idx].append(time.perf_counter() - t0)
+                    for request, response in zip(shards[idx], responses):
+                        if response.get("status") != "ok":
+                            failures.append(
+                                f"client {idx}: {response.get('error')}"
+                            )
+                        elif expected and json.dumps(
+                            response["payload"], sort_keys=True
+                        ) != expected[request.fingerprint()]:
+                            failures.append(
+                                f"client {idx}: response for "
+                                f"{request.kind} diverged from the "
+                                f"direct api call"
+                            )
+            except Exception as exc:  # surfaced after join
+                failures.append(f"client {idx}: {type(exc).__name__}: {exc}")
+
+        threads = [
+            threading.Thread(target=worker, args=(i,), daemon=True)
+            for i in range(len(shards))
+        ]
+        for t in threads:
+            t.start()
+        barrier.wait()
+        t0 = time.perf_counter()
+        for t in threads:
+            t.join(timeout=600)
+        wall = time.perf_counter() - t0
+        counters = srv.service.registry.to_manifest()["counters"]
+
+    if failures:
+        raise ConfigError(
+            f"service {name} run failed ({len(failures)} failures): "
+            + "; ".join(failures[:5])
+        )
+
+    report = LoadReport(
+        name=name,
+        n_clients=n_clients,
+        total=len(trace),
+        unique=len(unique),
+        duplicates=len(trace) - len(unique),
+        items=len({
+            key for request in unique for key, _ in work_items(request)[1]
+        }),
+        priced=counters.get("service.batch_point_kernel", 0)
+        + counters.get("service.batch_point_scalar", 0),
+        computed=counters.get("service.computed", 0),
+        coalesced=counters.get("service.coalesced", 0),
+        memo_hits=counters.get("service.memo_hits", 0),
+        disk_hits=counters.get("service.disk_hits", 0)
+        + counters.get("service.shared_hits", 0),
+        errors=counters.get("service.errors", 0),
+        rejected=counters.get("service.rejected_backpressure", 0)
+        + counters.get("service.rejected_quota", 0),
+        batch_points=counters.get("service.batch_points", 0),
+        batch_dispatches=counters.get("service.batch_dispatches", 0),
+        batch_kernel=counters.get("service.batch_point_kernel", 0),
+        wall_seconds=wall,
+        latencies=[lat for per_client in latencies for lat in per_client],
+    )
+    if check_identity:
+        # Cold server: whatever the timing, every distinct item is
+        # priced by exactly one engine pass (kernel or scalar), and
+        # every request is served without one or by computing.
+        if report.priced != report.items:
+            raise ConfigError(
+                f"dedup broke: {report.priced} items priced for "
+                f"{report.items} distinct work items"
+            )
+        served = report.memo_hits + report.coalesced + report.computed
+        if served != report.total:
+            raise ConfigError(
+                f"accounting broke: {report.memo_hits} memo + "
+                f"{report.coalesced} coalesced + {report.computed} "
+                f"computed != {report.total} requests"
+            )
+    return report
 
 
 def run_load_test(
@@ -242,13 +376,9 @@ def run_load_test(
     """Replay the mixed trace from ``n_clients`` concurrent clients.
 
     ``dup_factor`` copies of every unique request are interleaved
-    (``dup_factor=2`` → 50% duplicates), so both the coalescing path
-    and the memo path are exercised.  With ``check_identity`` every
-    response payload is compared — canonical JSON, hence bit-for-bit —
-    against a direct in-process :func:`execute_request` evaluation, and
-    the cold-start accounting invariants are asserted:
-    ``computed + batched == unique`` and ``coalesced + memo ==
-    duplicates``.
+    (``dup_factor=2`` → 50% duplicates), so both coalescing and the memo
+    are exercised; see :func:`_replay` for what ``check_identity``
+    asserts.
     """
     if n_clients < 1:
         raise ConfigError("n_clients must be >= 1")
@@ -259,282 +389,25 @@ def run_load_test(
     config = config or ServiceConfig(
         max_workers=4, max_pending=max(64, len(trace))
     )
-
-    expected: Dict[str, str] = {}
-    if check_identity:
-        for request in unique:
-            expected[request.fingerprint()] = json.dumps(
-                execute_request(request), sort_keys=True
-            )
-
-    shards: List[List] = [trace[i::n_clients] for i in range(n_clients)]
-    latencies: List[List[float]] = [[] for _ in range(n_clients)]
-    failures: List[str] = []
-    barrier = threading.Barrier(n_clients + 1)
-
-    with ServerThread(config) as srv:
-        host, port = srv.address
-
-        def worker(idx: int) -> None:
-            try:
-                with ServiceClient(
-                    host, port, tenant=f"tenant-{idx % 4}"
-                ) as client:
-                    barrier.wait()
-                    for request in shards[idx]:
-                        t0 = time.perf_counter()
-                        response = client.call(request)
-                        latencies[idx].append(time.perf_counter() - t0)
-                        if response.get("status") != "ok":
-                            failures.append(
-                                f"client {idx}: {response.get('error')}"
-                            )
-                            continue
-                        if check_identity:
-                            got = json.dumps(
-                                response["payload"], sort_keys=True
-                            )
-                            want = expected[request.fingerprint()]
-                            if got != want:
-                                failures.append(
-                                    f"client {idx}: response for "
-                                    f"{request.kind} diverged from the "
-                                    f"direct api call"
-                                )
-            except Exception as exc:  # surfaced after join
-                failures.append(f"client {idx}: {type(exc).__name__}: {exc}")
-
-        threads = [
-            threading.Thread(target=worker, args=(i,), daemon=True)
-            for i in range(n_clients)
-        ]
-        for t in threads:
-            t.start()
-        barrier.wait()
-        t0 = time.perf_counter()
-        for t in threads:
-            t.join(timeout=600)
-        wall = time.perf_counter() - t0
-        counters = srv.service.registry.to_manifest()["counters"]
-
-    if failures:
-        raise ConfigError(
-            f"service load test failed ({len(failures)} failures): "
-            + "; ".join(failures[:5])
-        )
-
-    report = LoadReport(
-        n_clients=n_clients,
-        total=len(trace),
-        unique=len(unique),
-        duplicates=len(trace) - len(unique),
-        computed=counters.get("service.computed", 0),
-        batched=counters.get("service.batched", 0),
-        coalesced=counters.get("service.coalesced", 0),
-        memo_hits=counters.get("service.memo_hits", 0),
-        disk_hits=counters.get("service.disk_hits", 0)
-        + counters.get("service.shared_hits", 0),
-        errors=counters.get("service.errors", 0),
-        rejected=counters.get("service.rejected_backpressure", 0)
-        + counters.get("service.rejected_quota", 0),
-        wall_seconds=wall,
-        latencies=[lat for per_client in latencies for lat in per_client],
+    return _replay(
+        "service", unique, trace, n_clients, config, check_identity,
+        pipelined=False,
     )
 
-    if check_identity:
-        # Cold server: every unique request is served by exactly one
-        # engine pass (direct or stitched into a batch dispatch), every
-        # duplicate is served without engine work — whatever the timing.
-        if report.computed + report.batched != report.unique:
-            raise ConfigError(
-                f"dedup broke: {report.computed} computed + "
-                f"{report.batched} batched for "
-                f"{report.unique} unique requests"
-            )
-        if report.coalesced + report.memo_hits != report.duplicates:
-            raise ConfigError(
-                f"dedup accounting broke: {report.coalesced} coalesced + "
-                f"{report.memo_hits} memo != {report.duplicates} duplicates"
-            )
-    return report
 
-
-# -- cross-request batching comparison ---------------------------------------
-
-
-@dataclass
-class BatchCompareReport:
-    """Batched vs unbatched runs of the same distinct-point trace."""
-
-    batched: LoadReport
-    unbatched: LoadReport
-    batch_points: int
-    batch_dispatches: int
-    batch_kernel: int
-
-    @property
-    def points_per_dispatch(self) -> float:
-        """Mean stitched points per kernel dispatch — the batching
-        efficiency the acceptance gate reads off the counters."""
-        if self.batch_dispatches <= 0:
-            return 0.0
-        return self.batch_points / self.batch_dispatches
-
-    @property
-    def p99_speedup(self) -> float:
-        if self.batched.p99_seconds <= 0:
-            return float("inf")
-        return self.unbatched.p99_seconds / self.batched.p99_seconds
-
-    @property
-    def p50_speedup(self) -> float:
-        if self.batched.p50_seconds <= 0:
-            return float("inf")
-        return self.unbatched.p50_seconds / self.batched.p50_seconds
-
-    def measurements(self) -> List[Measurement]:
-        """Rate measurements for the committed batching baseline."""
-        return [
-            Measurement(
-                "service_batch_p50_rate", 1, self.batched.p50_seconds
-            ),
-            Measurement(
-                "service_batch_p99_rate", 1, self.batched.p99_seconds
-            ),
-            Measurement(
-                "service_batch_throughput",
-                self.batched.total,
-                self.batched.wall_seconds,
-            ),
-        ]
-
-    def summary(self) -> str:
-        b, u = self.batched, self.unbatched
-        return (
-            f"{b.total} distinct requests over {b.n_clients} clients — "
-            f"batched p99 {b.p99_seconds * 1e3:.1f} ms vs unbatched "
-            f"{u.p99_seconds * 1e3:.1f} ms ({self.p99_speedup:.1f}x), "
-            f"{self.batch_points} points in {self.batch_dispatches} "
-            f"dispatches ({self.points_per_dispatch:.1f} points/dispatch, "
-            f"{self.batch_kernel} kernel-priced)"
-        )
-
-
-def _pipelined_phase(
-    trace: List,
-    n_clients: int,
-    config: ServiceConfig,
-    expected: Dict[str, str],
-) -> Tuple[LoadReport, Dict[str, int]]:
-    """One cold-server phase: shard the trace, pipeline every shard.
-
-    Each client writes its whole shard before reading any response, so
-    the server sees the concurrent burst a batching window needs; the
-    identical harness times the unbatched config, which keeps the
-    comparison apples-to-apples.  Returns the phase's
-    :class:`LoadReport` and the server's raw counters.
-    """
-    shards = [trace[i::n_clients] for i in range(n_clients)]
-    shards = [s for s in shards if s]
-    n_live = len(shards)
-    latencies: List[List[float]] = [[] for _ in range(n_live)]
-    failures: List[str] = []
-    barrier = threading.Barrier(n_live + 1)
-
-    with ServerThread(config) as srv:
-        host, port = srv.address
-
-        def worker(idx: int) -> None:
-            try:
-                with ServiceClient(
-                    host, port, tenant=f"tenant-{idx % 4}"
-                ) as client:
-                    barrier.wait()
-                    responses = client.request_many(
-                        shards[idx], latencies=latencies[idx]
-                    )
-                    for request, response in zip(shards[idx], responses):
-                        if response.get("status") != "ok":
-                            failures.append(
-                                f"client {idx}: {response.get('error')}"
-                            )
-                            continue
-                        if expected:
-                            got = json.dumps(
-                                response["payload"], sort_keys=True
-                            )
-                            if got != expected[request.fingerprint()]:
-                                failures.append(
-                                    f"client {idx}: response for "
-                                    f"{request.kind} diverged from the "
-                                    f"direct api call"
-                                )
-            except Exception as exc:  # surfaced after join
-                failures.append(f"client {idx}: {type(exc).__name__}: {exc}")
-
-        threads = [
-            threading.Thread(target=worker, args=(i,), daemon=True)
-            for i in range(n_live)
-        ]
-        for t in threads:
-            t.start()
-        barrier.wait()
-        t0 = time.perf_counter()
-        for t in threads:
-            t.join(timeout=600)
-        wall = time.perf_counter() - t0
-        counters = srv.service.registry.to_manifest()["counters"]
-
-    if failures:
-        raise ConfigError(
-            f"service batch phase failed ({len(failures)} failures): "
-            + "; ".join(failures[:5])
-        )
-
-    report = LoadReport(
-        n_clients=n_clients,
-        total=len(trace),
-        unique=len(trace),
-        duplicates=0,
-        computed=counters.get("service.computed", 0),
-        batched=counters.get("service.batched", 0),
-        coalesced=counters.get("service.coalesced", 0),
-        memo_hits=counters.get("service.memo_hits", 0),
-        disk_hits=counters.get("service.disk_hits", 0)
-        + counters.get("service.shared_hits", 0),
-        errors=counters.get("service.errors", 0),
-        rejected=counters.get("service.rejected_backpressure", 0)
-        + counters.get("service.rejected_quota", 0),
-        wall_seconds=wall,
-        latencies=[lat for per_client in latencies for lat in per_client],
-    )
-    return report, counters
-
-
-def run_batch_comparison(
+def run_distinct_test(
     n_clients: int = 16,
     config: Optional[ServiceConfig] = None,
     seed: int = 23,
     check_identity: bool = True,
-    speedup_floor: float = 0.0,
     min_points_per_dispatch: float = 4.0,
-) -> BatchCompareReport:
-    """Pipeline the all-distinct trace with batching on, then off.
+) -> LoadReport:
+    """Pipeline the all-distinct analytical trace from ``n_clients``.
 
-    Both phases run the same cold server config (only ``batch_enabled``
-    differs), the same shards, the same pipelined clients.  With
-    ``check_identity`` every response from *both* phases is compared
-    bit-for-bit against a direct :func:`execute_request` evaluation
-    **before** any timing is read, and the cold-server accounting is
-    asserted: the batched phase serves every request from the batch path
-    (``batched == unique``), the unbatched phase computes each one
-    (``computed == unique``), and the stitch counters must show real
-    multi-point dispatches (``points/dispatch >
+    On top of :func:`_replay`'s checks, ``check_identity`` asserts that
+    every point was priced by a kernel dispatch and that the dispatches
+    stitched real batches (``points/dispatch >
     min_points_per_dispatch``).
-
-    ``speedup_floor`` > 0 turns the p99 comparison into a hard gate:
-    the batched phase must be at least that many times faster or the
-    run raises (the CI smoke passes 2.0).
     """
     if n_clients < 1:
         raise ConfigError("n_clients must be >= 1")
@@ -542,39 +415,15 @@ def run_batch_comparison(
     config = config or ServiceConfig(max_pending=max(64, len(trace)))
     if config.max_pending < len(trace):
         config = dataclasses.replace(config, max_pending=len(trace))
-
-    expected: Dict[str, str] = {}
-    if check_identity:
-        # Also warms the process-global model/demand memos, so neither
-        # phase pays first-touch compilation inside its timed window.
-        for request in trace:
-            expected[request.fingerprint()] = json.dumps(
-                execute_request(request), sort_keys=True
-            )
-
-    on = dataclasses.replace(config, batch_enabled=True)
-    off = dataclasses.replace(config, batch_enabled=False)
-    unbatched, _ = _pipelined_phase(trace, n_clients, off, expected)
-    batched, counters = _pipelined_phase(trace, n_clients, on, expected)
-
-    report = BatchCompareReport(
-        batched=batched,
-        unbatched=unbatched,
-        batch_points=counters.get("service.batch_points", 0),
-        batch_dispatches=counters.get("service.batch_dispatches", 0),
-        batch_kernel=counters.get("service.batch_point_kernel", 0),
+    report = _replay(
+        "service_batch", trace, trace, n_clients, config, check_identity,
+        pipelined=True,
     )
-
     if check_identity:
-        if batched.batched != batched.unique:
+        if report.batch_kernel != report.items:
             raise ConfigError(
-                f"batch routing broke: {batched.batched} batched of "
-                f"{batched.unique} distinct requests"
-            )
-        if unbatched.computed != unbatched.unique:
-            raise ConfigError(
-                f"unbatched phase broke: {unbatched.computed} computed of "
-                f"{unbatched.unique} distinct requests"
+                f"batch routing broke: {report.batch_kernel} of "
+                f"{report.items} points priced by the kernel"
             )
         if report.points_per_dispatch <= min_points_per_dispatch:
             raise ConfigError(
@@ -583,13 +432,6 @@ def run_batch_comparison(
                 f"({report.points_per_dispatch:.1f} <= "
                 f"{min_points_per_dispatch} points/dispatch)"
             )
-    if speedup_floor > 0 and report.p99_speedup < speedup_floor:
-        raise ConfigError(
-            f"batched p99 {batched.p99_seconds * 1e3:.1f} ms is only "
-            f"{report.p99_speedup:.2f}x faster than unbatched "
-            f"{unbatched.p99_seconds * 1e3:.1f} ms "
-            f"(floor {speedup_floor}x)"
-        )
     return report
 
 
@@ -635,13 +477,11 @@ _OUTCOME_COUNTERS = (
     "service.memo_hits",
     "service.coalesced",
     "service.computed",
-    "service.batched",
     "service.disk_hits",
     "service.shared_hits",
     "service.rejected_quota",
     "service.rejected_backpressure",
     "service.rejected_draining",
-    "service.coalesce_aborted",
     "service.deadline_exceeded",
     "service.errors",
     "service.cancelled",
@@ -659,8 +499,8 @@ def run_chaos_drill(
 
     A server is started with a :class:`~repro.service.chaos.
     ChaosInjector` wired through every layer — executor-task exceptions
-    and added latency in the scalar path, point- and dispatch-level
-    faults in the batch path (the dispatch faults trip the kernel
+    and added latency on items priced alone, point- and dispatch-level
+    faults in kernel dispatches (the dispatch faults trip the kernel
     breaker), OSErrors from both disk tiers, and client connections
     slammed mid-request.  Every client resends failed requests (safe:
     idempotent by fingerprint; injected faults heal on resend) until it
@@ -676,7 +516,7 @@ def run_chaos_drill(
       reports zero stranded futures, and leaves the deferred shared-tier
       write-back queue empty.
 
-    Deterministic per seed in every *decision* (which fingerprint
+    Deterministic per seed in every *decision* (which work item
     faults, which dispatch ordinals die, which connections drop);
     assertions are invariants, so thread interleaving cannot flake them.
     """
@@ -865,10 +705,10 @@ def run_chaos_drill(
             raise ConfigError(
                 f"chaos drill (seed {seed}): dirty drain: {drain}"
             )
-        if len(service._writeback) != 0:
+        if len(service._batch._writeback) != 0:
             raise ConfigError(
                 f"chaos drill (seed {seed}): "
-                f"{len(service._writeback)} write-backs stranded"
+                f"{len(service._batch._writeback)} write-backs stranded"
             )
 
         return ChaosReport(

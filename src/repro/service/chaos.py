@@ -4,23 +4,23 @@ Sibling of :mod:`repro.dataprep.chaos`, which proved the prep engine's
 retry/quarantine machinery against seeded faults; this module does the
 same for the serving stack.  A frozen :class:`ServiceChaosSpec` decides
 every fault as a **pure function of (seed, fault kind, token)** — the
-token is a content hash (request fingerprint, sweep-point cache key) or
+token is a content hash (a work item's key) or
 a stable ordinal, never arrival order — so two runs with the same seed
 inject the same faults into the same work no matter how threads
 interleave, and a drill failure replays exactly.
 
 Fault kinds and where they bite:
 
-* ``compute_error`` — :class:`ChaosError` raised at the top of the
-  scalar compute path on an executor thread (an "executor task
-  exception"); the broker's never-raises hardening must turn it into an
-  ``internal`` error envelope, and a resend heals it
+* ``compute_error`` — :class:`ChaosError` raised on an executor thread
+  before a work item is priced on its own (not by the kernel) — an
+  "executor task exception"; the broker's never-raises hardening must
+  turn it into an ``internal`` error envelope, and a resend heals it
   (``first_attempt_only``).
-* ``compute_delay`` — added latency before the engine runs; answers
-  stay bit-identical, deadlines and drains must still hold.
-* ``point_error`` — one sweep point inside a batch dispatch fails; per
-  point error isolation means only requests containing that point see
-  an error.
+* ``compute_delay`` — added latency before such an item is priced;
+  answers stay bit-identical, deadlines and drains must still hold.
+* ``point_error`` — one kernel-priced point inside a batch dispatch
+  fails; per-item error isolation means only requests containing that
+  point see an error.
 * ``dispatch_error`` — a whole kernel dispatch dies before computing
   (the breaker's food).  Driven by an explicit ordinal list, not a
   rate, so a drill trips the :class:`~repro.service.batch.KernelBreaker`
@@ -159,16 +159,17 @@ class ChaosInjector:
 
     # -- hooks the service calls ---------------------------------------------
 
-    def before_compute(self, fp: str) -> None:
-        """Scalar compute path, executor thread: maybe delay, maybe die."""
+    def before_compute(self, key: str) -> None:
+        """An item priced on its own, executor thread: maybe delay,
+        maybe die."""
         spec = self.spec
-        if self._fires("compute_delay", spec.compute_delay_rate, fp):
+        if self._fires("compute_delay", spec.compute_delay_rate, key):
             time.sleep(spec.compute_delay_ms / 1000.0)
-        if self._fires("compute_error", spec.compute_error_rate, fp):
-            raise ChaosError(f"chaos: injected compute fault ({fp[:12]})")
+        if self._fires("compute_error", spec.compute_error_rate, key):
+            raise ChaosError(f"chaos: injected compute fault ({key[:12]})")
 
     def before_dispatch(self) -> None:
-        """Batch dispatch, executor thread: ordinal-listed dispatches die
+        """Kernel dispatch, executor thread: ordinal-listed dispatches die
         wholesale.  Ordinals, not hashes: a drill lists consecutive
         ordinals to trip the kernel breaker deterministically."""
         with self._lock:
@@ -221,12 +222,6 @@ class ChaosResultCache:
     def put(self, key: str, payload) -> None:
         self._injector.maybe_disk_fault("put", key)
         self._inner.put(key, payload)
-
-    def get_many(self, keys):
-        keys = list(keys)
-        for key in keys:
-            self._injector.maybe_disk_fault("get", key)
-        return self._inner.get_many(keys)
 
     def __len__(self) -> int:
         return len(self._inner)

@@ -75,7 +75,7 @@ class RetryPolicy:
     base_backoff: float = 0.05   # seconds before the first resend
     max_backoff: float = 2.0     # backoff cap (pre-jitter)
     jitter: float = 0.5          # up-to fraction added to each delay
-    retry_codes: Tuple[str, ...] = ("backpressure", "quota", "retry")
+    retry_codes: Tuple[str, ...] = ("backpressure", "quota")
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:

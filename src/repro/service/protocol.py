@@ -27,15 +27,15 @@ Response envelope::
      "meta": {"retry_after": 0.05}}
     {"id": 7, "status": "error",    "error": {"code": "bad-request", ...}}
 
-``meta.served_by`` on ok responses names the tier that produced the
-payload: ``computed``, ``batched`` (stitched into a shared vectorized
-kernel dispatch with other tenants' points — same bits, one engine
-pass), ``coalesced`` (attached to an identical in-flight computation),
-``memo`` (in-process LRU), ``disk`` or ``shared`` (the on-disk tiers).
+``meta.served_by`` on ok responses names the costliest source among
+the request's work items, cheapest first: ``memo`` (in-process LRU),
+``coalesced`` (attached to identical work already in flight),
+``disk`` or ``shared`` (the on-disk tiers), ``computed`` (priced by an
+engine — for analytical points usually in a kernel dispatch shared with
+other tenants' points; same bits either way).
 ``rejected`` means the request was turned away but may
 succeed if resent — codes ``backpressure`` (admission control), ``quota``
-(tenant over budget), ``retry`` (the in-flight computation this
-request coalesced onto was cancelled), ``deadline_exceeded`` (the
+(tenant over budget), ``deadline_exceeded`` (the
 request's ``deadline_ms`` budget ran out first; resend with a larger
 budget), or ``draining`` (the server is shutting down gracefully and no
 longer admits new work) — retry after ``meta.retry_after`` seconds;

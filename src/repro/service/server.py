@@ -3,60 +3,44 @@
 The engines price a scenario in microseconds-to-milliseconds; what a
 fleet of callers needs on top is *multiplexing*: many tenants, bursty
 duplicate-heavy traffic, and strict bounds on concurrent work.  This
-module provides that layer with three mechanisms, all keyed by the
-content-hash fingerprint of the versioned request objects
-(:mod:`repro.api`, schema ``repro-request/1``):
+module is the broker in front of the work scheduler
+(:mod:`repro.service.batch`):
 
-* **single-flight coalescing** — identical requests arriving while one
-  is being computed attach to the in-flight future instead of entering
-  the queue; one engine run serves them all, bit-identically.
-* **admission control** — at most ``max_pending`` unique computations
-  may be queued or running; beyond that the server answers ``rejected``
-  with ``retry_after`` (backpressure) instead of building an unbounded
-  queue.  Coalesced and cache-served requests never consume a slot.
-* **tiered result lookup** — in-process LRU memo → the server's private
-  on-disk :class:`~repro.cache.ResultCache` → an optional *shared*
-  cache directory where writes take the per-entry cross-process
-  :class:`~repro.cache.CacheLock` (single writer; stale locks from
-  killed servers are reclaimed).  Shared hits are backfilled down.
-* **cross-request batching** — *distinct* analytical requests are
-  decomposed into evaluation points, micro-batched for up to
-  ``batch_window_ms`` (or ``max_batch_points``), and priced in one
-  vectorized kernel dispatch (:mod:`repro.service.batch`); responses
-  carry ``served_by: "batched"`` and stay bit-identical to
-  :func:`execute_request`.
-
-Per-tenant token buckets bound each tenant's request rate; counters for
-every tier and outcome accrue in a :class:`~repro.obs.MetricsRegistry`
-manifest (the ``stats`` op), and engine-internal counters from each
-computation are merged in hermetically.  Engine execution happens on a
-thread pool — the refactor making the engines stateless/reentrant
-(thread-local :mod:`repro.obs` sessions, canonical shared memo objects)
-is what makes that safe.
-
-The resilience layer (PR 10) adds, on top of the throughput machinery:
-
+* every request decomposes into keyed work items
+  (:func:`~repro.service.batch.work_items`) — evaluation points for
+  ``simulate``/``sweep``, one whole-request item for fault schedules and
+  profiled requests — and the scheduler owns the memo, single-flight
+  coalescing, the disk → shared cache tiers, dispatch and write-back for
+  all of them; the broker only admits requests and assembles responses,
+  bit-identical to :func:`execute_request`;
+* **admission control** — a draining server answers
+  ``rejected/draining``; per-tenant token buckets bound each tenant's
+  request rate (``rejected/quota``); at most ``max_pending`` requests may
+  hold work they started, beyond that a request needing new work gets
+  ``rejected/backpressure`` with ``retry_after`` instead of building an
+  unbounded queue (memo hits and coalesced requests never take a slot);
 * **deadlines** — an optional ``deadline_ms`` envelope budget, enforced
-  at admission, at executor pickup, and at scatter time; a request the
-  server cannot answer in budget gets a ``deadline_exceeded`` rejection
-  while shared work keeps serving its other waiters;
+  before dispatch and while the request's items are outstanding; an
+  expired request answers ``rejected/deadline_exceeded`` and releases its
+  items, which keep serving any other waiter;
 * **disconnect cancellation** — a connection that reaches EOF with
-  requests still in flight has those tasks cancelled; coalesced waiters
-  on other connections are resolved retryable, and sole-waiter batch
-  points are abandoned before they reach the kernel;
-* **graceful drain** — SIGTERM (or :meth:`SimulationServer.close`)
-  stops admitting work (``rejected/draining``), completes in-flight
-  requests under ``drain_timeout``, flushes the deferred shared-tier
-  write-back queue, and reports drained stats (zero stranded futures on
-  a clean drain);
-* **degrade-to-scalar** — the batch scheduler's kernel breaker
-  (:class:`~repro.service.batch.KernelBreaker`) routes batchable
-  requests down the scalar compute path after repeated dispatch-level
-  failures, trading throughput for availability;
-* **chaos hooks** — a :class:`~repro.service.chaos.ChaosInjector` can
-  be threaded through the service to inject executor-task exceptions,
-  compute latency, and disk-tier I/O faults deterministically
+  requests still in flight has those tasks cancelled; they release their
+  items the same way;
+* **graceful drain** — SIGTERM (or :meth:`SimulationServer.close`) stops
+  admitting work (``rejected/draining``), completes in-flight requests
+  under ``drain_timeout``, flushes the deferred shared-tier write-back
+  queue, and reports drained stats (zero stranded futures on a clean
+  drain);
+* **chaos hooks** — a :class:`~repro.service.chaos.ChaosInjector` can be
+  threaded through the service to inject compute faults and latency,
+  kernel-dispatch faults and disk-tier I/O faults deterministically
   (``repro bench-service --chaos`` drives the drill).
+
+Counters for every outcome accrue in a :class:`~repro.obs.MetricsRegistry`
+manifest (the ``stats`` op); every admitted request lands in exactly one
+outcome counter.  Engine execution happens on a thread pool — the
+engines are stateless and reentrant (thread-local :mod:`repro.obs`
+sessions, canonical shared memo objects), which is what makes that safe.
 """
 
 from __future__ import annotations
@@ -69,16 +53,14 @@ import signal
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple
 
 from repro import api, obs
-from repro.cache import ResultCache
 from repro.errors import ConfigError
 from repro.service import protocol
-from repro.service.batch import BatchScheduler, batchable
+from repro.service.batch import Backpressure, BatchScheduler, work_items
 
 __all__ = [
     "ServiceConfig",
@@ -126,13 +108,35 @@ def execute_request(request) -> Dict:
     raise ConfigError(f"unservable request type {type(request).__name__}")
 
 
-class _OwnerCancelled(ConfigError):
-    """The task owning an in-flight computation was cancelled.
+def _assemble(request, items, payloads) -> Dict:
+    """The response payload assembled from its items' payloads, shaped
+    exactly like :func:`execute_request`."""
+    if items[0][1] is request:  # priced whole
+        return payloads[0]
+    if request.kind == "simulate":
+        return {
+            "kind": request.kind,
+            "engine": request.engine,
+            "result": payloads[0],
+        }
+    return {
+        "kind": request.kind,
+        "engine": request.engine,
+        "points": [
+            [p.workload.name, p.arch.name, p.scale] for _key, p in items
+        ],
+        "results": payloads,
+    }
 
-    Set on the shared future so coalesced waiters fail fast (and get a
-    retryable ``rejected`` answer) instead of hanging on a future nobody
-    will ever resolve.
-    """
+
+#: The outcome counter of each ``served_by`` value.
+_SERVED_COUNTERS = {
+    "memo": "service.memo_hits",
+    "coalesced": "service.coalesced",
+    "disk": "service.disk_hits",
+    "shared": "service.shared_hits",
+    "computed": "service.computed",
+}
 
 
 class TokenBucket:
@@ -185,20 +189,18 @@ class ServiceConfig:
     """Service policy: concurrency bounds, quotas, cache tiers, batching."""
 
     max_workers: Optional[int] = None  # engine threads (None: per host cores)
-    max_pending: int = 64        # unique computations queued + running
-    memo_entries: int = 512      # in-process LRU payloads
+    max_pending: int = 64        # requests holding work they started
+    memo_entries: int = 4096     # in-process LRU of work-item payloads
     quota_rate: float = math.inf  # tokens/s granted per tenant
     quota_burst: float = 256.0   # tenant burst capacity
     max_tenants: int = 1024      # live token buckets (LRU-evicted beyond)
     cache_dir: Optional[Path] = None    # private on-disk tier
     shared_dir: Optional[Path] = None   # cross-process tier (locked writes)
-    batch_enabled: bool = True   # cross-request batch scheduler
     batch_window_ms: float = 2.0  # micro-batch accumulation window
     max_batch_points: int = 256  # size trigger: flush at this many points
-    point_memo_entries: int = 4096  # point-level LRU result payloads
     drain_timeout: float = 10.0  # graceful-drain budget (seconds)
     breaker_threshold: int = 3   # consecutive dispatch failures to trip
-    breaker_probe_after: int = 16  # bypassed requests per breaker probe
+    breaker_probe_after: int = 16  # bypassed dispatches per breaker probe
 
     def __post_init__(self) -> None:
         if self.max_workers is not None and self.max_workers < 1:
@@ -222,8 +224,6 @@ class ServiceConfig:
             raise ConfigError("batch_window_ms must be >= 0 and finite")
         if self.max_batch_points < 1:
             raise ConfigError("max_batch_points must be >= 1")
-        if self.point_memo_entries < 0:
-            raise ConfigError("point_memo_entries must be >= 0")
         if not (
             isinstance(self.drain_timeout, (int, float))
             and not isinstance(self.drain_timeout, bool)
@@ -245,12 +245,12 @@ class ServiceConfig:
 
 
 class SimulationService:
-    """The request broker: coalescing, admission, quotas, cache tiers.
+    """The request broker: admission, quotas, response assembly.
 
-    All bookkeeping (memo, in-flight table, counters, buckets) is
+    All bookkeeping (counters, buckets, the scheduler's tables) is
     touched only on the event-loop thread; engine execution and disk
-    I/O run on the executor.  ``handle`` maps one request envelope to
-    one response envelope and never raises.
+    I/O run on the scheduler's executor.  ``handle`` maps one request
+    envelope to one response envelope and never raises.
     """
 
     def __init__(
@@ -260,59 +260,18 @@ class SimulationService:
     ) -> None:
         self.config = config or ServiceConfig()
         self.registry = obs.MetricsRegistry()
-        self._memo: "collections.OrderedDict[str, Dict]" = (
-            collections.OrderedDict()
-        )
-        self._inflight: Dict[str, asyncio.Future] = {}
-        self._pending = 0
         self._buckets: "collections.OrderedDict[str, TokenBucket]" = (
             collections.OrderedDict()
         )
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.config.workers,
-            thread_name_prefix="repro-engine",
-        )
-        self._disk = (
-            ResultCache(self.config.cache_dir)
-            if self.config.cache_dir is not None
-            else None
-        )
-        self._shared = (
-            ResultCache(self.config.shared_dir, locked=True)
-            if self.config.shared_dir is not None
-            else None
-        )
         self._chaos = chaos
-        if chaos is not None:
-            # Fault-wrap the disk tiers: chaos decides per-operation
-            # whether a deterministic OSError fires before the real I/O.
-            self._disk = chaos.wrap_cache(self._disk)
-            self._shared = chaos.wrap_cache(self._shared)
-        self._batch = (
-            BatchScheduler(self) if self.config.batch_enabled else None
-        )
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._batch = BatchScheduler(self)
         self._draining = False
-        self._writeback: "collections.deque" = collections.deque()
-        self._writeback_task: Optional[asyncio.Future] = None
         self.last_drain: Optional[Dict] = None
 
     # -- bookkeeping (event-loop thread only) --------------------------------
 
     def _inc(self, name: str, value: int = 1) -> None:
         self.registry.inc(name, value)
-
-    def _inc_threadsafe(self, name: str, value: int = 1) -> None:
-        """Counter bump from an executor thread: hop to the loop so the
-        registry stays single-threaded.  Dropped if the loop is gone
-        (shutdown races) — counters are telemetry, not ledgers."""
-        loop = self._loop
-        if loop is None or loop.is_closed():
-            return
-        try:
-            loop.call_soon_threadsafe(self._inc, name, value)
-        except RuntimeError:
-            pass
 
     def _bucket(self, tenant: str) -> TokenBucket:
         bucket = self._buckets.get(tenant)
@@ -344,104 +303,30 @@ class SimulationService:
         self._buckets.popitem(last=False)
         self._inc("service.tenants_evicted")
 
-    def _memo_get(self, fp: str) -> Optional[Dict]:
-        payload = self._memo.get(fp)
-        if payload is not None:
-            self._memo.move_to_end(fp)
-        return payload
-
-    def _memo_put(self, fp: str, payload: Dict) -> None:
-        if self.config.memo_entries <= 0:
-            return
-        self._memo[fp] = payload
-        self._memo.move_to_end(fp)
-        while len(self._memo) > self.config.memo_entries:
-            self._memo.popitem(last=False)
-
-    # -- deferred shared-tier write-backs ------------------------------------
-
-    def _defer_writeback(self, key: str, payload: Dict) -> None:
-        """Queue a shared-tier put (thread-safe: called from executor
-        threads).  Shared writes take a cross-process lock, so they are
-        taken off the request path; the drain/close machinery guarantees
-        every queued entry is flushed before the server exits."""
-        if self._shared is None:
-            return
-        self._writeback.append((key, payload))
-
-    def _kick_writeback(self) -> None:
-        """Loop thread: start a background flush unless one is running."""
-        if not self._writeback or self._shared is None:
-            return
-        if self._writeback_task is not None and not self._writeback_task.done():
-            return
-        loop = asyncio.get_running_loop()
-        try:
-            task = loop.run_in_executor(self._executor, self._flush_writebacks)
-        except RuntimeError:
-            return  # executor already shut down; the final flush covers it
-        self._writeback_task = task
-        task.add_done_callback(self._writeback_done)
-
-    def _writeback_done(self, task) -> None:
-        try:
-            flushed, errors = task.result()
-        except Exception:
-            return
-        if flushed:
-            self._inc("service.writebacks_flushed", flushed)
-        if errors:
-            self._inc("service.cache_errors", errors)
-
-    def _flush_writebacks(self) -> Tuple[int, int]:
-        """Drain the write-back queue; returns ``(flushed, errors)``.
-        Runs on an executor thread (or synchronously at shutdown); the
-        deque is thread-safe, so a concurrent flush just finds it empty.
-        """
-        flushed = errors = 0
-        while True:
-            try:
-                key, payload = self._writeback.popleft()
-            except IndexError:
-                break
-            try:
-                self._shared.put(key, payload)
-                flushed += 1
-            except (OSError, ConfigError):
-                errors += 1
-        return flushed, errors
-
     def stats(self) -> Dict:
         """The ``stats`` op payload: counters + live state snapshot."""
         manifest = self.registry.to_manifest()
+        batch = self._batch
         return {
             "kind": "stats",
             "protocol": protocol.PROTOCOL,
             "counters": manifest["counters"],
             "batch": self.registry.scoped("service.batch_"),
-            "inflight": len(self._inflight),
-            "pending": self._pending,
-            "memo_entries": len(self._memo),
-            "batch_queued": (
-                len(self._batch) if self._batch is not None else 0
-            ),
+            "inflight": len(batch._inflight),
+            "pending": batch.pending,
+            "memo_entries": len(batch._memo),
+            "batch_queued": len(batch),
             "tenants": len(self._buckets),
             "draining": self._draining,
-            "writeback_queued": len(self._writeback),
-            "breaker": (
-                self._batch.breaker.state()
-                if self._batch is not None
-                else None
-            ),
+            "writeback_queued": len(batch._writeback),
+            "breaker": batch.breaker.state(),
             "config": {
                 "max_workers": self.config.workers,
                 "max_pending": self.config.max_pending,
                 "memo_entries": self.config.memo_entries,
                 "max_tenants": self.config.max_tenants,
-                "batch_enabled": self.config.batch_enabled,
                 "batch_window_ms": self.config.batch_window_ms,
                 "max_batch_points": self.config.max_batch_points,
-                "point_memo_entries": self.config.point_memo_entries,
                 "drain_timeout": self.config.drain_timeout,
                 "breaker_threshold": self.config.breaker_threshold,
                 "breaker_probe_after": self.config.breaker_probe_after,
@@ -464,70 +349,6 @@ class SimulationService:
             },
         }
 
-    # -- execution (executor threads) ----------------------------------------
-
-    def _compute(
-        self, request, fp: str, profile: bool, deadline: Optional[float] = None
-    ) -> Tuple[Dict, str, Optional[Dict], Optional[list]]:
-        """Tiered lookup then engine run; returns ``(payload, tier,
-        engine_manifest, span_rows)``.  Runs on an executor thread under
-        its own hermetic obs session (sessions are thread-local)."""
-        if deadline is not None and time.monotonic() >= deadline:
-            # The budget burned up while this request sat in the
-            # executor queue; don't spend an engine pass on an answer
-            # nobody will accept.
-            raise protocol.DeadlineExceeded(
-                "deadline_ms expired before an engine thread picked "
-                "the request up"
-            )
-        if self._chaos is not None:
-            # Deterministic chaos: may sleep (compute latency) or raise
-            # (executor-task exception) for this fingerprint.
-            self._chaos.before_compute(fp)
-        if self._disk is not None:
-            try:
-                payload = self._disk.get(fp)
-            except OSError:
-                payload = None
-                self._inc_threadsafe("service.cache_errors")
-            if payload is not None and payload.get("kind") == request.kind:
-                return payload, "disk", None, None
-        if self._shared is not None:
-            try:
-                payload = self._shared.get(fp)
-            except OSError:
-                payload = None
-                self._inc_threadsafe("service.cache_errors")
-            if payload is not None and payload.get("kind") == request.kind:
-                if self._disk is not None:
-                    try:
-                        self._disk.put(fp, payload)
-                    except OSError:
-                        self._inc_threadsafe("service.cache_errors")
-                return payload, "shared", None, None
-        registry = obs.MetricsRegistry()
-        tracer = obs.Tracer() if profile else None
-        with obs.session(tracer=tracer, metrics=registry):
-            with obs.span("service.compute", cat="service", kind=request.kind):
-                payload = execute_request(request)
-        if self._disk is not None:
-            try:
-                self._disk.put(fp, payload)
-            except OSError:
-                self._inc_threadsafe("service.cache_errors")
-        if self._shared is not None:
-            # Shared-tier writes take a cross-process lock; defer them
-            # off the request path (the drain/flush machinery guarantees
-            # delivery before the server exits).
-            self._defer_writeback(fp, payload)
-        spans = None
-        if tracer is not None:
-            spans = [
-                [s.name, s.count, round(s.total * 1e3, 6)]
-                for s in tracer.summarize(top=10)
-            ]
-        return payload, "computed", registry.to_manifest(), spans
-
     # -- the request path (event-loop thread) --------------------------------
 
     async def handle(self, envelope: Any) -> Dict:
@@ -549,10 +370,10 @@ class SimulationService:
             budget_ms = protocol.parse_deadline_ms(envelope.get("deadline_ms"))
             request = api.request_from_dict(envelope.get("request"))
             profile = bool(envelope.get("profile", False))
-            # fingerprint() fully resolves the request, so malformed
-            # field values that slipped past construction surface here —
+            # Keying fully resolves the request, so malformed field
+            # values that slipped past construction surface here —
             # still inside the bad-request envelope, never as a raise.
-            fp = request.fingerprint()
+            fp, items = work_items(request, profile)
         except ConfigError as exc:
             self._inc("service.bad_requests")
             return protocol.error_response(rid, "bad-request", str(exc))
@@ -562,31 +383,23 @@ class SimulationService:
                 rid, "bad-request", f"{type(exc).__name__}: {exc}"
             )
 
-        self._loop = asyncio.get_running_loop()
         deadline = (
             None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
         )
         try:
-            return await self._admit(rid, tenant, request, profile, fp, deadline)
+            return await self._admit(
+                rid, tenant, request, fp, items, profile, deadline
+            )
         except asyncio.CancelledError:
             # The connection died mid-request (or shutdown cancelled the
             # frame task).  Counted so the accounting invariant —
-            # requests == answered tiers + rejections + errors +
-            # cancellations — still balances.
+            # requests == served + rejections + errors + cancellations —
+            # still balances.
             self._inc("service.cancelled")
             raise
 
-    def _deadline_reject(self, rid, where: str) -> Dict:
-        self._inc("service.deadline_exceeded")
-        return protocol.rejected_response(
-            rid,
-            "deadline_exceeded",
-            f"deadline_ms expired {where}",
-            0.0,
-        )
-
     async def _admit(
-        self, rid, tenant, request, profile: bool, fp: str,
+        self, rid, tenant, request, fp: str, items, profile: bool,
         deadline: Optional[float],
     ) -> Dict:
         self._inc("service.requests")
@@ -611,158 +424,42 @@ class SimulationService:
                 round(bucket.retry_after(), 4),
             )
 
-        meta: Dict[str, Any] = {"fingerprint": fp, "kind": request.kind}
-
-        payload = self._memo_get(fp)
-        if payload is not None:
-            self._inc("service.memo_hits")
-            meta["served_by"] = "memo"
-            return protocol.ok_response(rid, payload, meta)
-
-        shared_future = self._inflight.get(fp)
-        if shared_future is not None:
-            # Single-flight: ride the identical in-flight computation.
-            # ``service.coalesced`` counts only the requests a coalesced
-            # wait *answered* — aborted/expired/failed waiters land in
-            # their own outcome counters instead, so every request falls
-            # in exactly one bucket and the accounting invariant
-            # (requests == tiers + rejections + errors + cancellations)
-            # balances.  ``coalesce_attached`` counts entries (tests and
-            # dashboards watch attachment, not outcome).
-            self._inc("service.coalesce_attached")
-            try:
-                if deadline is None:
-                    payload = await asyncio.shield(shared_future)
-                else:
-                    payload = await asyncio.wait_for(
-                        asyncio.shield(shared_future),
-                        max(0.0, deadline - time.monotonic()),
-                    )
-            except asyncio.TimeoutError:
-                return self._deadline_reject(
-                    rid, "while waiting on the coalesced computation"
-                )
-            except _OwnerCancelled as exc:
-                self._inc("service.coalesce_aborted")
-                return protocol.rejected_response(rid, "retry", str(exc), 0.0)
-            except ConfigError as exc:
-                self._inc("service.errors")
-                return protocol.error_response(rid, "compute", str(exc))
-            self._inc("service.coalesced")
-            meta["served_by"] = "coalesced"
-            return protocol.ok_response(rid, payload, meta)
-
-        if self._pending >= self.config.max_pending:
-            self._inc("service.rejected_backpressure")
-            retry = 0.05 * (1 + self._pending / self.config.workers)
-            return protocol.rejected_response(
-                rid,
-                "backpressure",
-                f"{self._pending} computations pending "
-                f"(limit {self.config.max_pending}); retry later",
-                round(retry, 4),
-            )
-
-        if deadline is not None and time.monotonic() >= deadline:
-            # Admission-time enforcement: the budget burned up in parse
-            # and queueing before any engine dispatch.
-            return self._deadline_reject(rid, "before dispatch")
-
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._inflight[fp] = future
-        self._pending += 1
         try:
-            if (
-                self._batch is not None
-                and batchable(request, profile)
-                and self._batch.admit()
-            ):
-                # Cross-request batching: the request's points join the
-                # micro-batch queue and ride a shared kernel dispatch.
-                # admit() is the kernel breaker: while open, batchable
-                # requests degrade to the scalar path below instead.
-                payload = await self._batch.run_request(
-                    request, deadline=deadline
-                )
-                tier, manifest, spans = "batched", None, None
-            else:
-                payload, tier, manifest, spans = await loop.run_in_executor(
-                    self._executor, self._compute, request, fp, profile,
-                    deadline,
-                )
-            if not future.done():
-                future.set_result(payload)
-        except protocol.DeadlineExceeded as exc:
-            # This request owned the computation but its budget ran out.
-            # Waiters retry rather than inherit this owner's deadline.
-            future.set_exception(
-                _OwnerCancelled(
-                    "the computation this request coalesced onto exceeded "
-                    "its owner's deadline; retry"
-                )
+            payloads, served_by, spans = await self._batch.run_request(
+                items, deadline, profile
             )
-            future.exception()
+        except Backpressure as exc:
+            self._inc("service.rejected_backpressure")
+            return protocol.rejected_response(
+                rid, "backpressure", str(exc), exc.retry_after
+            )
+        except protocol.DeadlineExceeded as exc:
             self._inc("service.deadline_exceeded")
             return protocol.rejected_response(
                 rid, "deadline_exceeded", str(exc), 0.0
             )
         except ConfigError as exc:
-            future.set_exception(exc)
-            future.exception()  # consumed: no "never retrieved" warning
             self._inc("service.errors")
             return protocol.error_response(rid, "compute", str(exc))
         except Exception as exc:  # engine bug: report, don't kill the server
-            future.set_exception(
-                ConfigError(f"internal error: {type(exc).__name__}: {exc}")
-            )
-            future.exception()
             self._inc("service.errors")
             return protocol.error_response(
                 rid, "internal", f"{type(exc).__name__}: {exc}"
             )
-        finally:
-            if not future.done():
-                # This task was cancelled mid-computation (e.g. its
-                # connection died).  Resolve the shared future so
-                # coalesced waiters from other connections fail fast
-                # and retry, instead of hanging until their timeout.
-                future.set_exception(
-                    _OwnerCancelled(
-                        "the computation this request coalesced onto was "
-                        "cancelled; retry"
-                    )
-                )
-                future.exception()
-            self._inflight.pop(fp, None)
-            self._pending -= 1
-
-        self._memo_put(fp, payload)
-        if manifest is not None:
-            self.registry.merge_manifest(manifest)
-        self._kick_writeback()
-        if deadline is not None and time.monotonic() >= deadline:
-            # Scatter-time enforcement: the work finished, its result is
-            # memoized and feeding every other waiter — but past the
-            # budget the honest answer to THIS request is a rejection.
-            # No tier counter: the accounting partition counts this
-            # request under deadline_exceeded, not under a served tier.
-            return self._deadline_reject(rid, "before the result scattered")
-        if tier == "computed":
-            self._inc("service.computed")
-        elif tier == "batched":
-            self._inc("service.batched")
-        else:
-            self._inc(f"service.{tier}_hits")
-        meta["served_by"] = tier
+        self._inc(_SERVED_COUNTERS[served_by])
+        meta = {
+            "fingerprint": fp, "kind": request.kind, "served_by": served_by
+        }
         if spans is not None:
             meta["spans"] = spans
-        return protocol.ok_response(rid, payload, meta)
+        return protocol.ok_response(
+            rid, _assemble(request, items, payloads), meta
+        )
 
     # -- drain & shutdown ----------------------------------------------------
 
     def begin_drain(self) -> None:
-        """Stop admitting work; flush the batch queue immediately.
+        """Stop admitting work; dispatch the queued items immediately.
 
         New requests get ``rejected`` with code ``draining`` (admin ops
         still answer); everything already admitted runs to completion.
@@ -771,79 +468,43 @@ class SimulationService:
             return
         self._draining = True
         self._inc("service.drain_started")
-        if self._batch is not None:
-            self._batch.begin_drain()
+        self._batch.begin_drain()
 
     async def drain(self, timeout: Optional[float] = None) -> Dict:
         """Drain in-flight work under a deadline; returns drain stats.
 
         ``drained`` is True when every admitted request scattered and
-        every batch dispatch finished within ``timeout`` (default
+        every dispatch finished within ``timeout`` (default
         ``config.drain_timeout``).
         """
         budget = self.config.drain_timeout if timeout is None else timeout
         self.begin_drain()
         deadline = time.monotonic() + budget
-        while self._pending > 0 or (
-            self._batch is not None and self._batch.busy()
-        ):
+        while self._batch.pending or self._batch.busy():
             if time.monotonic() >= deadline:
                 break
             await asyncio.sleep(0.005)
-        drained = self._pending == 0 and (
-            self._batch is None or not self._batch.busy()
-        )
         return {
-            "drained": drained,
+            "drained": not (self._batch.pending or self._batch.busy()),
             "timeout": budget,
-            "pending": self._pending,
+            "pending": self._batch.pending,
         }
 
     def close(self) -> None:
-        """Synchronous shutdown (tests, abrupt paths): flush write-backs
-        and wait for in-flight engine work so nothing is abandoned."""
-        if self._batch is not None:
-            self._batch.close()
-        self._executor.shutdown(wait=True)
-        flushed, errors = self._flush_writebacks()
-        if flushed:
-            self._inc("service.writebacks_flushed", flushed)
-        if errors:
-            self._inc("service.cache_errors", errors)
+        """Synchronous shutdown (tests, abrupt paths): fail queued items,
+        wait for in-flight engine work, flush write-backs."""
+        self._batch.close()
 
     async def aclose(self, drain_timeout: Optional[float] = None) -> Dict:
-        """Graceful shutdown: drain, scatter batch dispatches, flush the
-        write-back queue, stop the executor; returns the drain report
+        """Graceful shutdown: drain, scatter dispatches, stop the
+        executor, flush the write-back queue; returns the drain report
         (also kept as ``last_drain``)."""
         report = await self.drain(drain_timeout)
-        if self._batch is not None:
-            # Fails any leftover queued points fast and waits (bounded
-            # when the drain already timed out) for in-flight dispatches
-            # to scatter their results.
-            await self._batch.aclose(
-                timeout=None if report["drained"] else 1.0
-            )
-        loop = asyncio.get_running_loop()
-        # Stop the engine pool BEFORE the final write-back flush: an
-        # abandoned compute still running on the pool could otherwise
-        # defer a write-back after the flush and strand it.  The flush
-        # itself runs on the loop's default executor (ours is gone).
-        await loop.run_in_executor(
-            None, self._executor.shutdown, report["drained"]
+        report["writebacks_flushed"] = await self._batch.aclose(
+            timeout=None if report["drained"] else 1.0
         )
-        flushed, errors = await loop.run_in_executor(
-            None, self._flush_writebacks
-        )
-        if flushed:
-            self._inc("service.writebacks_flushed", flushed)
-        if errors:
-            self._inc("service.cache_errors", errors)
-        stranded = len(self._inflight) + (
-            len(self._batch._inflight) if self._batch is not None else 0
-        )
-        report["stranded"] = stranded
-        report["writebacks_flushed"] = flushed
-        if report["drained"] and stranded == 0:
+        report["stranded"] = len(self._batch._inflight)
+        if report["drained"] and report["stranded"] == 0:
             self._inc("service.drained_clean")
         self.last_drain = report
         return report
@@ -947,10 +608,9 @@ class SimulationServer:
                 task.add_done_callback(tasks.discard)
             if tasks:
                 # EOF with frames still in flight: the client went away,
-                # nobody will read these answers.  Cancel them so the
-                # broker's owner-cancellation path resolves coalesced
-                # waiters retryable and sole-waiter batch points are
-                # abandoned, instead of computing into the void.  (A
+                # nobody will read these answers.  Cancel them so they
+                # release their work items — items nobody else waits on
+                # are abandoned instead of computing into the void.  (A
                 # client that read all its responses before closing has
                 # no live tasks here — cancel() on done tasks is a
                 # no-op.)

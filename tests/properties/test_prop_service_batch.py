@@ -1,11 +1,11 @@
-"""Property: the cross-request batch scheduler is invisible.
+"""Property: the work-item scheduler is invisible.
 
-Random mixes of analytical ``simulate``/``sweep`` requests — with
-duplicate requests and overlapping sweep grids, concurrently and
-pipelined — served by a batch-enabled service must answer bit-identical
-to a direct :func:`execute_request` evaluation of each request, with the
-scheduler's accounting consistent (every response ok, every request
-served by the batched path or the request memo/coalescer)."""
+Random mixes of ``simulate`` (analytical, DES, flow), ``sweep`` and
+fault-schedule requests — with duplicate requests and sweeps overlapping
+simulates on shared points, concurrently and pipelined — served by a
+cold service must answer bit-identical to a direct
+:func:`execute_request` evaluation of each request, and every distinct
+work item must be priced exactly once, whichever request started it."""
 
 import asyncio
 import json
@@ -13,12 +13,19 @@ import json
 from hypothesis import given, settings, strategies as st
 
 from repro import api
-from repro.service import ServiceConfig, SimulationService, execute_request
+from repro.service import (
+    ServiceConfig,
+    SimulationService,
+    execute_request,
+    work_items,
+)
 from repro.workloads.registry import workload_names
 
 WORKLOADS = workload_names()
 ARCHS = ["baseline", "acc", "trainbox", "gen4"]
 SCALES = [1, 4, 16, 64, 256]
+#: Scales the engines that run a whole pipeline price in milliseconds.
+SMALL_SCALES = [4, 16]
 
 simulate_strategy = st.builds(
     api.SimulationRequest,
@@ -27,9 +34,19 @@ simulate_strategy = st.builds(
     scale=st.sampled_from(SCALES),
 )
 
+scalar_simulate_strategy = st.builds(
+    api.SimulationRequest,
+    workload=st.sampled_from(["Resnet-50", "VGG-19"]),
+    arch=st.sampled_from(["baseline", "trainbox"]),
+    scale=st.sampled_from(SMALL_SCALES),
+    engine=st.sampled_from(["des", "flow"]),
+    des_iterations=st.just(8),
+)
+
 sweep_strategy = st.builds(
-    lambda workloads, archs, scales: api.SweepRequest(
-        workloads=tuple(workloads), archs=tuple(archs), scales=tuple(scales)
+    lambda workloads, archs, scales, engine: api.SweepRequest(
+        workloads=tuple(workloads), archs=tuple(archs), scales=tuple(scales),
+        engine=engine, des_iterations=8,
     ),
     workloads=st.lists(
         st.sampled_from(WORKLOADS), min_size=1, max_size=2, unique=True
@@ -38,12 +55,27 @@ sweep_strategy = st.builds(
         st.sampled_from(ARCHS), min_size=1, max_size=2, unique=True
     ),
     scales=st.lists(
-        st.sampled_from(SCALES), min_size=1, max_size=3, unique=True
+        st.sampled_from(SMALL_SCALES), min_size=1, max_size=2, unique=True
     ),
+    engine=st.sampled_from(["analytical", "analytical", "des"]),
+)
+
+fault_strategy = st.builds(
+    lambda horizon: api.FaultScheduleRequest(
+        "Resnet-50", "trainbox", 16, events=(), horizon=horizon
+    ),
+    horizon=st.sampled_from([30.0, 60.0]),
 )
 
 requests_strategy = st.lists(
-    st.one_of(simulate_strategy, sweep_strategy), min_size=1, max_size=8
+    st.one_of(
+        simulate_strategy,
+        scalar_simulate_strategy,
+        sweep_strategy,
+        fault_strategy,
+    ),
+    min_size=1,
+    max_size=8,
 )
 
 
@@ -79,25 +111,25 @@ def test_batched_service_is_bit_identical(requests, max_points):
     for request, response in zip(requests, responses):
         assert response["status"] == "ok"
         assert response["meta"]["served_by"] in (
-            "batched",
+            "computed",
             "coalesced",
             "memo",
         )
+        assert response["meta"]["fingerprint"] == request.fingerprint()
         assert json.dumps(
             response["payload"], sort_keys=True
         ) == json.dumps(execute_request(request), sort_keys=True)
 
     counters = service.registry.to_manifest()["counters"]
-    unique = len({r.fingerprint() for r in requests})
-    assert counters.get("service.batched", 0) == unique
-    riders = counters.get("service.coalesced", 0) + counters.get(
-        "service.memo_hits", 0
+    keys = {key for r in requests for key, _work in work_items(r)[1]}
+    # Every distinct item was started once and priced once, by the
+    # kernel or on its own.
+    assert counters.get("service.batch_point_queued", 0) == len(keys)
+    assert counters.get("service.batch_point_kernel", 0) + counters.get(
+        "service.batch_point_scalar", 0
+    ) == len(keys)
+    served = sum(
+        counters.get(f"service.{name}", 0)
+        for name in ("computed", "coalesced", "memo_hits")
     )
-    assert riders == len(requests) - unique
-    # Every queued point was priced exactly once, whatever the mix of
-    # kernel, scalar-fallback and error outcomes (none expected here).
-    assert counters.get("service.batch_point_queued", 0) == counters.get(
-        "service.batch_point_kernel", 0
-    ) + counters.get("service.batch_point_scalar", 0) + counters.get(
-        "service.batch_point_disk", 0
-    )
+    assert served == len(requests)

@@ -1,5 +1,5 @@
-"""The cross-request batch scheduler: flush triggers, stitching,
-per-point error isolation, point-level cache tiers.
+"""The work-item scheduler: request decomposition, flush triggers,
+stitching, per-item error isolation, item-level cache tiers.
 
 Tests drive :meth:`SimulationService.handle` directly under
 ``asyncio.run`` with tight batch windows; counter assertions read the
@@ -17,9 +17,10 @@ from repro.errors import SimulationError
 from repro.service import (
     ServiceConfig,
     SimulationService,
-    batchable,
     execute_request,
+    work_items,
 )
+from repro.service import batch as batch_mod
 
 REQ = api.SimulationRequest("Resnet-50", "trainbox", 64)
 
@@ -44,23 +45,32 @@ def _counters(service):
     return service.registry.to_manifest()["counters"]
 
 
-# -- batchability -------------------------------------------------------------
+# -- work items ---------------------------------------------------------------
 
 
-def test_batchable_gates_kind_engine_and_profile():
+def test_work_items_split_points_from_whole_requests():
     sweep = api.SweepRequest(
-        workloads=("Resnet-50",), archs=("trainbox",), scales=(4,)
+        workloads=("Resnet-50",), archs=("trainbox",), scales=(4, 16),
+        engine="des",
     )
     fault = api.FaultScheduleRequest(
         "Resnet-50", "trainbox", 16, events=(), horizon=60.0
     )
-    assert batchable(REQ)
-    assert batchable(sweep)
-    assert not batchable(REQ, profile=True)
-    assert not batchable(fault)
-    assert not batchable(
-        api.SimulationRequest("Resnet-50", "trainbox", 64, engine="des")
-    )
+    # Simulate and sweep requests of every engine are their points,
+    # keyed by the sweep-point cache key; the fingerprint derived from
+    # those keys is the request's own.
+    flow = api.SimulationRequest("Resnet-50", "trainbox", 64, engine="flow")
+    for request in (REQ, sweep, flow):
+        fp, items = work_items(request)
+        assert fp == request.fingerprint()
+        assert [key for key, _point in items] == [
+            cache_key(point) for point in request.points()
+        ]
+    # Fault schedules and profiled requests are priced whole.
+    for request, profile in ((fault, False), (REQ, True)):
+        fp, items = work_items(request, profile)
+        assert fp == request.fingerprint()
+        assert items == [(fp, request)]
 
 
 # -- flush triggers -----------------------------------------------------------
@@ -72,7 +82,7 @@ def test_window_flush_serves_a_lone_request():
     )
     [response] = _gather(service, [_envelope(REQ)])
     assert response["status"] == "ok"
-    assert response["meta"]["served_by"] == "batched"
+    assert response["meta"]["served_by"] == "computed"
     assert json.dumps(response["payload"], sort_keys=True) == json.dumps(
         execute_request(REQ), sort_keys=True
     )
@@ -135,7 +145,7 @@ def test_oversize_request_splits_into_size_flushes():
     assert counters["service.batch_point_queued"] == 8
 
 
-# -- stitching and the point memo ---------------------------------------------
+# -- stitching and the memo ---------------------------------------------------
 
 
 def test_concurrent_requests_stitch_shared_points():
@@ -192,9 +202,7 @@ def test_point_memo_serves_repeat_points_across_requests():
 
 def test_point_memo_can_be_disabled():
     service = SimulationService(
-        ServiceConfig(
-            max_workers=2, batch_window_ms=1.0, point_memo_entries=0
-        )
+        ServiceConfig(max_workers=2, batch_window_ms=1.0, memo_entries=0)
     )
 
     async def main():
@@ -206,17 +214,20 @@ def test_point_memo_can_be_disabled():
             await service.aclose()
 
     first, second = asyncio.run(main())
-    # The request-level memo still catches the identical request...
-    assert first["meta"]["served_by"] == "batched"
-    assert second["meta"]["served_by"] == "memo"
-    # ...but the point memo held nothing.
+    # With no memo the identical request is priced again, same bits.
+    assert first["meta"]["served_by"] == "computed"
+    assert second["meta"]["served_by"] == "computed"
+    assert second["payload"] == first["payload"]
     assert _counters(service).get("service.batch_point_hits", 0) == 0
+    assert _counters(service)["service.batch_point_kernel"] == 2
 
 
-# -- mixed batchable / unbatchable traffic ------------------------------------
+# -- mixed windowed / immediate traffic ---------------------------------------
 
 
 def test_mixed_kinds_split_between_batched_and_compute_paths():
+    # The analytical point waits for the kernel window; the fault
+    # schedule and the DES point dispatch at once, each on its own.
     from repro.core.server import build_server
 
     fpga = (
@@ -240,13 +251,42 @@ def test_mixed_kinds_split_between_batched_and_compute_paths():
     )
     assert [r["status"] for r in responses] == ["ok", "ok", "ok"]
     served = [r["meta"]["served_by"] for r in responses]
-    assert served == ["batched", "computed", "computed"]
+    assert served == ["computed", "computed", "computed"]
     for request, response in zip((REQ, fault, des), responses):
         assert response["payload"] == execute_request(request)
     counters = _counters(service)
-    assert counters["service.batched"] == 1
-    assert counters["service.computed"] == 2
-    assert counters["service.batch_points"] == 1
+    assert counters["service.computed"] == 3
+    assert counters["service.batch_points"] == 1  # one window dispatch
+    assert counters["service.batch_dispatches"] == 1
+    assert counters["service.batch_point_kernel"] == 1
+    assert counters["service.batch_point_scalar"] == 2
+
+
+def test_profiled_request_is_priced_whole_with_spans():
+    service = SimulationService(
+        ServiceConfig(max_workers=2, batch_window_ms=1.0)
+    )
+
+    async def main():
+        try:
+            profiled = await service.handle(_envelope(REQ, profile=True))
+            plain = await service.handle(_envelope(REQ, rid=2))
+            return profiled, plain
+        finally:
+            await service.aclose()
+
+    profiled, plain = asyncio.run(main())
+    assert profiled["meta"]["served_by"] == "computed"
+    assert profiled["meta"]["spans"]  # the traced engine run's summary
+    assert profiled["payload"] == execute_request(REQ)
+    # The profiled item is keyed by the request fingerprint, so the plain
+    # request still prices its point (in the kernel window).
+    assert plain["meta"]["served_by"] == "computed"
+    assert "spans" not in plain["meta"]
+    assert plain["payload"] == profiled["payload"]
+    counters = _counters(service)
+    assert counters["service.batch_point_scalar"] == 1
+    assert counters["service.batch_point_kernel"] == 1
 
 
 # -- per-point error isolation ------------------------------------------------
@@ -293,7 +333,7 @@ def test_poisoned_point_fails_only_its_requests(monkeypatch):
         ],
     )
     # SimulationError is not a ConfigError, so it surfaces through the
-    # engine-bug clause — exactly as the unbatched path maps it.
+    # engine-bug clause — exactly as a scalar-priced item maps it.
     for bad in (bad1, bad2):
         assert bad["status"] == "error"
         assert bad["error"]["code"] == "internal"
@@ -307,37 +347,39 @@ def test_poisoned_point_fails_only_its_requests(monkeypatch):
 
 
 def test_error_envelope_matches_unbatched_path(monkeypatch):
-    # The same poisoned point through batch_enabled=False must produce
-    # the same error code and message.
-    def poisoned_scalar(point, metrics=None):
-        raise SimulationError("poisoned point")
-
+    # The same poisoned point priced alone (the kernel declines it and
+    # evaluate_point raises) must produce the kernel path's error code
+    # and message.
+    poisoned = api.SimulationRequest("Resnet-50", "trainbox", POISON_SCALE)
     monkeypatch.setattr(
         analytical_batch,
         "evaluate_points",
         _poisoning(analytical_batch.evaluate_points),
     )
-    batched = SimulationService(
+    via_kernel = SimulationService(
         ServiceConfig(max_workers=2, batch_window_ms=1.0)
     )
-    poisoned = api.SimulationRequest("Resnet-50", "trainbox", POISON_SCALE)
-    [via_batch] = _gather(batched, [_envelope(poisoned)])
+    [kernel] = _gather(via_kernel, [_envelope(poisoned)])
 
-    from repro.service import server as server_mod
+    def declining(points, isolate_errors=True):
+        nothing = [None] * len(points)
+        return nothing, ["declined"] * len(points), nothing
 
-    def failing_execute(request):
+    def failing_point(point):
         raise SimulationError("poisoned point")
 
-    monkeypatch.setattr(server_mod, "execute_request", failing_execute)
-    plain = SimulationService(
-        ServiceConfig(max_workers=2, batch_enabled=False)
+    monkeypatch.setattr(analytical_batch, "evaluate_points", declining)
+    monkeypatch.setattr(batch_mod, "evaluate_point", failing_point)
+    alone = SimulationService(
+        ServiceConfig(max_workers=2, batch_window_ms=1.0)
     )
-    [direct] = _gather(plain, [_envelope(poisoned)])
-    assert via_batch["status"] == direct["status"] == "error"
-    assert via_batch["error"] == direct["error"]
+    [scalar] = _gather(alone, [_envelope(poisoned)])
+    assert _counters(alone)["service.batch_point_errors"] == 1
+    assert kernel["status"] == scalar["status"] == "error"
+    assert kernel["error"] == scalar["error"]
 
 
-# -- point-level cache tiers --------------------------------------------------
+# -- item-level cache tiers ---------------------------------------------------
 
 
 def test_points_served_from_disk_after_restart(tmp_path):
@@ -346,7 +388,7 @@ def test_points_served_from_disk_after_restart(tmp_path):
     )
     first = SimulationService(config)
     [r1] = _gather(first, [_envelope(REQ)])
-    assert r1["meta"]["served_by"] == "batched"
+    assert r1["meta"]["served_by"] == "computed"
     assert _counters(first)["service.batch_point_kernel"] == 1
 
     # A restarted service (fresh memos) finds the *point* on disk:
@@ -354,7 +396,7 @@ def test_points_served_from_disk_after_restart(tmp_path):
     second = SimulationService(config)
     [r2] = _gather(second, [_envelope(REQ)])
     assert r2["status"] == "ok"
-    assert r2["meta"]["served_by"] == "batched"
+    assert r2["meta"]["served_by"] == "disk"
     assert r2["payload"] == r1["payload"]
     counters = _counters(second)
     assert counters["service.batch_point_disk"] == 1
@@ -383,6 +425,7 @@ def test_shared_tier_backfills_private_disk(tmp_path):
     )
     [r2] = _gather(other, [_envelope(REQ)])
     assert r2["payload"] == r1["payload"]
+    assert r2["meta"]["served_by"] == "shared"
     assert _counters(other)["service.batch_point_disk"] == 1
     # ...and the private tier was backfilled for next time.
     backfilled = SimulationService(
@@ -422,6 +465,30 @@ def test_sweep_cache_interop(tmp_path):
     assert cache.get(cache_key(spec.points()[0])) is not None
 
 
+def test_des_simulate_served_from_sweep_point_entry(tmp_path):
+    # A DES simulate is its one point: the entry api.sweep(cache=...)
+    # wrote for that point serves it, with no engine run at all.
+    des = api.SimulationRequest(
+        "Resnet-50", "trainbox", 16, engine="des", des_iterations=12
+    )
+    sweep = api.SweepRequest(
+        workloads=("Resnet-50",), archs=("trainbox",), scales=(16,),
+        engine="des", des_iterations=12,
+    )
+    api.sweep(sweep, cache=tmp_path / "cache")
+
+    service = SimulationService(
+        ServiceConfig(max_workers=2, cache_dir=tmp_path / "cache")
+    )
+    [response] = _gather(service, [_envelope(des)])
+    assert response["status"] == "ok"
+    assert response["meta"]["served_by"] == "disk"
+    assert response["payload"] == execute_request(des)
+    counters = _counters(service)
+    assert counters["service.batch_point_disk"] == 1
+    assert counters.get("service.batch_point_scalar", 0) == 0
+
+
 # -- shutdown -----------------------------------------------------------------
 
 
@@ -442,7 +509,7 @@ def test_aclose_drains_queued_points():
 
     response, report = asyncio.run(main())
     assert response["status"] == "ok"
-    assert response["meta"]["served_by"] == "batched"
+    assert response["meta"]["served_by"] == "computed"
     assert report["drained"] is True
     assert report["stranded"] == 0
 

@@ -24,13 +24,11 @@ def test_serve_batch_flags_round_trip_into_the_live_config():
     config = cli._service_config(args)
     assert config.batch_window_ms == 7.5
     assert config.max_batch_points == 33
-    assert config.batch_enabled
     with ServerThread(config) as srv:
         with ServiceClient(*srv.address) as client:
             stats = client.stats()
     assert stats["config"]["batch_window_ms"] == 7.5
     assert stats["config"]["max_batch_points"] == 33
-    assert stats["config"]["batch_enabled"] is True
     assert stats["config"]["max_workers"] == 3
 
 
@@ -53,18 +51,19 @@ def test_bench_service_chaos_flags_parse():
     assert args.chaos_seed == [3, 9]
 
 
-def test_serve_no_batch_and_auto_workers():
+def test_serve_auto_workers_and_memo_default():
     from repro.service import default_workers
 
-    config = cli._service_config(_parse(["serve", "--no-batch"]))
-    assert not config.batch_enabled
+    config = cli._service_config(_parse(["serve"]))
     assert config.max_workers is None
     assert config.workers == default_workers()
+    assert config.memo_entries == 4096
     with ServerThread(config) as srv:
         with ServiceClient(*srv.address) as client:
             stats = client.stats()
-    assert stats["config"]["batch_enabled"] is False
     assert stats["config"]["max_workers"] == default_workers()
+    assert stats["config"]["memo_entries"] == 4096
+    assert "batch_enabled" not in stats["config"]
 
 
 def test_client_requests_file_pipelines_mixed_trace(tmp_path, capsys):
@@ -95,7 +94,7 @@ def test_client_requests_file_pipelines_mixed_trace(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "3 requests" in out
     assert "0 failed" in out
-    assert "batched: 2" in out  # the duplicate rode the memo/coalescer
+    assert "computed: 2" in out  # the duplicate rode the memo/coalescer
 
 
 def test_client_requests_file_rejects_garbage(tmp_path):

@@ -1,10 +1,11 @@
 """The resilience layer: deadlines, disconnect cancellation, graceful
-drain, the kernel breaker's degrade-to-scalar path, and client retry.
+drain, the kernel breaker's mode switch, and client retry.
 
 Broker-level tests drive :meth:`SimulationService.handle` under
 ``asyncio.run`` with the engine monkeypatched slow where a test needs
-deterministic overlap; the socket-level tests run a real
-:class:`ServerThread` and slam connections mid-request.
+deterministic overlap — on fault-schedule requests, which are priced
+whole by ``execute_request`` and dispatch at once; the socket-level tests
+run a real :class:`ServerThread` and slam connections mid-request.
 """
 
 import asyncio
@@ -25,10 +26,13 @@ from repro.service import (
     SimulationService,
     protocol,
 )
-from repro.service import batch as batch_mod
 from repro.service import server as server_mod
 
 REQ = api.SimulationRequest("Resnet-50", "trainbox", 64)
+#: A cheap fault-schedule request: one whole-request work item.
+FAULT = api.FaultScheduleRequest(
+    "Resnet-50", "trainbox", 16, events=(), horizon=60.0
+)
 
 
 def _envelope(request, rid=1, tenant="t", **extra):
@@ -39,14 +43,21 @@ def _counters(service):
     return service.registry.to_manifest()["counters"]
 
 
-def _slow_engine(monkeypatch, seconds):
+def _slow_engine(monkeypatch, seconds, ran=None):
     real = server_mod.execute_request
 
     def slow(request):
+        if ran is not None:
+            ran.append(request.fingerprint())
         time.sleep(seconds)
         return real(request)
 
     monkeypatch.setattr(server_mod, "execute_request", slow)
+
+
+def _inflight(service, request):
+    """Whether the request's (single) work item is queued or running."""
+    return request.fingerprint() in service._batch._inflight
 
 
 # -- deadline_ms parsing ------------------------------------------------------
@@ -86,16 +97,22 @@ def test_owner_deadline_rejects_at_scatter_time(monkeypatch):
     # memoized for everyone else), but THIS request honestly answers
     # deadline_exceeded instead of a late ok.
     _slow_engine(monkeypatch, 0.2)
-    service = SimulationService(
-        ServiceConfig(max_workers=1, batch_enabled=False)
-    )
+    service = SimulationService(ServiceConfig(max_workers=1))
 
     async def main():
         try:
-            late = await service.handle(_envelope(REQ, rid=1, deadline_ms=50))
+            late = await service.handle(
+                _envelope(FAULT, rid=1, deadline_ms=50)
+            )
+            # Waiting out the engine run: the item was abandoned only if
+            # no engine thread had picked it up.
+            while _inflight(service, FAULT):
+                await asyncio.sleep(0.005)
             # The payload was memoized despite the rejection: a resend
             # with a fresh budget is served instantly from the memo.
-            resend = await service.handle(_envelope(REQ, rid=2, deadline_ms=50))
+            resend = await service.handle(
+                _envelope(FAULT, rid=2, deadline_ms=50)
+            )
             return late, resend
         finally:
             service.close()
@@ -116,18 +133,17 @@ def test_owner_deadline_rejects_at_scatter_time(monkeypatch):
 
 def test_waiter_deadline_expires_without_killing_the_owner(monkeypatch):
     _slow_engine(monkeypatch, 0.3)
-    service = SimulationService(
-        ServiceConfig(max_workers=2, batch_enabled=False)
-    )
-    fp = REQ.fingerprint()
+    service = SimulationService(ServiceConfig(max_workers=2))
 
     async def main():
         try:
-            owner = asyncio.create_task(service.handle(_envelope(REQ, rid=1)))
-            while fp not in service._inflight:
+            owner = asyncio.create_task(
+                service.handle(_envelope(FAULT, rid=1))
+            )
+            while not _inflight(service, FAULT):
                 await asyncio.sleep(0.005)
             waiter = await service.handle(
-                _envelope(REQ, rid=2, deadline_ms=50)
+                _envelope(FAULT, rid=2, deadline_ms=50)
             )
             return waiter, await owner
         finally:
@@ -136,7 +152,7 @@ def test_waiter_deadline_expires_without_killing_the_owner(monkeypatch):
     waiter, owner = asyncio.run(main())
     assert waiter["status"] == "rejected"
     assert waiter["error"]["code"] == "deadline_exceeded"
-    assert "coalesced" in waiter["error"]["message"]
+    assert "scattered" in waiter["error"]["message"]
     # The owner (no deadline) is untouched by the waiter's budget.
     assert owner["status"] == "ok"
     assert owner["meta"]["served_by"] == "computed"
@@ -144,26 +160,19 @@ def test_waiter_deadline_expires_without_killing_the_owner(monkeypatch):
 
 def test_deadline_expired_in_executor_queue_skips_the_engine(monkeypatch):
     # One worker, hogged by a slow request: the queued request's budget
-    # burns up before an engine thread picks it up, and the engine is
-    # never spent on it.
-    real = server_mod.execute_request
+    # burns up before an engine thread picks it up, its last waiter
+    # leaves, and the engine is never spent on it.
     ran = []
-
-    def slow(request):
-        ran.append(request.fingerprint())
-        time.sleep(0.3)
-        return real(request)
-
-    monkeypatch.setattr(server_mod, "execute_request", slow)
-    service = SimulationService(
-        ServiceConfig(max_workers=1, batch_enabled=False)
+    _slow_engine(monkeypatch, 0.3, ran)
+    service = SimulationService(ServiceConfig(max_workers=1))
+    other = api.FaultScheduleRequest(
+        "Resnet-50", "trainbox", 16, events=(), horizon=90.0
     )
-    other = api.SimulationRequest("Resnet-50", "trainbox", 16)
 
     async def main():
         try:
-            hog = asyncio.create_task(service.handle(_envelope(REQ, rid=1)))
-            while REQ.fingerprint() not in service._inflight:
+            hog = asyncio.create_task(service.handle(_envelope(FAULT, rid=1)))
+            while not ran:
                 await asyncio.sleep(0.005)
             doomed = await service.handle(
                 _envelope(other, rid=2, deadline_ms=50)
@@ -176,8 +185,8 @@ def test_deadline_expired_in_executor_queue_skips_the_engine(monkeypatch):
     assert hog["status"] == "ok"
     assert doomed["status"] == "rejected"
     assert doomed["error"]["code"] == "deadline_exceeded"
-    assert "picked" in doomed["error"]["message"]
-    assert ran == [REQ.fingerprint()]  # the doomed request never ran
+    assert ran == [FAULT.fingerprint()]  # the doomed request never ran
+    assert _counters(service)["service.batch_point_abandoned"] == 1
 
 
 def test_batch_deadline_abandons_sole_waiter_point():
@@ -224,19 +233,28 @@ def test_kernel_breaker_trip_probe_reset():
     assert breaker.failures == 0
 
 
-def test_breaker_degrades_batch_path_to_scalar(monkeypatch):
-    # Poison the kernel dispatch wholesale: after `threshold` failed
-    # dispatches the breaker opens and batchable requests are served by
-    # the scalar path; a later clean probe closes it again.
-    real = batch_mod.BatchScheduler._compute_batch
+def _poison_kernel(monkeypatch):
+    """Make every kernel pass die wholesale until ``poisoned[0]`` is
+    cleared; returns that flag."""
+    from repro.core import analytical_batch
+
+    real = analytical_batch.evaluate_points
     poisoned = [True]
 
-    def compute(self, entries):
+    def evaluate_points(points, *args, **kwargs):
         if poisoned[0]:
             raise RuntimeError("kernel poisoned")
-        return real(self, entries)
+        return real(points, *args, **kwargs)
 
-    monkeypatch.setattr(batch_mod.BatchScheduler, "_compute_batch", compute)
+    monkeypatch.setattr(analytical_batch, "evaluate_points", evaluate_points)
+    return poisoned
+
+
+def test_breaker_degrades_batch_path_to_scalar(monkeypatch):
+    # Poison the kernel pass wholesale: after `threshold` failed
+    # dispatches the breaker opens and window dispatches price their
+    # points without the kernel; a later clean probe closes it again.
+    poisoned = _poison_kernel(monkeypatch)
     service = SimulationService(
         ServiceConfig(
             max_workers=2,
@@ -262,9 +280,10 @@ def test_breaker_degrades_batch_path_to_scalar(monkeypatch):
     responses = asyncio.run(main())
     # Requests 0-1: poisoned dispatches -> internal errors, breaker trips.
     assert [r["status"] for r in responses[:2]] == ["error", "error"]
-    # Request 2: breaker open -> degraded to the scalar compute path.
+    # Request 2: breaker open -> its dispatch prices without the kernel.
     assert responses[2]["status"] == "ok"
     assert responses[2]["meta"]["served_by"] == "computed"
+    assert responses[2]["payload"] == server_mod.execute_request(requests[2])
     # Request 3 is the probe (probe_after=2) — but the kernel is still
     # poisoned mid-run?  No: heal it right before, so the probe's clean
     # dispatch resets the breaker and request 4 batches again.
@@ -273,19 +292,12 @@ def test_breaker_degrades_batch_path_to_scalar(monkeypatch):
     assert counters["service.breaker_tripped"] == 1
     assert counters["service.batch_dispatch_errors"] >= 2
     assert counters["service.breaker_bypassed"] >= 1
+    assert counters["service.batch_point_scalar"] >= 1
     assert service._batch.breaker.state()["threshold"] == 2
 
 
 def test_breaker_probe_recovers_the_batch_path(monkeypatch):
-    real = batch_mod.BatchScheduler._compute_batch
-    poisoned = [True]
-
-    def compute(self, entries):
-        if poisoned[0]:
-            raise RuntimeError("kernel poisoned")
-        return real(self, entries)
-
-    monkeypatch.setattr(batch_mod.BatchScheduler, "_compute_batch", compute)
+    poisoned = _poison_kernel(monkeypatch)
     service = SimulationService(
         ServiceConfig(
             max_workers=2,
@@ -303,7 +315,7 @@ def test_breaker_probe_recovers_the_batch_path(monkeypatch):
         try:
             first = await service.handle(_envelope(requests[0], rid=0))
             poisoned[0] = False  # the kernel heals
-            # probe_after=1: the very next batchable request is the probe.
+            # probe_after=1: the very next window dispatch is the probe.
             probe = await service.handle(_envelope(requests[1], rid=1))
             after = await service.handle(_envelope(requests[2], rid=2))
             return first, probe, after
@@ -313,10 +325,9 @@ def test_breaker_probe_recovers_the_batch_path(monkeypatch):
     first, probe, after = asyncio.run(main())
     assert first["status"] == "error"  # the trip
     assert probe["status"] == "ok"
-    assert probe["meta"]["served_by"] == "batched"
     assert after["status"] == "ok"
-    assert after["meta"]["served_by"] == "batched"
     counters = _counters(service)
+    assert counters["service.batch_point_kernel"] == 2  # probe and after
     assert counters["service.breaker_tripped"] == 1
     assert counters["service.breaker_probes"] == 1
     assert counters["service.breaker_reset"] == 1
@@ -336,34 +347,32 @@ def _poll(fn, timeout=5.0):
 
 
 def test_disconnect_mid_request_resolves_coalesced_waiter(monkeypatch):
-    # The single-flight owner's connection dies mid-compute: the EOF
-    # cancels its frame task, and the waiter on another connection gets
-    # an immediate retryable rejection instead of hanging.
+    # The connection that started a computation dies mid-compute: the
+    # EOF cancels its frame task, which releases its work item — but the
+    # waiter on another connection still holds it, so the engine run
+    # completes and the waiter is answered ok.
     _slow_engine(monkeypatch, 0.5)
-    config = ServiceConfig(max_workers=2, batch_enabled=False)
+    config = ServiceConfig(max_workers=2)
     with ServerThread(config) as srv:
         service = srv.service
         owner = ServiceClient(*srv.address)
         with ServiceClient(*srv.address) as waiter:
-            owner._send(owner._envelope(REQ, False, None))
-            _poll(lambda: len(service._inflight) == 1)
-            waiter._send(waiter._envelope(REQ, False, None))
+            owner._send(owner._envelope(FAULT, False, None))
+            _poll(lambda: len(service._batch._inflight) == 1)
+            waiter._send(waiter._envelope(FAULT, False, None))
             _poll(
                 lambda: _counters(service).get(
-                    "service.coalesce_attached", 0
+                    "service.batch_point_stitched", 0
                 ) >= 1
             )
             owner.close()  # the owner walks away mid-request
             response = waiter._recv()
-            assert response["status"] == "rejected"
-            assert response["error"]["code"] == "retry"
-            # The broker is healthy: a resend on the same connection
-            # computes normally.
-            resend = waiter.call(REQ)
-            assert resend["status"] == "ok"
+            assert response["status"] == "ok"
+            assert response["meta"]["served_by"] == "coalesced"
+            assert response["payload"] == server_mod.execute_request(FAULT)
         counters = _counters(service)
         assert counters["service.cancelled"] == 1
-        assert counters["service.coalesce_aborted"] == 1
+        assert counters.get("service.batch_point_abandoned", 0) == 0
 
 
 def test_disconnect_abandons_sole_waiter_batch_point():
@@ -440,15 +449,13 @@ def test_drain_completes_inflight_and_flushes_writebacks(
     _slow_engine(monkeypatch, 0.2)
     shared = tmp_path / "shared"
     service = SimulationService(
-        ServiceConfig(
-            max_workers=1, batch_enabled=False, shared_dir=shared
-        )
+        ServiceConfig(max_workers=1, shared_dir=shared)
     )
-    fp = REQ.fingerprint()
+    fp = FAULT.fingerprint()
 
     async def main():
-        inflight = asyncio.create_task(service.handle(_envelope(REQ)))
-        while fp not in service._inflight:
+        inflight = asyncio.create_task(service.handle(_envelope(FAULT)))
+        while not _inflight(service, FAULT):
             await asyncio.sleep(0.005)
         report = await service.aclose()
         return await inflight, report
@@ -459,7 +466,7 @@ def test_drain_completes_inflight_and_flushes_writebacks(
     assert report["drained"] is True
     assert report["stranded"] == 0
     # The deferred shared-tier write-back reached disk before exit.
-    assert len(service._writeback) == 0
+    assert len(service._batch._writeback) == 0
     from repro.cache import ResultCache
 
     assert ResultCache(shared).get(fp) is not None
@@ -468,14 +475,11 @@ def test_drain_completes_inflight_and_flushes_writebacks(
 
 def test_drain_timeout_reports_undrained(monkeypatch):
     _slow_engine(monkeypatch, 0.5)
-    service = SimulationService(
-        ServiceConfig(max_workers=1, batch_enabled=False)
-    )
-    fp = REQ.fingerprint()
+    service = SimulationService(ServiceConfig(max_workers=1))
 
     async def main():
-        task = asyncio.create_task(service.handle(_envelope(REQ)))
-        while fp not in service._inflight:
+        task = asyncio.create_task(service.handle(_envelope(FAULT)))
+        while not _inflight(service, FAULT):
             await asyncio.sleep(0.005)
         report = await service.drain(timeout=0.05)
         response = await task  # then let it finish for a clean teardown
@@ -534,13 +538,15 @@ def test_retry_policy_delay_honors_hint_jitter_and_cap():
 
 def test_client_retries_backpressure_to_success(monkeypatch):
     _slow_engine(monkeypatch, 0.3)
-    config = ServiceConfig(max_workers=1, max_pending=1, batch_enabled=False)
-    other = api.SimulationRequest("Resnet-50", "trainbox", 16)
+    config = ServiceConfig(max_workers=1, max_pending=1)
+    other = api.FaultScheduleRequest(
+        "Resnet-50", "trainbox", 16, events=(), horizon=90.0
+    )
     with ServerThread(config) as srv:
         service = srv.service
         hog = ServiceClient(*srv.address)
         try:
-            hog._send(hog._envelope(REQ, False, None))
+            hog._send(hog._envelope(FAULT, False, None))
             _poll(lambda: service.stats()["pending"] >= 1)
             retrying = ServiceClient(
                 *srv.address,

@@ -4,7 +4,10 @@ tiers, and the bit-identity guarantee.
 Broker-level tests drive :meth:`SimulationService.handle` directly under
 ``asyncio.run`` — with the engine call monkeypatched slow where the test
 needs deterministic overlap — and the end-to-end tests run a real
-:class:`ServerThread` with real :class:`ServiceClient` sockets.
+:class:`ServerThread` with real :class:`ServiceClient` sockets.  Tests
+that need a slow engine use fault-schedule requests (priced whole by
+``execute_request``) or DES requests (priced by ``evaluate_point``),
+which dispatch at once instead of waiting for the kernel window.
 """
 
 import asyncio
@@ -23,9 +26,32 @@ from repro.service import (
     TokenBucket,
     execute_request,
 )
+from repro.service import batch as batch_mod
 from repro.service import server as server_mod
 
 REQ = api.SimulationRequest("Resnet-50", "trainbox", 64)
+DES = api.SimulationRequest(
+    "Resnet-50", "trainbox", 16, engine="des", des_iterations=12
+)
+
+
+def _fault(horizon=60.0):
+    """A cheap fault-schedule request: one whole-request work item."""
+    return api.FaultScheduleRequest(
+        "Resnet-50", "trainbox", 16, events=(), horizon=horizon
+    )
+
+
+def _slow_execute(monkeypatch, seconds, calls=None):
+    real = server_mod.execute_request
+
+    def slow(request):
+        if calls is not None:
+            calls.append(request.fingerprint())
+        time.sleep(seconds)
+        return real(request)
+
+    monkeypatch.setattr(server_mod, "execute_request", slow)
 
 
 def _envelope(request, rid=1, tenant="t", **extra):
@@ -64,43 +90,25 @@ def test_token_bucket_enforces_rate_and_burst():
 
 
 def test_ok_response_is_bit_identical_to_direct_call():
-    # Batching on (the default): an analytical request is served by the
-    # batch scheduler, still bit-identical to the direct evaluation.
+    # An analytical request is priced by a kernel dispatch, a DES one by
+    # its own engine run: both bit-identical to the direct evaluation.
     service = SimulationService(ServiceConfig(max_workers=2))
-    [response] = _gather(service, [_envelope(REQ)])
-    assert response["status"] == "ok"
-    assert response["meta"]["served_by"] == "batched"
-    assert json.dumps(response["payload"], sort_keys=True) == json.dumps(
-        execute_request(REQ), sort_keys=True
-    )
-
-    # Batching off: the classic compute path, same bits.
-    plain = SimulationService(
-        ServiceConfig(max_workers=2, batch_enabled=False)
-    )
-    [unbatched] = _gather(plain, [_envelope(REQ)])
-    assert unbatched["status"] == "ok"
-    assert unbatched["meta"]["served_by"] == "computed"
-    assert unbatched["payload"] == response["payload"]
+    responses = _gather(service, [_envelope(REQ), _envelope(DES, rid=2)])
+    for request, response in zip((REQ, DES), responses):
+        assert response["status"] == "ok"
+        assert response["meta"]["served_by"] == "computed"
+        assert response["meta"]["fingerprint"] == request.fingerprint()
+        assert json.dumps(response["payload"], sort_keys=True) == json.dumps(
+            execute_request(request), sort_keys=True
+        )
 
 
 def test_duplicate_in_flight_requests_coalesce(monkeypatch):
-    real = server_mod.execute_request
     calls = []
-
-    def slow(request):
-        calls.append(request.fingerprint())
-        time.sleep(0.2)
-        return real(request)
-
-    monkeypatch.setattr(server_mod, "execute_request", slow)
-    # batch_enabled=False: the monkeypatched engine call IS the compute
-    # path here (the batch scheduler would bypass it).
-    service = SimulationService(
-        ServiceConfig(max_workers=4, batch_enabled=False)
-    )
+    _slow_execute(monkeypatch, 0.2, calls)
+    service = SimulationService(ServiceConfig(max_workers=4))
     responses = _gather(
-        service, [_envelope(REQ, rid=i) for i in range(5)]
+        service, [_envelope(_fault(), rid=i) for i in range(5)]
     )
     assert [r["status"] for r in responses] == ["ok"] * 5
     served = sorted(r["meta"]["served_by"] for r in responses)
@@ -123,26 +131,15 @@ def test_sequential_duplicates_hit_the_memo():
             service.close()
 
     first, second = asyncio.run(main())
-    assert first["meta"]["served_by"] == "batched"
+    assert first["meta"]["served_by"] == "computed"
     assert second["meta"]["served_by"] == "memo"
     assert second["payload"] == first["payload"]
 
 
 def test_backpressure_rejects_beyond_max_pending(monkeypatch):
-    real = server_mod.execute_request
-
-    def slow(request):
-        time.sleep(0.2)
-        return real(request)
-
-    monkeypatch.setattr(server_mod, "execute_request", slow)
-    service = SimulationService(
-        ServiceConfig(max_workers=1, max_pending=1, batch_enabled=False)
-    )
-    distinct = [
-        api.SimulationRequest("Resnet-50", "trainbox", scale)
-        for scale in (4, 8, 16)
-    ]
+    _slow_execute(monkeypatch, 0.2)
+    service = SimulationService(ServiceConfig(max_workers=1, max_pending=1))
+    distinct = [_fault(horizon) for horizon in (30.0, 60.0, 90.0)]
     responses = _gather(
         service,
         [_envelope(r, rid=i) for i, r in enumerate(distinct)],
@@ -161,20 +158,9 @@ def test_backpressure_retry_hint_with_default_workers(monkeypatch):
     count, so the default config (``max_workers=None``) must still
     produce the retryable backpressure envelope, not an internal
     TypeError."""
-    real = server_mod.execute_request
-
-    def slow(request):
-        time.sleep(0.2)
-        return real(request)
-
-    monkeypatch.setattr(server_mod, "execute_request", slow)
-    service = SimulationService(
-        ServiceConfig(max_pending=1, batch_enabled=False)
-    )
-    distinct = [
-        api.SimulationRequest("Resnet-50", "trainbox", scale)
-        for scale in (4, 8, 16)
-    ]
+    _slow_execute(monkeypatch, 0.2)
+    service = SimulationService(ServiceConfig(max_pending=1))
+    distinct = [_fault(horizon) for horizon in (30.0, 60.0, 90.0)]
     responses = _gather(
         service,
         [_envelope(r, rid=i) for i, r in enumerate(distinct)],
@@ -217,50 +203,40 @@ def test_tenant_quota_rejects_over_budget():
 
 
 def test_disk_and_shared_tiers(tmp_path):
-    # Request-level disk/shared tiers are a property of the classic
-    # compute path; the batch scheduler caches per *point* instead
-    # (covered in tests/service/test_batch.py).
+    # The tiers on a whole-request item (a fault schedule, keyed by its
+    # fingerprint); point items are covered in tests/service/test_batch.py.
+    fault = _fault()
     shared = tmp_path / "shared"
     first = SimulationService(
         ServiceConfig(
-            max_workers=1,
-            cache_dir=tmp_path / "a",
-            shared_dir=shared,
-            batch_enabled=False,
+            max_workers=1, cache_dir=tmp_path / "a", shared_dir=shared
         )
     )
-    [r1] = _gather(first, [_envelope(REQ)])
+    [r1] = _gather(first, [_envelope(fault)])
     assert r1["meta"]["served_by"] == "computed"
 
     # A restarted server with the same private dir serves from disk.
     again = SimulationService(
-        ServiceConfig(
-            max_workers=1, cache_dir=tmp_path / "a", batch_enabled=False
-        )
+        ServiceConfig(max_workers=1, cache_dir=tmp_path / "a")
     )
-    [r2] = _gather(again, [_envelope(REQ)])
+    [r2] = _gather(again, [_envelope(fault)])
     assert r2["meta"]["served_by"] == "disk"
     assert r2["payload"] == r1["payload"]
 
     # A different server sharing only the shared tier serves from it.
     other = SimulationService(
         ServiceConfig(
-            max_workers=1,
-            cache_dir=tmp_path / "b",
-            shared_dir=shared,
-            batch_enabled=False,
+            max_workers=1, cache_dir=tmp_path / "b", shared_dir=shared
         )
     )
-    [r3] = _gather(other, [_envelope(REQ)])
+    [r3] = _gather(other, [_envelope(fault)])
     assert r3["meta"]["served_by"] == "shared"
     assert r3["payload"] == r1["payload"]
     # ...and backfilled its private tier for next time.
     backfilled = SimulationService(
-        ServiceConfig(
-            max_workers=1, cache_dir=tmp_path / "b", batch_enabled=False
-        )
+        ServiceConfig(max_workers=1, cache_dir=tmp_path / "b")
     )
-    [r4] = _gather(backfilled, [_envelope(REQ)])
+    [r4] = _gather(backfilled, [_envelope(fault)])
     assert r4["meta"]["served_by"] == "disk"
 
 
@@ -309,55 +285,48 @@ def test_bad_requests_answer_error_not_crash():
     assert responses[3]["id"] == 3
 
 
-def test_owner_cancellation_fails_coalesced_waiters_fast(monkeypatch):
-    # If the task owning a computation is cancelled (its connection
-    # died), coalesced waiters must get an immediate retryable answer,
-    # not hang on a future nobody will resolve.
-    real = server_mod.execute_request
+def test_owner_cancellation_keeps_serving_coalesced_waiter(monkeypatch):
+    # The request that started a DES run is cancelled (its connection
+    # died) while an identical request waits on the same work item: the
+    # waiter's reference keeps the item running, and it answers ok.
+    real = batch_mod.evaluate_point
 
-    def slow(request):
-        time.sleep(0.5)
-        return real(request)
+    def slow(point):
+        time.sleep(0.3)
+        return real(point)
 
-    monkeypatch.setattr(server_mod, "execute_request", slow)
-    service = SimulationService(
-        ServiceConfig(max_workers=2, batch_enabled=False)
-    )
-    fp = REQ.fingerprint()
+    monkeypatch.setattr(batch_mod, "evaluate_point", slow)
+    service = SimulationService(ServiceConfig(max_workers=2))
+    [(key, _point)] = batch_mod.work_items(DES)[1]
 
     async def main():
         try:
-            owner = asyncio.create_task(service.handle(_envelope(REQ, rid=1)))
-            while fp not in service._inflight:
+            owner = asyncio.create_task(service.handle(_envelope(DES, rid=1)))
+            while key not in service._batch._inflight:
                 await asyncio.sleep(0.005)
             waiter = asyncio.create_task(
-                service.handle(_envelope(REQ, rid=2))
+                service.handle(_envelope(DES, rid=2))
             )
-            # Let the waiter attach to the in-flight future.
-            while (
-                service.registry.to_manifest()["counters"].get(
-                    "service.coalesce_attached", 0
-                )
-                < 1
-            ):
+            while service._batch._inflight[key].waiters < 2:
                 await asyncio.sleep(0.005)
             owner.cancel()
-            start = time.monotonic()
-            response = await waiter
-            elapsed = time.monotonic() - start
             try:
                 await owner
             except asyncio.CancelledError:
                 pass
-            return response, elapsed
+            return await waiter
         finally:
             service.close()
 
-    response, elapsed = asyncio.run(main())
-    assert response["status"] == "rejected"
-    assert response["error"]["code"] == "retry"
-    assert elapsed < 0.4  # did not wait out the 0.5s engine run
-    assert fp not in service._inflight  # table cleaned up
+    response = asyncio.run(main())
+    assert response["status"] == "ok"
+    assert response["meta"]["served_by"] == "coalesced"
+    assert response["payload"] == execute_request(DES)
+    counters = service.registry.to_manifest()["counters"]
+    assert counters["service.cancelled"] == 1
+    assert counters["service.batch_point_scalar"] == 1  # priced once
+    assert counters.get("service.batch_point_abandoned", 0) == 0
+    assert key not in service._batch._inflight  # table cleaned up
 
 
 def test_tenant_bucket_table_is_bounded():
@@ -425,7 +394,7 @@ def test_admin_ops_and_counters():
     assert pong["payload"]["kind"] == "pong"
     counters = stats["payload"]["counters"]
     assert counters["service.requests"] == 2
-    assert counters["service.batched"] == 1  # batching is the default
+    assert counters["service.computed"] == 1
     assert counters["service.memo_hits"] == 1
     assert counters["service.batch_dispatches"] == 1
     # Engine-internal counters merged into the service manifest.
@@ -472,13 +441,13 @@ def test_tcp_pipelined_duplicates_dedup():
             responses = client.request_many(requests)
             assert all(r["status"] == "ok" for r in responses)
             served = [r["meta"]["served_by"] for r in responses]
-            assert served.count("batched") == 2  # one per unique request
+            assert served.count("computed") == 2  # one per unique request
             assert all(
-                s in ("batched", "coalesced", "memo") for s in served
+                s in ("computed", "coalesced", "memo") for s in served
             )
             stats = client.stats()
         counters = stats["counters"]
-        assert counters["service.batched"] == 2
+        assert counters["service.computed"] == 2
         assert (
             counters.get("service.coalesced", 0)
             + counters.get("service.memo_hits", 0)

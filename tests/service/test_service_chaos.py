@@ -20,6 +20,7 @@ from repro.service import (
     ServiceChaosSpec,
     ServiceClient,
     ServiceConfig,
+    execute_request,
     run_chaos_drill,
 )
 from repro.service.chaos import FAULT_KINDS
@@ -104,9 +105,12 @@ def test_chaos_compute_fault_surfaces_as_internal_error_and_heals():
     # ReproError, so it exercises the broker's unexpected-exception
     # hardening — the client sees an `internal` error envelope, and the
     # resend (first_attempt_only) computes normally, bit-identically.
+    # A DES point is priced on its own, where compute faults bite.
     injector = ChaosInjector(ServiceChaosSpec(seed=0, compute_error_rate=1.0))
-    request = api.SimulationRequest("Resnet-50", "trainbox", 64)
-    config = ServiceConfig(max_workers=1, batch_enabled=False)
+    request = api.SimulationRequest(
+        "Resnet-50", "trainbox", 16, engine="des", des_iterations=12
+    )
+    config = ServiceConfig(max_workers=1)
     with ServerThread(config, chaos=injector) as srv:
         with ServiceClient(*srv.address) as client:
             faulted = client.call(request)
@@ -115,6 +119,7 @@ def test_chaos_compute_fault_surfaces_as_internal_error_and_heals():
             assert "chaos" in faulted["error"]["message"]
             healed = client.call(request)
             assert healed["status"] == "ok"
+            assert healed["payload"] == execute_request(request)
     assert srv.drain_report["drained"] is True
 
 
