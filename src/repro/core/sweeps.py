@@ -67,6 +67,11 @@ ENGINES = ("analytical", "des", "flow", "scaleout")
 #: Reusable no-op context for paths that run without a metrics session.
 _NULL_CTX = contextlib.nullcontext()
 
+#: What :func:`cache_key` hashes for "no override": shared instances, so
+#: their canonical text is encoded once (see :func:`repro.cache.fingerprint`).
+_DEFAULT_HW = HardwareConfig()
+_DEFAULT_SCALEOUT = ScaleOutConfig()
+
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -154,9 +159,9 @@ def cache_key(point: SweepPoint) -> str:
     ``scaleout_config`` are normalized to their defaults first so that
     "no override" and "explicit default" hash alike.
     """
-    hw = point.hw or HardwareConfig()
+    hw = point.hw or _DEFAULT_HW
     scaleout = (
-        (point.scaleout_config or ScaleOutConfig())
+        (point.scaleout_config or _DEFAULT_SCALEOUT)
         if point.engine == "scaleout"
         else None
     )
@@ -347,10 +352,13 @@ def run_sweep(
         with obs.span("sweep.run", cat="sweep", points=len(points)):
             pending: List[int] = []
             hits = 0
+            keys: List[str] = []
             if cache is not None:
                 with obs.span("sweep.cache_scan", cat="sweep"):
+                    # One key per point, reused by the write-backs below.
+                    keys = [cache_key(point) for point in points]
                     for idx, point in enumerate(points):
-                        payload = cache.get(cache_key(point))
+                        payload = cache.get(keys[idx])
                         if payload is None:
                             pending.append(idx)
                         else:
@@ -378,9 +386,7 @@ def run_sweep(
                         dispatch[idx] = "batch"
                         batch_points += 1
                         if cache is not None:
-                            cache.put(
-                                cache_key(points[idx]), batched[k].to_dict()
-                            )
+                            cache.put(keys[idx], batched[k].to_dict())
                     else:
                         scalar_pending.append(idx)
                         dispatch[idx] = f"scalar ({reasons[k]})"
@@ -452,7 +458,7 @@ def run_sweep(
                 for idx, result in zip(scalar_pending, computed):
                     results[idx] = result
                     if cache is not None:
-                        cache.put(cache_key(points[idx]), result.to_dict())
+                        cache.put(keys[idx], result.to_dict())
 
     return SweepOutcome(
         points=tuple(points),

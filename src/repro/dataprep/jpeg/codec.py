@@ -478,9 +478,10 @@ _LOCKSTEP_MIN_IMAGES = 96
 # The walk also pays a fixed per-chunk setup (event matrices, flat-LUT
 # assembly) that is amortized over a plane's blocks; planes much
 # smaller than the 1024-block calibration plane need proportionally
-# more streams before lock-step wins.  Measured with
-# ``perf.measure_lockstep_crossover`` (64x64 planes crossed over ~1.5x
-# later than 256x256 ones on the calibration host).
+# more streams before lock-step wins.  Measured by timing lock-step
+# against the per-stream walk at both plane sizes (64x64 planes crossed
+# over ~1.5x later than 256x256 ones on the calibration host); no
+# committed harness re-measures it.
 _LOCKSTEP_REF_BLOCKS = 1024
 
 

@@ -508,7 +508,8 @@ class BatchScheduler:
                         tally["service.batch_point_disk"] += 1
                 if kernel and todo:
                     results, _reasons, errors = evaluate_points(
-                        [item.work for item in todo]
+                        [item.work for item in todo],
+                        keys=[item.key for item in todo],
                     )
                     for item, result, error in zip(todo, results, errors):
                         if error is None and chaos is not None:
