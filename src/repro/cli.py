@@ -13,27 +13,18 @@ Commands:
   ``trace_event`` JSON (open in ``chrome://tracing`` / Perfetto).
 * ``profile``  — run one scenario instrumented and print the top spans
   and counters.
-* ``bench-codec`` — codec throughput smoke test vs the committed baseline.
-* ``bench-sweep`` — sweep-engine throughput smoke test vs the committed
-  baseline; ``--cold`` times the vectorized kernel against the scalar
-  engine on a 576-point uncached grid (bit-identity asserted first,
-  ≥5x floor enforced).
-* ``bench-prep`` — data-preparation throughput smoke test vs the
-  committed baseline, plus the batched-vs-reference speedup gate.
 * ``chaos``    — the resilience drill: inject every prep-engine failure
   mode deterministically and verify bit-identical recovery; with
-  ``--fail DEVICE:T0[:T1]`` it prices a time-varying fault schedule as
-  a piecewise degraded-throughput timeline instead.
+  ``--service`` it runs the seeded fault drill against a live simulation
+  service instead, and with ``--fail DEVICE:T0[:T1]`` it prices a
+  time-varying fault schedule as a piecewise degraded-throughput
+  timeline.
 * ``serve``    — run the simulation service (:mod:`repro.service`):
   an asyncio TCP server with request coalescing, admission control and
   per-tenant quotas in front of the facade.
 * ``client``   — talk to a running service: ``client simulate`` prices
   a scenario remotely, ``client stats`` / ``client ping`` are the admin
   ops.
-* ``bench-service`` — the service load test: concurrent clients replay
-  a duplicate-heavy trace, every response is checked bit-identical to a
-  direct facade call, and p50/p99 latency is gated against the
-  committed baseline.
 * ``workloads`` — print Table I.
 
 ``simulate``/``sweep``/``ladder`` share one flag vocabulary (scenario,
@@ -306,27 +297,33 @@ def _cmd_plan_describe(args: argparse.Namespace) -> int:
     fusions, hoisted invariants, arena layout)."""
     import numpy as np
 
-    from repro import perf
     from repro.dataprep.ops_audio import audio_pipeline
     from repro.dataprep.ops_image import image_pipeline
     from repro.dataprep.plan import compile_plan, geometry_for_batch
+    from repro.datasets.imagenet import synthesize_image
 
     name = args.pipeline
     size, batch = args.size, args.batch
     crop = max(1, size - 32)
+
+    def images():
+        return [
+            synthesize_image(np.random.default_rng(300 + i), size, size, i)
+            for i in range(batch)
+        ]
+
     if name == "image":
+        from repro.dataprep import jpeg
+
         pipe = image_pipeline(out_height=crop, out_width=crop)
-        payloads = perf._bench_jpeg_blobs(size, batch)
+        payloads = jpeg.encode_batch(images(), quality=75)
     elif name == "image-png":
         from repro.dataprep.png import codec as png
 
         pipe = image_pipeline(
             out_height=crop, out_width=crop, source_format="png"
         )
-        payloads = [
-            png.encode(perf.bench_image(size, size, seed=300 + i))
-            for i in range(batch)
-        ]
+        payloads = [png.encode(image) for image in images()]
     elif name == "audio":
         pipe = audio_pipeline()
         payloads = (
@@ -361,256 +358,27 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_codec(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro import perf
-
-    baseline_path = Path(args.baseline)
-    measurements = perf.codec_suite(
-        size=args.size, repeats=args.repeats, batch=args.batch
-    )
-    baseline = perf.load_baseline(baseline_path)
-    rows = []
-    for m in measurements:
-        ref = baseline.get(m.name)
-        rows.append(
-            [
-                m.name,
-                f"{m.best_seconds * 1000:.2f}",
-                f"{m.samples_per_s:,.1f}",
-                f"{ref:,.1f}" if ref else "-",
-            ]
-        )
-    print(format_table(["benchmark", "best ms", "samples/s", "baseline"], rows))
-
-    if args.update:
-        perf.save_baseline(baseline_path, measurements)
-        print(f"baseline updated: {baseline_path}")
-        return 0
-    if not baseline:
-        print(f"no baseline at {baseline_path}; run with --update to record one")
-        return 0
-    failures = perf.regressions(measurements, baseline)
-    for line in failures:
-        print(f"REGRESSION  {line}", file=sys.stderr)
-    if failures:
-        return 1
-    print(f"all codec throughputs within {100 * perf.tolerance():.0f}% of baseline")
-    return 0
-
-
-def _cmd_bench_sweep(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro import perf
-
-    baseline_path = Path(
-        args.baseline
-        or (
-            "benchmarks/baselines/sweep_cold.json"
-            if args.cold
-            else "benchmarks/baselines/sweep_throughput.json"
-        )
-    )
-    if args.cold:
-        # Identity over the full cold grid is asserted inside the suite
-        # before any timing — a ConfigError here means the vectorized
-        # kernel disagrees with the scalar engine, not a slow host.
-        measurements, speedup = perf.sweep_cold_suite(repeats=args.repeats)
-    else:
-        measurements = perf.sweep_suite(repeats=args.repeats, n_jobs=args.jobs)
-    baseline = perf.load_baseline(baseline_path)
-    rows = []
-    for m in measurements:
-        ref = baseline.get(m.name)
-        rows.append(
-            [
-                m.name,
-                f"{m.best_seconds * 1000:.2f}",
-                f"{m.samples_per_s:,.1f}",
-                f"{ref:,.1f}" if ref else "-",
-            ]
-        )
-    print(format_table(["benchmark", "best ms", "points/s", "baseline"], rows))
-
-    if args.cold:
-        n_points = measurements[0].samples
-        print(
-            f"cold grid: {n_points} points bit-identical to the scalar "
-            f"engine; vectorized speedup {speedup:.2f}x "
-            f"(floor {perf.MIN_BATCH_SPEEDUP:.0f}x)"
-        )
-        if speedup < perf.MIN_BATCH_SPEEDUP:
-            print(
-                f"FLOOR  cold batch speedup {speedup:.2f}x is below the "
-                f"required {perf.MIN_BATCH_SPEEDUP:.0f}x",
-                file=sys.stderr,
-            )
-            return 1
-
-    if args.update:
-        perf.save_baseline(baseline_path, measurements)
-        print(f"baseline updated: {baseline_path}")
-        return 0
-    if not baseline:
-        print(f"no baseline at {baseline_path}; run with --update to record one")
-        return 0
-    failures = perf.regressions(measurements, baseline)
-    for line in failures:
-        print(f"REGRESSION  {line}", file=sys.stderr)
-    if failures:
-        return 1
-    print(f"all sweep throughputs within {100 * perf.tolerance():.0f}% of baseline")
-    return 0
-
-
-def _plan_steady_state_bytes() -> int:
-    """Retained bytes across repeated warm plan executes (asserts ~0).
-
-    Runs on a small geometry — the zero-allocation property is about the
-    arena discipline, not the batch size, so the check stays fast.
-    """
-    import numpy as np
-
-    from repro import perf
-    from repro.dataprep.ops_image import image_pipeline
-    from repro.dataprep.pipeline import spawn_rngs
-    from repro.dataprep.plan import compile_plan, geometry_for_batch
-
-    pipe = image_pipeline(out_height=48, out_width=48)
-    blobs = perf._bench_jpeg_blobs(64, 16)
-    plan = compile_plan(pipe, geometry_for_batch(pipe, blobs))
-
-    def step():
-        plan.execute(blobs, spawn_rngs(np.random.default_rng(0), 16))
-
-    return perf.assert_zero_alloc(step)
-
-
-def _cmd_bench_prep(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro import perf
-
-    baseline_path = Path(args.baseline)
-    # The audio plan gate must run before anything churns large
-    # allocations: its fresh-process floor models a dedicated audio
-    # prep worker (see perf.audio_plan_speedup).
-    audio_speedup = None
-    if args.plan:
-        audio_speedup = perf.audio_plan_speedup(repeats=max(args.repeats, 15))
-        print(
-            f"compiled-plan audio speedup vs per-op vectorized path: "
-            f"{audio_speedup:.2f}x (32x16000 PCM batch, fresh process, "
-            f"bit-identical)"
-        )
-    measurements = perf.prep_suite(
-        size=args.size, batch=args.batch, repeats=args.repeats
-    )
-    baseline = perf.load_baseline(baseline_path)
-    rows = []
-    for m in measurements:
-        ref = baseline.get(m.name)
-        rows.append(
-            [
-                m.name,
-                f"{m.best_seconds * 1000:.2f}",
-                f"{m.samples_per_s:,.1f}",
-                f"{ref:,.1f}" if ref else "-",
-            ]
-        )
-    print(format_table(["benchmark", "best ms", "samples/s", "baseline"], rows))
-
-    # The speedup gate is a fixed-floor ratio, not a tolerance check, so
-    # give best-of a couple of extra repeats to ride out host noise.
-    speedup = perf.prep_reference_speedup(
-        size=args.speedup_size,
-        batch=args.speedup_batch,
-        repeats=max(args.repeats, 5),
-    )
-    print(
-        f"batched prep speedup vs per-sample reference: {speedup:.2f}x "
-        f"({args.speedup_batch}x{args.speedup_size}x{args.speedup_size} "
-        f"JPEG batch, bit-identical outputs)"
-    )
-
-    plan_speedup = None
-    if args.plan:
-        plan_speedup = perf.prep_plan_speedup(
-            size=args.speedup_size,
-            batch=args.speedup_batch,
-            repeats=max(args.repeats, 8),
-        )
-        print(
-            f"compiled-plan speedup vs per-op vectorized path: "
-            f"{plan_speedup:.2f}x "
-            f"({args.speedup_batch}x{args.speedup_size}x{args.speedup_size} "
-            f"JPEG batch, bit-identical, decode-bound — see "
-            f"docs/performance.md)"
-        )
-        growth = _plan_steady_state_bytes()
-        print(
-            f"steady-state plan allocation check: {growth} bytes retained "
-            f"across repeated execute() (zero-allocation)"
-        )
-
-    if args.update:
-        perf.save_baseline(baseline_path, measurements)
-        print(f"baseline updated: {baseline_path}")
-        return 0
-    status = 0
-    if speedup < args.min_speedup:
-        print(
-            f"SPEEDUP GATE  batched path is {speedup:.2f}x the reference, "
-            f"required >= {args.min_speedup:.1f}x",
-            file=sys.stderr,
-        )
-        status = 1
-    if plan_speedup is not None and plan_speedup < args.min_plan_speedup:
-        print(
-            f"PLAN GATE  compiled plan is {plan_speedup:.2f}x the per-op "
-            f"path, required >= {args.min_plan_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        status = 1
-    if audio_speedup is not None and audio_speedup < args.min_audio_plan_speedup:
-        print(
-            f"PLAN GATE  compiled audio plan is {audio_speedup:.2f}x the "
-            f"per-op path, required >= {args.min_audio_plan_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        status = 1
-    if not baseline:
-        print(f"no baseline at {baseline_path}; run with --update to record one")
-        return status
-    failures = perf.regressions(measurements, baseline)
-    for line in failures:
-        print(f"REGRESSION  {line}", file=sys.stderr)
-    if failures:
-        return 1
-    if status == 0:
-        print(
-            f"all prep throughputs within {100 * perf.tolerance():.0f}% "
-            f"of baseline"
-        )
-    return status
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.fail:
         return _chaos_schedule(args)
-    return _chaos_drill(args)
+    if args.service:
+        drill, default_seeds = _service_drill, [5, 11]
+    else:
+        drill, default_seeds = _prep_drill, [7]
+    status = 0
+    for seed in args.seed or default_seeds:
+        status |= drill(args, seed)
+    return status
 
 
-def _chaos_drill(args: argparse.Namespace) -> int:
+def _prep_drill(args: argparse.Namespace, seed: int) -> int:
     from repro.dataprep.drill import run_drill
 
     results = run_drill(
         num_samples=args.samples,
         batch_size=args.batch,
         num_workers=args.workers,
-        seed=args.seed,
+        seed=seed,
         shard_timeout_s=args.timeout,
     )
     rows = []
@@ -642,7 +410,26 @@ def _chaos_drill(args: argparse.Namespace) -> int:
         return 1
     print(
         f"all {len(results)} chaos scenarios bit-identical to the "
-        f"fault-free reference ({args.workers} workers, seed {args.seed})"
+        f"fault-free reference ({args.workers} workers, seed {seed})"
+    )
+    return 0
+
+
+def _service_drill(_args: argparse.Namespace, seed: int) -> int:
+    # A correctness drill, not a latency gate: seeded fault injection
+    # against a live service with hard invariants (bit-identity,
+    # accounting balance, clean drain).
+    from repro.service.bench import run_chaos_drill
+
+    try:
+        report = run_chaos_drill(seed=seed)
+    except ConfigError as exc:
+        print(f"SERVICE CHAOS FAILURE  {exc}", file=sys.stderr)
+        return 1
+    print(report.summary())
+    print(
+        f"service chaos drill passed (seed {seed}): non-faulted responses "
+        f"bit-identical, accounting balanced, server drained clean"
     )
     return 0
 
@@ -843,99 +630,6 @@ def _cmd_client(args: argparse.Namespace) -> int:
         raise SystemExit(str(exc)) from None
 
 
-def _cmd_bench_service(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro import perf
-    from repro.service import ServiceConfig, run_distinct_test, run_load_test
-    from repro.service.bench import BATCH_BASELINE_PATH
-
-    if args.chaos:
-        # The chaos drill is a correctness gate, not a latency gate: no
-        # baseline machinery, just seeded fault injection with hard
-        # invariants (bit-identity, accounting balance, clean drain).
-        from repro.service.bench import run_chaos_drill
-
-        seeds = args.chaos_seed if args.chaos_seed else [5, 11]
-        try:
-            for seed in seeds:
-                report = run_chaos_drill(seed=seed)
-                print(report.summary())
-        except ConfigError as exc:
-            print(f"SERVICE GATE  {exc}", file=sys.stderr)
-            return 1
-        print(
-            "chaos drill passed: non-faulted responses bit-identical, "
-            "accounting balanced, server drained clean"
-        )
-        return 0
-
-    config = ServiceConfig(
-        max_workers=args.workers,
-        max_pending=max(64, args.clients * 64),
-    )
-    if args.distinct:
-        # The cross-request batching gate: the all-distinct trace,
-        # pipelined, with kernel-dispatch and occupancy assertions.
-        baseline_path = (
-            Path(args.baseline)
-            if args.baseline is not None
-            else BATCH_BASELINE_PATH
-        )
-        try:
-            report = run_distinct_test(n_clients=args.clients, config=config)
-        except ConfigError as exc:
-            print(f"SERVICE GATE  {exc}", file=sys.stderr)
-            return 1
-    else:
-        baseline_path = (
-            Path(args.baseline)
-            if args.baseline is not None
-            else Path("benchmarks/baselines/service_latency.json")
-        )
-        try:
-            report = run_load_test(
-                n_clients=args.clients, dup_factor=args.dup, config=config
-            )
-        except ConfigError as exc:
-            print(f"SERVICE GATE  {exc}", file=sys.stderr)
-            return 1
-    print(report.summary())
-
-    measurements = report.measurements()
-    baseline = perf.load_baseline(baseline_path)
-    rows = []
-    for m in measurements:
-        ref = baseline.get(m.name)
-        rows.append(
-            [
-                m.name,
-                f"{m.best_seconds * 1000:.2f}",
-                f"{m.samples_per_s:,.1f}",
-                f"{ref:,.1f}" if ref else "-",
-            ]
-        )
-    print(format_table(["benchmark", "best ms", "rate/s", "baseline"], rows))
-
-    if args.update:
-        perf.save_baseline(baseline_path, measurements)
-        print(f"baseline updated: {baseline_path}")
-        return 0
-    if not baseline:
-        print(f"no baseline at {baseline_path}; run with --update to record one")
-        return 0
-    failures = perf.regressions(measurements, baseline)
-    for line in failures:
-        print(f"REGRESSION  {line}", file=sys.stderr)
-    if failures:
-        return 1
-    print(
-        f"service latencies within {100 * perf.tolerance():.0f}% of "
-        f"baseline; every response bit-identical to the direct facade call"
-    )
-    return 0
-
-
 def _cmd_workloads(_args: argparse.Namespace) -> int:
     rows = [
         [
@@ -1096,93 +790,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser(
-        "bench-codec",
-        help="codec throughput smoke test vs the committed baseline",
-    )
-    p.add_argument(
-        "--baseline",
-        default="benchmarks/baselines/codec_throughput.json",
-        help="baseline JSON path",
-    )
-    p.add_argument("--size", type=int, default=256, help="square image size")
-    p.add_argument("--repeats", type=int, default=10, help="best-of-N repeats")
-    p.add_argument("--batch", type=int, default=8, help="encode_batch size")
-    p.add_argument(
-        "--update", action="store_true", help="rewrite the baseline and exit"
-    )
-    p.set_defaults(func=_cmd_bench_codec)
-
-    p = sub.add_parser(
-        "bench-sweep",
-        help="sweep-engine throughput smoke test vs the committed baseline",
-    )
-    p.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline JSON path (default sweep_throughput.json, or "
-        "sweep_cold.json with --cold)",
-    )
-    p.add_argument(
-        "--cold", action="store_true",
-        help="time the 576-point uncached grid: vectorized kernel vs "
-        "scalar engine, bit-identity asserted first, >=5x floor enforced",
-    )
-    p.add_argument("-j", "--jobs", type=int, default=4, help="pool size offered")
-    p.add_argument("--repeats", type=int, default=3, help="best-of-N repeats")
-    p.add_argument(
-        "--update", action="store_true", help="rewrite the baseline and exit"
-    )
-    p.set_defaults(func=_cmd_bench_sweep)
-
-    p = sub.add_parser(
-        "bench-prep",
-        help="data-prep throughput smoke test vs the committed baseline, "
-        "plus the batched-vs-reference speedup gate",
-    )
-    p.add_argument(
-        "--baseline",
-        default="benchmarks/baselines/prep_throughput.json",
-        help="baseline JSON path",
-    )
-    p.add_argument("--size", type=int, default=256, help="suite image edge")
-    p.add_argument("--batch", type=int, default=32, help="suite batch size")
-    p.add_argument(
-        "--speedup-size", type=int, default=256,
-        help="image edge for the speedup gate",
-    )
-    p.add_argument(
-        "--speedup-batch", type=int, default=256,
-        help="batch size for the speedup gate",
-    )
-    p.add_argument(
-        "--min-speedup", type=float, default=5.0,
-        help="fail below this batched/reference throughput ratio",
-    )
-    p.add_argument(
-        "--plan", action="store_true",
-        help="also gate the compiled-plan path: speedup vs the per-op "
-        "vectorized path plus the zero-allocation steady-state check",
-    )
-    p.add_argument(
-        "--min-plan-speedup", type=float, default=1.05,
-        help="with --plan, fail below this plan/per-op ratio on the "
-        "JPEG pipeline (decode-bound; measured ~1.25x warm)",
-    )
-    p.add_argument(
-        "--min-audio-plan-speedup", type=float, default=1.3,
-        help="with --plan, fail below this plan/per-op ratio on the "
-        "audio pipeline (measured ~1.5x warm)",
-    )
-    p.add_argument("--repeats", type=int, default=3, help="best-of-N repeats")
-    p.add_argument(
-        "--update", action="store_true", help="rewrite the baseline and exit"
-    )
-    p.set_defaults(func=_cmd_bench_prep)
-
-    p = sub.add_parser(
         "chaos",
         help="chaos drill: run every prep-engine failure mode and verify "
-        "bit-identical recovery; with --fail, price a fault schedule",
+        "bit-identical recovery; with --service, drill the simulation "
+        "service instead; with --fail, price a fault schedule",
+    )
+    p.add_argument(
+        "--service", action="store_true",
+        help="run the seeded service chaos drill: injected executor "
+        "faults, dispatch faults, disk-tier IO errors and connection "
+        "drops; asserts non-faulted responses stay bit-identical, outcome "
+        "accounting balances and the server drains clean",
     )
     p.add_argument(
         "--workers", type=int, default=2,
@@ -1190,7 +808,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--samples", type=int, default=20, help="drill dataset size")
     p.add_argument("--batch", type=int, default=4, help="drill batch size")
-    p.add_argument("--seed", type=int, default=7, help="chaos + pipeline seed")
+    p.add_argument(
+        "--seed", type=int, action="append", default=None, metavar="SEED",
+        help="drill seed, repeatable (default 7; seeds 5 and 11 with "
+        "--service)",
+    )
     p.add_argument(
         "--timeout", type=float, default=2.0,
         help="per-shard deadline seconds for the drill (default 2.0)",
@@ -1315,55 +937,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="print the raw response envelope"
     )
     p.set_defaults(func=_cmd_client)
-
-    p = sub.add_parser(
-        "bench-service",
-        help="service load test (concurrent clients, duplicate-heavy "
-        "trace, bit-identity gate) vs the committed latency baseline",
-    )
-    p.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline JSON path (default: the mode's committed "
-        "baseline under benchmarks/baselines/)",
-    )
-    p.add_argument(
-        "--distinct", action="store_true",
-        help="run the cross-request batching gate instead: an "
-        "all-distinct analytical trace, bit-identity asserted, every "
-        "point priced by the kernel, > 4 points per dispatch",
-    )
-    p.add_argument(
-        "--clients", type=int, default=16,
-        help="concurrent client threads (default 16)",
-    )
-    p.add_argument(
-        "--dup", type=int, default=2,
-        help="copies of every unique request; 2 makes half the trace "
-        "duplicates (default 2; ignored with --distinct)",
-    )
-    p.add_argument(
-        "--workers", type=int, default=4,
-        help="server engine threads (default 4)",
-    )
-    p.add_argument(
-        "--update", action="store_true", help="rewrite the baseline and exit"
-    )
-    p.add_argument(
-        "--chaos", action="store_true",
-        help="run the seeded service chaos drill instead: injected "
-        "executor faults, dispatch faults, disk-tier IO errors, and "
-        "connection drops; asserts non-faulted responses stay "
-        "bit-identical, outcome accounting balances, and the server "
-        "drains clean",
-    )
-    p.add_argument(
-        "--chaos-seed", type=int, action="append", default=None,
-        metavar="SEED",
-        help="with --chaos, drill seed (repeatable; default: seeds 5 "
-        "and 11)",
-    )
-    p.set_defaults(func=_cmd_bench_service)
 
     p = sub.add_parser("workloads", help="print Table I")
     p.set_defaults(func=_cmd_workloads)

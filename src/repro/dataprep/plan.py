@@ -16,7 +16,7 @@ speed into pipeline-level speed (the FFCV insight):
 * **pooled arenas** — every intermediate is a pre-sized slot allocated
   at compile time, so steady-state ``execute()`` calls allocate nothing
   beyond codec-internal temporaries that are freed within the call
-  (:func:`repro.perf.assert_zero_alloc` pins the net growth to ~zero).
+  (``tests/dataprep/test_plan.py`` pins the net growth to ~zero).
 
 Plans are compiled once per (pipeline fingerprint, geometry) and
 memoized through :mod:`repro.cache`, so each process — including every

@@ -11,24 +11,16 @@ analytical points into shared vectorized kernel dispatches.  The
 resilience layer adds per-request deadlines, cancellation through
 waiter refcounts, graceful drain on SIGTERM, a kernel circuit breaker
 that switches dispatches to per-point pricing, and a deterministic chaos
-drill (:mod:`~repro.service.chaos`).  A small synchronous client with a
-retry policy (:mod:`~repro.service.client`) and a load-test harness
-(:mod:`~repro.service.bench`) ride along; ``repro serve`` /
-``repro client`` / ``repro bench-service`` are the CLI entries.
+drill (:mod:`~repro.service.chaos`, driven by
+:mod:`~repro.service.bench`).  A small synchronous client with a retry
+policy (:mod:`~repro.service.client`) rides along; ``repro serve`` /
+``repro client`` / ``repro chaos --service`` are the CLI entries.
 
 See ``docs/service.md`` for the protocol and operational semantics.
 """
 
 from repro.service.batch import BatchScheduler, KernelBreaker, work_items
-from repro.service.bench import (
-    ChaosReport,
-    LoadReport,
-    distinct_trace,
-    mixed_trace,
-    run_chaos_drill,
-    run_distinct_test,
-    run_load_test,
-)
+from repro.service.bench import ChaosReport, mixed_trace, run_chaos_drill
 from repro.service.chaos import (
     ChaosError,
     ChaosInjector,
@@ -71,7 +63,6 @@ __all__ = [
     "ConnectionLost",
     "DeadlineExceeded",
     "KernelBreaker",
-    "LoadReport",
     "ProtocolError",
     "RetryPolicy",
     "ServerThread",
@@ -84,13 +75,10 @@ __all__ = [
     "TokenBucket",
     "decode_frame",
     "default_workers",
-    "distinct_trace",
     "encode_frame",
     "execute_request",
     "mixed_trace",
     "run_chaos_drill",
-    "run_distinct_test",
-    "run_load_test",
     "serve",
     "work_items",
 ]

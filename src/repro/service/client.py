@@ -1,7 +1,7 @@
 """A small synchronous client for the simulation service.
 
-Blocking sockets on purpose: callers are CLIs, tests and benchmark
-workers that want a dead-simple request/response surface.  The client
+Blocking sockets on purpose: callers are CLIs, tests and drill
+clients that want a dead-simple request/response surface.  The client
 still exploits the protocol's pipelining — :meth:`ServiceClient.
 request_many` writes a whole batch of frames before reading any
 responses and correlates the out-of-order replies by ``id``.
@@ -99,8 +99,8 @@ class RetryPolicy:
 class ServiceClient:
     """One TCP connection to a simulation server.
 
-    Not thread-safe: use one client per thread (the benchmark spawns one
-    per simulated tenant).  ``timeout`` guards every socket operation so
+    Not thread-safe: use one client per thread (the chaos drill spawns
+    one per simulated tenant).  ``timeout`` guards every socket operation so
     a dead server fails the call instead of hanging it.
     """
 
@@ -249,18 +249,12 @@ class ServiceClient:
     def request_many(
         self,
         requests: Sequence,
-        latencies: Optional[List[float]] = None,
         deadline_ms: Optional[float] = None,
     ) -> List[Dict]:
         """Pipeline a batch: write every frame, then collect responses.
 
         Responses arrive in completion order; the returned list is
-        re-sorted into *request* order via the echoed ids.  Pass a list
-        as ``latencies`` to collect each response's arrival time in
-        seconds since the batch started sending (arrival order, one
-        entry per response) — the load harness times the batched path
-        this way, since pipelined requests have no per-call round
-        trip.
+        re-sorted into *request* order via the echoed ids.
 
         A connection that breaks mid-pipeline is redialed and only the
         *unanswered* requests are resent (under fresh ids) — answers
@@ -275,7 +269,6 @@ class ServiceClient:
         slot_by_id: Dict[int, int] = {}
         answers: List[Optional[Dict]] = [None] * len(requests)
         unanswered = list(range(len(requests)))
-        t0 = time.perf_counter()
         for dial in range(redials + 1):
             try:
                 for slot in unanswered:
@@ -287,8 +280,6 @@ class ServiceClient:
                     slot = slot_by_id.get(response.get("id"))
                     if slot is None or answers[slot] is not None:
                         continue  # stale answer from a pre-redial send
-                    if latencies is not None:
-                        latencies.append(time.perf_counter() - t0)
                     answers[slot] = response
                     unanswered.remove(slot)
                 break

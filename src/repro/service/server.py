@@ -34,7 +34,7 @@ module is the broker in front of the work scheduler
 * **chaos hooks** — a :class:`~repro.service.chaos.ChaosInjector` can be
   threaded through the service to inject compute faults and latency,
   kernel-dispatch faults and disk-tier I/O faults deterministically
-  (``repro bench-service --chaos`` drives the drill).
+  (``repro chaos --service`` drives the drill).
 
 Counters for every outcome accrue in a :class:`~repro.obs.MetricsRegistry`
 manifest (the ``stats`` op); every admitted request lands in exactly one

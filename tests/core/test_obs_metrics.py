@@ -139,6 +139,16 @@ def test_parallel_and_serial_sweeps_produce_identical_manifests():
     assert parallel.manifest == serial.manifest
 
 
+def test_traced_metered_sweep_exports_valid_manifest_and_chrome_trace():
+    tracer = obs.Tracer()
+    with obs.session(tracer=tracer):
+        outcome = run_sweep(_spec(), metrics=True)
+    obs.validate_manifest(outcome.manifest)
+    assert outcome.manifest["counters"]["sweep.points"] == 12
+    phases = {event["ph"] for event in tracer.to_chrome()["traceEvents"]}
+    assert {"X", "M"} <= phases
+
+
 def test_sweep_without_metrics_has_no_manifest():
     outcome = run_sweep(_spec(), n_jobs=1)
     assert outcome.manifest is None

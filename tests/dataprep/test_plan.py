@@ -6,10 +6,13 @@ reference (``run_batch_reference``) or the per-op vectorized path, and
 the arena tests pin the zero-allocation steady state.
 """
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro import obs, perf
+from repro import obs
 from repro.cache import clear_memo
 from repro.dataprep import jpeg
 from repro.dataprep.ops_audio import audio_pipeline
@@ -39,6 +42,41 @@ def _images(n, h, w, seed=0):
 
 def _jpeg_blobs(n, h=48, w=48, seed=3):
     return jpeg.encode_batch(_images(n, h, w, seed), quality=80)
+
+
+def assert_zero_alloc(fn, *, warmup=2, iters=5, limit_bytes=16_384):
+    """Assert ``fn`` retains no memory across repeated calls.
+
+    The check measures **net retained** traced memory, not gross
+    allocations: a steady-state function may allocate temporaries (e.g.
+    ``np.fft.rfft`` output) as long as they are freed before the next
+    call, but anything that accumulates — a new output array per call, a
+    growing cache — shows up as traced-memory growth.  ``fn`` runs
+    ``warmup`` untraced calls plus one traced one (so lazily-built
+    caches, interned objects and arena buffers are paid for before the
+    measurement), then ``iters`` measured calls; growth beyond
+    ``limit_bytes`` (a small allowance for interpreter noise) fails.
+    """
+    for _ in range(warmup):
+        fn()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()  # traced warm-up: one-time lazy allocations land here
+        gc.collect()
+        before, _ = tracemalloc.get_traced_memory()
+        for _ in range(iters):
+            fn()
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    growth = after - before
+    assert growth <= limit_bytes, (
+        f"steady-state calls retained {growth} bytes over {iters} "
+        f"iterations (limit {limit_bytes}); the path is not "
+        f"zero-allocation"
+    )
 
 
 def _assert_matches_reference(pipe, batch, n, seed=11):
@@ -99,7 +137,7 @@ def test_plan_steady_state_zero_alloc():
     def step():
         plan.execute(blobs, spawn_rngs(np.random.default_rng(0), 4))
 
-    perf.assert_zero_alloc(step, warmup=2, iters=4)
+    assert_zero_alloc(step, warmup=2, iters=4)
 
 
 def test_assert_zero_alloc_catches_leaks():
@@ -109,7 +147,7 @@ def test_assert_zero_alloc_catches_leaks():
         sink.append(np.zeros(64 * 1024, dtype=np.uint8))
 
     with pytest.raises(AssertionError):
-        perf.assert_zero_alloc(leaky, warmup=1, iters=4)
+        assert_zero_alloc(leaky, warmup=1, iters=4)
 
 
 def test_run_batch_vectorized_routes_through_plan_and_copies():

@@ -41,14 +41,12 @@ def test_serve_drain_timeout_flag_round_trips():
     assert cli._service_config(_parse(["serve"])).drain_timeout == 10.0
 
 
-def test_bench_service_chaos_flags_parse():
-    args = _parse(["bench-service", "--chaos"])
-    assert args.chaos is True
-    assert args.chaos_seed is None  # falls back to the default seed pair
-    args = _parse(
-        ["bench-service", "--chaos", "--chaos-seed", "3", "--chaos-seed", "9"]
-    )
-    assert args.chaos_seed == [3, 9]
+def test_chaos_service_flags_parse():
+    args = _parse(["chaos", "--service"])
+    assert args.service is True
+    assert args.seed is None  # falls back to the default seed pair
+    args = _parse(["chaos", "--service", "--seed", "3", "--seed", "9"])
+    assert args.seed == [3, 9]
 
 
 def test_serve_auto_workers_and_memo_default():
