@@ -17,8 +17,10 @@ observability layer (``trace=``, ``metrics=``) and the persistent result
 cache (``cache=``) uniformly — callers never touch three divergent
 signatures again.
 
-Engines are pluggable through the :class:`Engine` protocol; the built-in
-registry covers ``analytical``, ``des`` and ``flow``.
+Every point, whatever its engine (``analytical``, ``des`` or ``flow``),
+is evaluated by :func:`repro.core.sweeps.evaluate_point` — the one
+dispatch from a point to its engine, shared with sweeps, the service
+and fault-schedule windows.
 
 Scenarios also exist as **versioned request objects** —
 :class:`SimulationRequest`, :class:`SweepRequest` and
@@ -34,29 +36,23 @@ point accepts one in place of the legacy arguments::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import (
-    ClassVar,
-    Dict,
-    Optional,
-    Protocol,
-    Tuple,
-    Union,
-    runtime_checkable,
-)
+from types import MappingProxyType
+from typing import ClassVar, Dict, Mapping, Optional, Tuple, Union
 
 from repro import obs
 from repro.cache import ResultCache, fingerprint as _fingerprint
-from repro.core.analytical import TrainingScenario, simulate as _simulate_analytical
 from repro.core.config import ArchitectureConfig, HardwareConfig, PrepDevice
-from repro.core.des import simulate_des
-from repro.core.flowengine import simulate_flow
+# Unused here; perfbench/shims.py (install_core) patches api.simulate_des.
+from repro.core.des import simulate_des  # noqa: F401
 from repro.core.results import SimulationOutcome
+from repro.core.server import build_server_cached
 from repro.core.sweeps import (
     SweepPoint,
     SweepSpec,
     cache_key,
+    evaluate_point,
     run_sweep,
     _result_from_dict,
 )
@@ -64,14 +60,13 @@ from repro.errors import ConfigError
 from repro.workloads.registry import Workload, get_workload
 
 __all__ = [
-    "ARCH_BUILDERS",
-    "Engine",
+    "ARCHS",
     "ENGINE_NAMES",
     "FaultScheduleRequest",
     "REQUEST_SCHEMA",
     "SimulationRequest",
     "SweepRequest",
-    "get_engine",
+    "arch_alias",
     "price_fault_schedule",
     "request_from_dict",
     "resolve_arch",
@@ -81,17 +76,32 @@ __all__ = [
     "trace_iteration_time",
 ]
 
-#: Short architecture aliases accepted anywhere the facade (or the CLI)
-#: takes an architecture.
-ARCH_BUILDERS = {
-    "baseline": ArchitectureConfig.baseline,
-    "acc": ArchitectureConfig.baseline_acc,
-    "acc-gpu": lambda: ArchitectureConfig.baseline_acc(PrepDevice.GPU),
-    "p2p": ArchitectureConfig.baseline_acc_p2p,
-    "gen4": ArchitectureConfig.baseline_acc_p2p_gen4,
-    "trainbox": ArchitectureConfig.trainbox,
-    "trainbox-no-pool": lambda: ArchitectureConfig.trainbox(prep_pool=False),
-}
+#: The architecture registry: every short alias accepted anywhere the
+#: facade, the CLI or the wire schema takes an architecture, mapped to
+#: one shared frozen config.  Sharing the instance lets the identity
+#: memo behind :func:`repro.cache.fingerprint` hit on every request.
+ARCHS: Mapping[str, ArchitectureConfig] = MappingProxyType({
+    "baseline": ArchitectureConfig.baseline(),
+    "acc": ArchitectureConfig.baseline_acc(),
+    "acc-gpu": ArchitectureConfig.baseline_acc(PrepDevice.GPU),
+    "p2p": ArchitectureConfig.baseline_acc_p2p(),
+    "gen4": ArchitectureConfig.baseline_acc_p2p_gen4(),
+    "trainbox": ArchitectureConfig.trainbox(),
+    "trainbox-no-pool": ArchitectureConfig.trainbox(prep_pool=False),
+})
+
+#: Reverse lookup by value (configs are frozen, so hashable).
+_ALIAS_OF = {config: alias for alias, config in ARCHS.items()}
+
+#: Engine names the facade accepts.
+ENGINE_NAMES = ("analytical", "des", "flow")
+
+
+def _check_engine(name: str) -> None:
+    if name not in ENGINE_NAMES:
+        raise ConfigError(
+            f"unknown engine {name!r}; choose from {ENGINE_NAMES}"
+        )
 
 
 def resolve_workload(workload: Union[str, Workload]) -> Workload:
@@ -106,11 +116,10 @@ def resolve_arch(arch: Union[str, ArchitectureConfig]) -> ArchitectureConfig:
     if isinstance(arch, ArchitectureConfig):
         return arch
     try:
-        return ARCH_BUILDERS[arch]()
+        return ARCHS[arch]
     except KeyError:
         raise ConfigError(
-            f"unknown architecture {arch!r}; choose from "
-            f"{sorted(ARCH_BUILDERS)}"
+            f"unknown architecture {arch!r}; choose from {sorted(ARCHS)}"
         ) from None
 
 
@@ -123,7 +132,7 @@ REQUEST_SCHEMA = "repro-request/1"
 
 
 def arch_alias(arch: Union[str, ArchitectureConfig]) -> str:
-    """The canonical :data:`ARCH_BUILDERS` alias for an architecture.
+    """The canonical :data:`ARCHS` alias for an architecture.
 
     Requests are wire objects, so they reference architectures by alias
     rather than by value; a config that no alias reproduces is not
@@ -132,14 +141,13 @@ def arch_alias(arch: Union[str, ArchitectureConfig]) -> str:
     if isinstance(arch, str):
         resolve_arch(arch)  # validate, canonical error
         return arch
-    for alias, builder in ARCH_BUILDERS.items():
-        if builder() == arch:
-            return alias
-    raise ConfigError(
-        f"architecture {arch.name!r} matches no registered alias; "
-        f"requests reference architectures by alias "
-        f"({sorted(ARCH_BUILDERS)})"
-    )
+    try:
+        return _ALIAS_OF[arch]
+    except KeyError:
+        raise ConfigError(
+            f"architecture {arch.name!r} matches no registered alias; "
+            f"requests reference architectures by alias ({sorted(ARCHS)})"
+        ) from None
 
 
 def _workload_name(workload: Union[str, Workload]) -> str:
@@ -238,7 +246,7 @@ class SimulationRequest(_RequestBase):
     """One ``workload × arch × scale`` scenario, as a wire object.
 
     ``workload`` is a Table I name and ``arch`` an
-    :data:`ARCH_BUILDERS` alias — requests denote configurations by
+    :data:`ARCHS` alias — requests denote configurations by
     name, never by value, so any process deserializing one resolves the
     identical scenario.
     """
@@ -259,7 +267,7 @@ class SimulationRequest(_RequestBase):
     def __post_init__(self) -> None:
         object.__setattr__(self, "workload", _workload_name(self.workload))
         object.__setattr__(self, "arch", arch_alias(self.arch))
-        get_engine(self.engine)
+        _check_engine(self.engine)
         _positive_int("scale", self.scale)
         _positive_int("batch_size", self.batch_size, optional=True)
         _positive_int("pool_size", self.pool_size, optional=True)
@@ -321,7 +329,7 @@ class SweepRequest(_RequestBase):
         )
         if not self.workloads or not self.archs or not self.scales:
             raise ConfigError("sweep request axes must be non-empty")
-        get_engine(self.engine)
+        _check_engine(self.engine)
         _positive_int("batch_size", self.batch_size, optional=True)
         _positive_int("pool_size", self.pool_size, optional=True)
         _positive_real("fabric_bandwidth", self.fabric_bandwidth, optional=True)
@@ -385,7 +393,7 @@ class FaultScheduleRequest(_RequestBase):
     def __post_init__(self) -> None:
         object.__setattr__(self, "workload", _workload_name(self.workload))
         object.__setattr__(self, "arch", arch_alias(self.arch))
-        get_engine(self.engine)
+        _check_engine(self.engine)
         _positive_int("scale", self.scale)
         _positive_int("batch_size", self.batch_size, optional=True)
         _positive_int("pool_size", self.pool_size, optional=True)
@@ -469,87 +477,6 @@ def request_from_dict(data: Dict) -> _RequestBase:
             f"{sorted(_REQUEST_KINDS)}"
         ) from None
     return cls.from_dict(data)
-
-
-@runtime_checkable
-class Engine(Protocol):
-    """What the facade requires of a simulation engine.
-
-    ``run`` evaluates one :class:`~repro.core.sweeps.SweepPoint` and
-    returns a :class:`~repro.core.results.SimulationOutcome`.  Engines
-    read the active tracer/metrics from :mod:`repro.obs` — the facade
-    installs them before calling.
-    """
-
-    name: str
-
-    def run(self, point: SweepPoint) -> SimulationOutcome:
-        ...
-
-
-def _scenario(point: SweepPoint) -> TrainingScenario:
-    return TrainingScenario(
-        workload=point.workload,
-        arch=point.arch,
-        n_accelerators=point.scale,
-        batch_size=point.batch_size,
-        hw=point.hw,
-        accelerator=point.accelerator,
-        fabric_bandwidth=point.fabric_bandwidth,
-        pool_size=point.pool_size,
-    )
-
-
-class AnalyticalEngine:
-    """Steady-state overlap law (``min(prep, consume)``)."""
-
-    name = "analytical"
-
-    def run(self, point: SweepPoint) -> SimulationOutcome:
-        return _simulate_analytical(_scenario(point))
-
-
-class DesEngine:
-    """Batch-level discrete-event simulation of the pipeline."""
-
-    name = "des"
-
-    def run(self, point: SweepPoint) -> SimulationOutcome:
-        # A live tracer wants the event stream; recording is only paid
-        # when asked for.
-        record = obs.current_tracer() is not None
-        return simulate_des(
-            _scenario(point),
-            iterations=point.des_iterations,
-            buffer_batches=point.des_buffer_batches,
-            record_trace=record,
-        )
-
-
-class FlowEngine:
-    """Max-min fair fluid simulation of the PCIe transfer set."""
-
-    name = "flow"
-
-    def run(self, point: SweepPoint) -> SimulationOutcome:
-        return simulate_flow(_scenario(point))
-
-
-_ENGINES: Dict[str, Engine] = {
-    e.name: e for e in (AnalyticalEngine(), DesEngine(), FlowEngine())
-}
-
-#: Engine names the facade accepts.
-ENGINE_NAMES = tuple(_ENGINES)
-
-
-def get_engine(name: str) -> Engine:
-    try:
-        return _ENGINES[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown engine {name!r}; choose from {ENGINE_NAMES}"
-        ) from None
 
 
 def _as_cache(cache) -> Optional[ResultCache]:
@@ -637,7 +564,7 @@ def simulate(
             des_iterations=des_iterations,
             des_buffer_batches=des_buffer_batches,
         )
-    eng = get_engine(point.engine)
+    _check_engine(point.engine)
     store = _as_cache(cache)
     with obs.session(tracer=trace, metrics=metrics):
         with obs.span(
@@ -650,7 +577,7 @@ def simulate(
                 payload = store.get(key)
                 if payload is not None:
                     return _result_from_dict(point.engine, payload)
-            result = eng.run(point)
+            result = evaluate_point(point)
             if store is not None:
                 store.put(key, result.to_dict())
     return result
@@ -709,10 +636,7 @@ def price_fault_schedule(
     pool, SSD loss halving the box's read bandwidth after resharding,
     accelerator loss shrinking the job for its window.
     """
-    from repro.core.des import simulate_des_schedule
     from repro.core.faults import price_schedule
-    from repro.core.flowengine import simulate_flow_schedule
-    from repro.core.server import build_server
 
     if isinstance(workload, FaultScheduleRequest):
         if (
@@ -746,38 +670,30 @@ def price_fault_schedule(
             "and horizon"
         )
 
-    get_engine(engine)  # validate the name with the canonical error
-    scenario = TrainingScenario(
+    _check_engine(engine)
+    point = SweepPoint(
         workload=resolve_workload(workload),
         arch=resolve_arch(arch),
-        n_accelerators=scale,
+        scale=scale,
+        engine=engine,
         batch_size=batch_size,
         hw=hw,
         pool_size=pool_size,
+        des_iterations=des_iterations,
     )
     with obs.session(tracer=trace, metrics=metrics):
         with obs.span(
             "api.price_fault_schedule", cat="api",
-            engine=engine, workload=scenario.workload.name, scale=scale,
+            engine=engine, workload=point.workload.name, scale=scale,
         ):
-            if engine == "des":
-                return simulate_des_schedule(
-                    scenario, schedule, horizon, iterations=des_iterations
-                )
-            if engine == "flow":
-                return simulate_flow_schedule(scenario, schedule, horizon)
-            server = build_server(
-                scenario.arch, scale, hw=scenario.hw or HardwareConfig(),
-                pool_size=pool_size,
+            server = build_server_cached(
+                point.arch, scale, hw=hw, pool_size=pool_size
             )
 
             def runner(degraded):
-                import dataclasses
-
-                window = dataclasses.replace(
-                    scenario, n_accelerators=degraded.n_accelerators
-                )
-                return _simulate_analytical(window, server=degraded)
+                # An accelerator fault shrinks the job for its window.
+                window = replace(point, scale=degraded.n_accelerators)
+                return evaluate_point(window, server=degraded)
 
             return price_schedule(server, schedule, horizon, runner)
 

@@ -43,23 +43,13 @@ from typing import List, Optional
 
 from repro import api, obs, units
 from repro.analysis.tables import format_table
-from repro.core.config import ArchitectureConfig
 from repro.core.initializer import TrainInitializer
 from repro.core.server import build_server
 from repro.errors import ConfigError
 from repro.workloads.registry import TABLE_I, get_workload
 
-#: Kept as the canonical alias map lives in :mod:`repro.api` now.
-_ARCHS = api.ARCH_BUILDERS
-
-
-def _arch(name: str) -> ArchitectureConfig:
-    try:
-        return api.resolve_arch(name)
-    except ConfigError:
-        raise SystemExit(
-            f"unknown architecture {name!r}; choose from {sorted(_ARCHS)}"
-        )
+#: The Figure 19 optimization ladder, as registry aliases.
+_LADDER = ("baseline", "acc", "p2p", "gen4", "trainbox")
 
 
 def _instruments(args: argparse.Namespace):
@@ -82,7 +72,7 @@ def _request(args: argparse.Namespace) -> "api.SimulationRequest":
     """The versioned request object a scenario command denotes."""
     return api.SimulationRequest(
         args.workload,
-        _arch(args.arch),
+        args.arch,
         args.accelerators,
         engine=args.engine,
         batch_size=getattr(args, "batch", None),
@@ -164,17 +154,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_ladder(args: argparse.Namespace) -> int:
-    from repro.core.sweeps import SweepSpec
-
-    workload = get_workload(args.workload)
-    # The figure-19 ladder configs carry no ARCH_BUILDERS aliases, so
-    # this command keeps speaking SweepSpec rather than a wire request.
-    spec = SweepSpec(
-        workloads=(workload,),
-        archs=tuple(ArchitectureConfig.figure19_ladder()),
-        scales=(args.accelerators,),
-        engine=args.engine,
-    )
+    try:
+        spec = api.SweepRequest(
+            workloads=(args.workload,),
+            archs=_LADDER,
+            scales=(args.accelerators,),
+            engine=args.engine,
+        )
+    except ConfigError as exc:
+        raise SystemExit(str(exc)) from None
     tracer, registry = _instruments(args)
     with obs.session(tracer=tracer):
         outcome = api.sweep(
@@ -208,7 +196,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     registry = obs.MetricsRegistry()
     result = api.simulate(
         args.workload,
-        _arch(args.arch),
+        args.arch,
         args.accelerators,
         engine=args.engine,
         batch_size=args.batch,
@@ -236,7 +224,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     registry = obs.MetricsRegistry()
     result = api.simulate(
         args.workload,
-        _arch(args.arch),
+        args.arch,
         args.accelerators,
         engine=args.engine,
         batch_size=args.batch,
@@ -280,7 +268,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     if args.workload == "describe":
         return _cmd_plan_describe(args)
     workload = get_workload(args.workload)
-    server = build_server(ArchitectureConfig.trainbox(), args.accelerators)
+    server = build_server(api.ARCHS["trainbox"], args.accelerators)
     plan = TrainInitializer(server).plan(workload, num_items=args.items)
     print(f"required prep throughput : {plan.required_prep_rate:,.0f} samples/s")
     print(f"in-box FPGA capacity     : {plan.in_box_prep_rate:,.0f} samples/s")
@@ -344,17 +332,69 @@ def _cmd_plan_describe(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.core.session import TrainingSession
+    import json
 
-    session = TrainingSession(
-        args.workload, args.accelerators, args.arch, batch_size=args.batch
+    from repro.core.dataflow import build_demand
+    from repro.core.resources import (
+        host_requirements,
+        resource_breakdown,
+        shares,
     )
-    if args.json:
-        import json
+    from repro.core.server import build_server_cached
 
-        print(json.dumps(session.to_dict(), indent=2))
-    else:
-        print(session.report())
+    result = api.simulate(
+        args.workload, args.arch, args.accelerators, batch_size=args.batch
+    )
+    workload = api.resolve_workload(args.workload)
+    arch = api.resolve_arch(args.arch)
+    demand = build_demand(build_server_cached(arch, args.accelerators), workload)
+    if args.json:
+        breakdowns = resource_breakdown(demand)
+        print(json.dumps({
+            "workload": workload.name,
+            "architecture": arch.name,
+            "n_accelerators": args.accelerators,
+            "batch_size": result.batch_size,
+            "throughput": result.throughput,
+            "prep_rate": result.prep_rate,
+            "consume_rate": result.consume_rate,
+            "bottleneck": result.bottleneck,
+            "resource_rates": {
+                k: (None if v == float("inf") else v)
+                for k, v in result.resource_rates.items()
+            },
+            "breakdown_shares": {
+                resource: shares(table) if sum(table.values()) > 0 else {}
+                for resource, table in breakdowns.items()
+            },
+        }, indent=2))
+        return 0
+    target = args.accelerators * workload.sample_rate
+    req = host_requirements(demand, target)
+    print(f"workload        : {workload.name} ({workload.task})")
+    print(f"architecture    : {arch.name}")
+    print(f"accelerators    : {args.accelerators}")
+    print(f"batch/device    : {result.batch_size}")
+    print(f"throughput      : {result.throughput:,.0f} samples/s "
+          f"({100 * result.throughput / target:.1f}% of accelerator target)")
+    print(f"bottleneck      : {result.bottleneck}")
+    print(f"prep capacity   : {result.prep_rate:,.0f} samples/s")
+    print(f"consume demand  : {result.consume_rate:,.0f} samples/s")
+    print()
+    print("host requirements at target (normalized to DGX-2):")
+    print(f"  CPU cores     : {req.normalized_cores:8.1f}x")
+    print(f"  memory BW     : {req.normalized_memory_bandwidth:8.1f}x")
+    print(f"  PCIe BW at RC : {req.normalized_pcie_bandwidth:8.1f}x")
+    print()
+    print("per-resource prep rates (samples/s):")
+    rows = sorted(result.resource_rates.items(), key=lambda kv: kv[1])
+    print(format_table(
+        ["resource", "rate"],
+        [
+            [name, "unbounded" if rate == float("inf") else f"{rate:,.0f}"]
+            for name, rate in rows
+        ],
+    ))
     return 0
 
 
@@ -452,7 +492,7 @@ def _chaos_schedule(args: argparse.Namespace) -> int:
         events.append(FaultEvent(parts[0], fail_t, recover_t))
     timeline = api.price_fault_schedule(
         args.workload,
-        _arch(args.arch),
+        args.arch,
         args.accelerators,
         FaultSchedule(tuple(events)),
         args.horizon,
@@ -674,8 +714,8 @@ def build_parser() -> argparse.ArgumentParser:
     def arch_parent(default: str) -> argparse.ArgumentParser:
         ap = argparse.ArgumentParser(add_help=False)
         ap.add_argument(
-            "-a", "--arch", default=default,
-            help=f"one of {sorted(_ARCHS)} (default {default})",
+            "-a", "--arch", default=default, choices=sorted(api.ARCHS),
+            help=f"architecture alias (default {default})",
         )
         return ap
 
@@ -826,7 +866,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--workload", default="Resnet-50",
         help="workload for --fail schedule pricing (default Resnet-50)",
     )
-    p.add_argument("-a", "--arch", default="trainbox", help=f"one of {sorted(_ARCHS)}")
+    p.add_argument(
+        "-a", "--arch", default="trainbox", choices=sorted(api.ARCHS),
+        help="architecture alias for --fail pricing (default trainbox)",
+    )
     p.add_argument(
         "-n", "--accelerators", type=int, default=32,
         help="accelerator count for --fail pricing (default 32)",

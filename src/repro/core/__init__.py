@@ -39,7 +39,6 @@ from repro.core.inference import InferenceScenario, simulate_inference
 from repro.core.initializer import TrainInitializer, TrainPlan
 from repro.core.rack import JobPlacement, JobRequest, TrainBoxRack
 from repro.core.scaleout import ScaleOutConfig, simulate_scaleout
-from repro.core.session import TrainingSession
 from repro.core.resources import (
     host_requirements,
     latency_decomposition,
@@ -69,7 +68,6 @@ __all__ = [
     "SimulationResult",
     "SyncStrategy",
     "TrainBoxRack",
-    "TrainingSession",
     "TrainInitializer",
     "TrainPlan",
     "TrainingScenario",

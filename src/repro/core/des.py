@@ -603,47 +603,6 @@ def simulate_des(
     return result
 
 
-def simulate_des_schedule(
-    scenario: TrainingScenario,
-    schedule,
-    horizon: float,
-    iterations: int = 60,
-    buffer_batches: int = 4,
-):
-    """Price a :class:`~repro.core.faults.FaultSchedule` with the DES:
-    a piecewise degraded-throughput timeline where each constant-fault
-    window is one batch-level simulation of the degraded server.
-
-    Accelerator faults shrink the job for their window (the scenario is
-    re-scaled to the surviving device count); FPGA loss is absorbed by
-    the prep pool and SSD loss halves the box's read bandwidth, per the
-    operational rules the capacity model already encodes.
-    """
-    from repro.core.faults import price_schedule
-
-    hw = scenario.hw or HardwareConfig()
-    server = build_server(
-        scenario.arch,
-        scenario.n_accelerators,
-        hw=hw,
-        pool_size=scenario.pool_size,
-    )
-
-    def runner(degraded: ServerModel) -> DesResult:
-        window_scenario = dataclasses.replace(
-            scenario, n_accelerators=degraded.n_accelerators
-        )
-        return simulate_des(
-            window_scenario,
-            server=degraded,
-            iterations=iterations,
-            buffer_batches=buffer_batches,
-        )
-
-    with obs.span("des.price_schedule", cat="engine", events=len(schedule)):
-        return price_schedule(server, schedule, horizon, runner)
-
-
 def _emit_model_trace(tracer, result: DesResult) -> None:
     """Replay a recorded DES trace onto the active tracer's ``des``
     track: one span per station busy interval, plus the iteration

@@ -135,33 +135,3 @@ def simulate_flow(
 
         emit_iteration_trace(tracer, result)
     return result
-
-
-def simulate_flow_schedule(
-    scenario: TrainingScenario, schedule, horizon: float
-):
-    """Price a :class:`~repro.core.faults.FaultSchedule` with the fluid
-    flow engine: each constant-fault window re-simulates the global
-    batch's PCIe transfer set on the degraded server (dead endpoints
-    stop sourcing and sinking traffic), yielding a piecewise
-    degraded-throughput timeline."""
-    import dataclasses
-
-    from repro.core.faults import price_schedule
-
-    hw = scenario.hw or HardwareConfig()
-    server = build_server(
-        scenario.arch,
-        scenario.n_accelerators,
-        hw=hw,
-        pool_size=scenario.pool_size,
-    )
-
-    def runner(degraded: ServerModel) -> FlowResult:
-        window_scenario = dataclasses.replace(
-            scenario, n_accelerators=degraded.n_accelerators
-        )
-        return simulate_flow(window_scenario, server=degraded)
-
-    with obs.span("flow.price_schedule", cat="engine", events=len(schedule)):
-        return price_schedule(server, schedule, horizon, runner)

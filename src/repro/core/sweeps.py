@@ -55,7 +55,7 @@ from repro.core.scaleout import (
     ScaleOutResult,
     simulate_scaleout,
 )
-from repro.core.server import build_server_cached
+from repro.core.server import ServerModel, build_server_cached
 from repro.workloads.registry import Workload
 
 #: The accelerator counts the scalability figures sweep.
@@ -183,17 +183,26 @@ def cache_key(point: SweepPoint) -> str:
 
 
 def evaluate_point(
-    point: SweepPoint,
-) -> Union[SimulationResult, "DesResult", ScaleOutResult]:
-    """Run one point through its engine (module-level: pool workers
-    import it by name)."""
+    point: SweepPoint, server: Optional[ServerModel] = None
+) -> Union[SimulationResult, "DesResult", FlowResult, ScaleOutResult]:
+    """Run one point through its engine: the one dispatch from a point
+    to an engine, shared by sweeps, the facade, the service and
+    fault-schedule windows (module-level: pool workers import it by
+    name).
+
+    ``server`` defaults to the memoized model of the point's
+    architecture and scale; fault-schedule pricing passes a degraded
+    copy instead.  An active tracer makes the DES record its event
+    stream, so the trace shows every station's busy intervals.
+    """
     if point.engine == "scaleout":
         return simulate_scaleout(
             point.workload, point.scale, config=point.scaleout_config
         )
-    server = build_server_cached(
-        point.arch, point.scale, hw=point.hw, pool_size=point.pool_size
-    )
+    if server is None:
+        server = build_server_cached(
+            point.arch, point.scale, hw=point.hw, pool_size=point.pool_size
+        )
     scenario = TrainingScenario(
         workload=point.workload,
         arch=point.arch,
@@ -212,6 +221,7 @@ def evaluate_point(
             server=server,
             iterations=point.des_iterations,
             buffer_batches=point.des_buffer_batches,
+            record_trace=obs.current_tracer() is not None,
         )
     if point.engine == "flow":
         from repro.core.flowengine import simulate_flow

@@ -65,13 +65,6 @@ def test_engines_agree_on_steady_state():
         )
 
 
-def test_registered_engines_satisfy_protocol():
-    for name in ENGINES:
-        engine = api.get_engine(name)
-        assert isinstance(engine, api.Engine)
-        assert engine.name == name
-
-
 # -- facade argument handling ------------------------------------------------
 
 
@@ -81,6 +74,57 @@ def test_string_and_object_arguments_are_equivalent():
         get_workload("Resnet-50"), ArchitectureConfig.trainbox(), 4
     )
     assert by_name == by_object
+
+
+def test_batch_override_threads_through():
+    result = api.simulate("Resnet-50", "trainbox", 8, batch_size=256)
+    assert result.batch_size == 256
+
+
+def test_des_within_two_percent_of_analytical():
+    analytical = api.simulate("Resnet-50", "trainbox", 16)
+    des = api.simulate(
+        "Resnet-50", "trainbox", 16, engine="des", des_iterations=40
+    )
+    assert des.relative_error(analytical.throughput) < 0.02
+
+
+def test_repeated_point_builds_the_server_once(monkeypatch):
+    from repro.cache import clear_memo
+    from repro.core import server as server_mod
+    from repro.core.faults import FaultEvent, FaultSchedule
+
+    builds = []
+    original = server_mod.build_server
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return original(*args, **kwargs)
+
+    clear_memo()
+    monkeypatch.setattr(server_mod, "build_server", counting)
+    first = api.simulate("Resnet-50", "trainbox", 16)
+    second = api.simulate("Resnet-50", "trainbox", 16)
+    assert first == second
+    assert len(builds) == 1
+    # Fault-schedule windows price degraded copies of the same server.
+    sched = FaultSchedule.of(FaultEvent("acc0", 10.0, 30.0))
+    for engine in ENGINES:
+        api.price_fault_schedule(
+            "Resnet-50", "trainbox", 16, sched, 50.0, engine=engine,
+            des_iterations=20,
+        )
+    assert len(builds) == 1
+
+
+def test_arch_registry_shares_one_instance_per_alias():
+    for alias, config in api.ARCHS.items():
+        assert api.resolve_arch(alias) is config
+        assert api.arch_alias(config) == alias
+        # A value-equal rebuild maps back to the same alias.
+        assert api.arch_alias(dataclasses.replace(config)) == alias
+    with pytest.raises(TypeError):
+        api.ARCHS["bespoke"] = ArchitectureConfig.trainbox()
 
 
 def test_unknown_engine_rejected():

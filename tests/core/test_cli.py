@@ -1,7 +1,10 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
+from repro import api
 from repro.cli import build_parser, main
 
 
@@ -151,3 +154,58 @@ def test_chaos_drill_smoke(capsys):
     for scenario in ("crash", "hang", "lost-result", "poison"):
         assert scenario in out
     assert "bit-identical" in out
+
+
+@pytest.mark.parametrize("alias", sorted(api.ARCHS))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "Resnet-50", "-n", "16"],
+        ["report", "Resnet-50", "-n", "16"],
+        ["chaos", "--fail", "acc0:10:40", "-n", "16"],
+    ],
+    ids=["simulate", "report", "chaos-fail"],
+)
+def test_every_arch_alias_is_accepted(argv, alias, capsys):
+    assert main(argv + ["-a", alias]) == 0
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("verb", ["simulate", "report"])
+def test_unknown_arch_is_a_usage_error(verb, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "Resnet-50", "-a", "warp-drive"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_report_contains_key_facts(capsys):
+    assert main(["report", "Inception-v4", "-n", "64", "-a", "baseline"]) == 0
+    report = capsys.readouterr().out
+    assert "Inception-v4" in report
+    assert "bottleneck" in report
+    assert "host requirements" in report
+    assert "x" in report  # normalized figures
+
+
+def test_report_json_nulls_infinite_rates(capsys):
+    assert main(["report", "Resnet-50", "-n", "16", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["workload"] == "Resnet-50"
+    assert data["n_accelerators"] == 16
+    assert data["throughput"] > 0
+    assert "breakdown_shares" in data
+    # Infinite rates serialize as null.
+    assert all(
+        v is None or v > 0 for v in data["resource_rates"].values()
+    )
+    assert None in data["resource_rates"].values()
+
+
+def test_ladder_uses_the_registry_instances():
+    from repro.core.config import ArchitectureConfig
+    from repro.cli import _LADDER
+
+    assert tuple(api.ARCHS[a] for a in _LADDER) == tuple(
+        ArchitectureConfig.figure19_ladder()
+    )

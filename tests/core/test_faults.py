@@ -217,16 +217,15 @@ def test_schedule_that_strips_a_box_rejected_like_static_path():
 
 
 def test_des_and_flow_schedule_engines():
-    from repro.core.des import simulate_des_schedule
+    from repro import api
     from repro.core.faults import FaultEvent, FaultSchedule
-    from repro.core.flowengine import simulate_flow_schedule
 
-    server = _healthy()
-    scenario = TrainingScenario(RESNET, server.arch, 32, hw=server.hw)
-    fpga = server.boxes[0].prep_ids[0]
+    fpga = _healthy().boxes[0].prep_ids[0]
     sched = FaultSchedule.of(FaultEvent(fpga, 10.0, 30.0))
-    for simulate_schedule in (simulate_des_schedule, simulate_flow_schedule):
-        timeline = simulate_schedule(scenario, sched, 50.0)
+    for engine in ("des", "flow"):
+        timeline = api.price_fault_schedule(
+            "Resnet-50", "trainbox", 32, sched, 50.0, engine=engine
+        )
         assert len(timeline.segments) == 3
         healthy = timeline.segments[0].throughput
         assert timeline.segments[1].throughput < healthy

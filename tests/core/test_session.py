@@ -1,66 +1,45 @@
-"""Tests for the TrainingSession façade."""
+"""Scenario-level checks: one training scenario built from names or
+objects, its initialization plan, and its report."""
 
 import json
 
 import pytest
 
+from repro import api
+from repro.cli import main
 from repro.core.config import ArchitectureConfig
-from repro.core.session import TrainingSession
+from repro.core.initializer import TrainInitializer
+from repro.core.server import build_server
 from repro.errors import ConfigError
 from repro.workloads.registry import get_workload
 
 
-def test_estimate_cached_and_consistent():
-    session = TrainingSession("Resnet-50", 32, "trainbox")
-    first = session.estimate()
-    second = session.estimate()
-    assert first is second
-    assert first.throughput > 0
-
-
 def test_accepts_workload_and_arch_objects():
-    session = TrainingSession(
-        get_workload("VGG-19"), 16, ArchitectureConfig.baseline()
+    result = api.simulate(
+        get_workload("VGG-19"), ArchitectureConfig.baseline(), 16
     )
-    assert session.estimate().arch_name == "baseline"
+    assert result.arch_name == "baseline"
+    assert result.workload_name == "VGG-19"
 
 
 def test_unknown_arch_name_rejected():
     with pytest.raises(ConfigError):
-        TrainingSession("Resnet-50", 16, "warp-drive")
+        api.resolve_arch("warp-drive")
+    with pytest.raises(ConfigError):
+        api.simulate("Resnet-50", "warp-drive", 16)
 
 
 def test_plan_requires_trainbox():
-    session = TrainingSession("Resnet-50", 16, "baseline")
+    server = build_server(api.resolve_arch("baseline"), 16)
     with pytest.raises(ConfigError):
-        session.plan()
+        TrainInitializer(server).plan(get_workload("Resnet-50"))
 
 
-def test_plan_cached():
-    session = TrainingSession("tf-sr", 64, "trainbox")
-    assert session.plan() is session.plan()
-    assert session.plan().meets_target
-
-
-def test_validate_agrees_with_estimate():
-    session = TrainingSession("Resnet-50", 16, "trainbox")
-    des = session.validate(iterations=40)
-    assert des.relative_error(session.estimate().throughput) < 0.02
-
-
-def test_report_contains_key_facts():
-    session = TrainingSession("Inception-v4", 64, "baseline")
-    report = session.report()
-    assert "Inception-v4" in report
-    assert "bottleneck" in report
-    assert "host requirements" in report
-    assert "x" in report  # normalized figures
-
-
-def test_to_dict_is_json_serializable():
-    session = TrainingSession("Resnet-50", 16, "trainbox")
-    payload = json.dumps(session.to_dict())
-    data = json.loads(payload)
+def test_to_dict_is_json_serializable(capsys):
+    assert main(
+        ["report", "Resnet-50", "-n", "16", "-a", "trainbox", "--json"]
+    ) == 0
+    data = json.loads(capsys.readouterr().out)
     assert data["workload"] == "Resnet-50"
     assert data["throughput"] > 0
     assert "breakdown_shares" in data
@@ -70,14 +49,7 @@ def test_to_dict_is_json_serializable():
     )
 
 
-def test_batch_override_threads_through():
-    session = TrainingSession("Resnet-50", 8, "trainbox", batch_size=256)
-    assert session.estimate().batch_size == 256
-
-
 def test_cli_report_command(capsys):
-    from repro.cli import main
-
     assert main(["report", "Resnet-50", "-n", "16"]) == 0
     assert "bottleneck" in capsys.readouterr().out
     assert main(["report", "Resnet-50", "-n", "16", "--json"]) == 0
