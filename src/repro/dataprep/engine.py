@@ -39,7 +39,10 @@ and per-shard deadlines.  When :class:`ResilienceConfig` is set:
 * a **crashed** worker's in-flight shard is re-dispatched (capped
   exponential backoff) and the worker is respawned;
 * a **hung** worker — shard deadline missed or heartbeat gone stale —
-  is terminated and treated like a crash;
+  is terminated and treated like a crash.  A shard's deadline clock
+  starts when its worker acknowledges pickup, not at dispatch, so a
+  (re)spawned worker's start-up never counts against the shard it was
+  handed; a worker that never starts is the heartbeat's to catch;
 * a **lost completion** (slot written but never reported) hits the
   same deadline and the slot is reclaimed, because the supervisor owns
   slot accounting;
@@ -320,6 +323,9 @@ def _worker_loop(
             if task is None:
                 return
             shard, slot, attempt = task
+            # Pickup acknowledgement: the supervisor starts this
+            # attempt's deadline clock now, not at dispatch.
+            results.put(("started", worker_id, shard.index, attempt))
             try:
                 if chaos is not None:
                     chaos.before_prepare(shard.index, attempt)
@@ -381,7 +387,8 @@ def _worker_loop(
 class _Worker:
     """Supervisor-side handle: process, private task queue, heartbeat,
     and the single in-flight assignment ``(shard, slot, attempt,
-    deadline)`` (None when idle)."""
+    deadline)`` (None when idle; the deadline is None until the worker
+    acknowledges pickup)."""
 
     __slots__ = ("wid", "proc", "tasks", "heartbeat", "assignment")
 
@@ -740,12 +747,7 @@ class PrepEngine:
                 return
             shard, attempt, _ = pending.pop(pick)
             slot = free.pop()
-            deadline = (
-                now + self.resilience.shard_timeout_s
-                if self.resilience is not None
-                else None
-            )
-            worker.assignment = (shard, slot, attempt, deadline)
+            worker.assignment = (shard, slot, attempt, None)
             worker.tasks.put((shard, slot, attempt))
             if shard.index == lowest_index:
                 lowest_covered = True
@@ -768,6 +770,11 @@ class PrepEngine:
             # reclaimed) or the shard was already re-dispatched.
             return
         shard, slot, attempt, _ = worker.assignment
+        if kind == "started":
+            if msg[3] == attempt and self.resilience is not None:
+                deadline = time.monotonic() + self.resilience.shard_timeout_s
+                worker.assignment = (shard, slot, attempt, deadline)
+            return
         worker.assignment = None
         if kind == "ok":
             _, _, _, slot_msg, shape, dtype, quarantined = msg

@@ -469,19 +469,24 @@ _TRANSFORM_PIXEL_BUDGET = 131_072
 PLANNED_TRANSFORM_CHUNK = 4
 
 
-# Lock-step entropy decode beats the per-stream walk only once its
-# fixed numpy-dispatch cost per symbol row is spread over enough
-# streams (measured crossover ~100 luma streams on 1 core for 256x256
-# planes — the calibration point for :func:`lockstep_min_images`).
-_LOCKSTEP_MIN_IMAGES = 96
+# Lock-step entropy decode beats the per-stream walk once its fixed
+# numpy-dispatch cost per iteration is spread over enough lanes.  The
+# walk splits every stream into segment lanes
+# (:func:`entropy_fast.decode_planes_batch`), so a handful of 256x256
+# images already fill it: timed against the per-image walk on the
+# 2-core VM (best of 15, corpus-like quality-80 images), the
+# group walk broke even at 4-5 images and won 1.4x at 6 and ~3x at 32.
+# This is the calibration point for :func:`lockstep_min_images`;
+# ``benchmarks/bench_speed_floors.py::
+# test_jpeg_segmented_lockstep_speedup_at_batch_32`` holds the batch-32
+# ratio to a floor.
+_LOCKSTEP_MIN_IMAGES = 6
 
-# The walk also pays a fixed per-chunk setup (event matrices, flat-LUT
-# assembly) that is amortized over a plane's blocks; planes much
-# smaller than the 1024-block calibration plane need proportionally
-# more streams before lock-step wins.  Measured by timing lock-step
-# against the per-stream walk at both plane sizes (64x64 planes crossed
-# over ~1.5x later than 256x256 ones on the calibration host); no
-# committed harness re-measures it.
+# Smaller planes cut fewer segments (each keeps at least
+# ``entropy_fast._MIN_SEGMENT_BLOCKS`` blocks) and amortize the walk's
+# fixed setup over fewer symbols, so they need proportionally more
+# streams: in the same measurement 128x128 planes crossed over at ~13
+# images and 64x64 at ~25, the square-root scaling below.
 _LOCKSTEP_REF_BLOCKS = 1024
 
 

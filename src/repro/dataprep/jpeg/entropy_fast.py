@@ -239,6 +239,24 @@ def decode_plane(
     Exactly inverts :func:`plane_bitstream` (and the reference
     ``decode_block`` loop); returns an (N, 8, 8) int32 stack.
     """
+    out = _decode_blocks(stream, dc_table, ac_table, n_blocks)
+    # DC differential coding inverts to a running sum down the plane.
+    np.cumsum(out[:, 0], out=out[:, 0])
+    return out[:, UNZIGZAG].reshape(n_blocks, 8, 8)
+
+
+def _decode_blocks(
+    stream: bytes,
+    dc_table: HuffmanTable,
+    ac_table: HuffmanTable,
+    n_blocks: int,
+    pos: int = 0,
+    first_block: int = 0,
+) -> np.ndarray:
+    """The sequential walk behind :func:`decode_plane`, resumable at a
+    block start: decodes blocks ``first_block .. n_blocks - 1`` from bit
+    ``pos`` of ``stream`` into zig-zag-ordered int32 rows that still
+    hold DC *differences* (the caller runs the DC prefix sum)."""
     warr = bit_windows_array(stream)
     windows = warr.tolist()
     total_bits = len(stream) * 8
@@ -253,17 +271,16 @@ def decode_plane(
     # numpy after the walk; DC prediction becomes a cumulative sum.
     events: List[int] = []
     append = events.append
-    pos = 0
     # One fetched 64-bit window serves several symbols: ``s`` is the
     # number of window bits still ahead of the cursor, so the next
     # n-bit field is ``(win >> (s - n)) & mask_n`` and a refill is only
     # needed when fewer than 32 bits remain (a symbol plus its
     # amplitude never exceeds 32 bits).  ``pos`` is re-synced from the
     # consumed count ``s0 - s`` at refills and block ends.
-    win = windows[0]
-    s0 = s = 64
     try:
-        for b in range(n_blocks):
+        win = windows[pos >> 3]
+        s0 = s = 64 - (pos & 7)
+        for b in range(n_blocks - first_block):
             if s < 32:
                 pos += s0 - s
                 win = windows[pos >> 3]
@@ -311,7 +328,7 @@ def decode_plane(
         # Defensive: any negative-shift style arithmetic fault from a
         # corrupt stream is the same condition as running out of bits.
         raise CodecError("bitstream underrun") from None
-    out = np.zeros((n_blocks, 64), dtype=np.int32)
+    out = np.zeros((n_blocks - first_block, 64), dtype=np.int32)
     if events:
         ev = np.array(events, dtype=np.int64)
         idx = ev >> 39
@@ -323,9 +340,7 @@ def decode_plane(
         ).astype(np.int64)
         vals = np.where(amp >> (size - 1) != 0, amp, amp - (1 << size) + 1)
         out.reshape(-1)[idx] = vals
-    # DC differential coding inverts to a running sum down the plane.
-    np.cumsum(out[:, 0], out=out[:, 0])
-    return out[:, UNZIGZAG].reshape(n_blocks, 8, 8)
+    return out
 
 
 # Sized for batch decode: a 256-image group touches 1024 distinct
@@ -335,39 +350,113 @@ def decode_plane(
 # batch walk gathers from every live LUT each iteration, so halving
 # entry bytes halves its cache-miss working set.
 #
-# The batch variants additionally fold the "+1 past a decoded nonzero"
-# coefficient-cursor bump into the run field of every *valid* entry
-# with a nonzero amplitude size (markers, whose run field must stay
-# huge, are left alone).  The lock-step loop's k update then collapses
-# to ``k + (entry >> 11)`` with no size test, and the epilogue recovers
-# the coefficient index of a recorded event as ``kn - 1``.
-def _fold_nonzero_step(packed: np.ndarray) -> np.ndarray:
-    size = (packed >> 6) & 31
-    return packed + (((size > 0) & (packed > 0)) << 11)
+# The batch variants fold the coefficient-cursor step into the run
+# field, so the lock-step loop's cursor update is ``k + (entry >> 11)``
+# with no size or table test: every valid DC entry carries run 1 (a DC
+# symbol always moves the cursor 0 -> 1) and every valid AC entry with
+# a nonzero amplitude size carries the "+1 past a decoded nonzero"
+# (markers, whose run field must stay huge, are left alone).  The
+# epilogue recovers the coefficient index of a recorded event as
+# ``kn - 1``.
+#
+# An invalid prefix (entry 0) becomes ``_INVALID``: a marker that, like
+# the all-ones corrupt marker, carries amplitude size 31 and a huge run,
+# but advances the cursor by one bit.  Every lane therefore moves at
+# least one bit per symbol — a lane that starts mid-code never stalls —
+# and a marker on a kept row fails the epilogue's coefficient check.
+_INVALID = 0xFFFFFFC1
+
+
+def _batch_entries(lut: List[int], dc: bool) -> np.ndarray:
+    packed = np.asarray(lut, dtype=np.int64)
+    step = packed > 0
+    if not dc:
+        step &= ((packed >> 6) & 31) > 0
+    packed = packed + (step.astype(np.int64) << 11)
+    return np.where(packed == 0, _INVALID, packed).astype(np.uint32)
 
 
 @lru_cache(maxsize=2048)
 def _dc_lut_arr(spec: TableSpec) -> Tuple[np.ndarray, int]:
     lut, bits = _dc_lut(spec)
-    packed = _fold_nonzero_step(np.asarray(lut, dtype=np.int64))
-    return packed.astype(np.uint32), bits
+    return _batch_entries(lut, dc=True), bits
 
 
 @lru_cache(maxsize=2048)
 def _ac_lut_arr(spec: TableSpec) -> Tuple[np.ndarray, int]:
     lut, bits = _ac_lut(spec)
-    packed = _fold_nonzero_step(np.asarray(lut, dtype=np.int64))
-    return packed.astype(np.uint32), bits
-
-
+    return _batch_entries(lut, dc=False), bits
 
 
 # Event rows are recorded into preallocated chunk matrices of this many
-# iterations (a multiple of the 128-iteration check window), so the
-# epilogue's per-chunk working set — four ~n-wide rows times _CHUNK —
-# stays cache-resident and no list-of-rows is ever re-copied through
+# iterations, so the epilogue's per-chunk working set stays
+# cache-resident and no list-of-rows is ever re-copied through
 # ``np.array``.
 _CHUNK = 512
+
+# Segmenting: a walk aims for about ``_TARGET_LANES`` lanes, splitting
+# each stream into equal-bit segments of at least
+# ``_MIN_SEGMENT_BLOCKS`` blocks.  The walk's iteration count is the
+# symbol count of its longest lane, and its per-iteration numpy
+# dispatch cost grows only slowly with the lane count, so more, shorter
+# lanes win until the per-lane work and the sync overlap below catch
+# up.  On a 2-core VM, the entropy stage of a 32-image 256x256 group
+# (luma and chroma walks) took ~1.55 ms/image at 128 lanes, ~1.35 at
+# 256, 1.3-1.4 at 512 and ~1.5 at 1024 (best of 15 each).
+_TARGET_LANES = 256
+_MIN_SEGMENT_BLOCKS = 64
+
+# A segment lane keeps decoding until its cursor is this many bits past
+# its successor's start (or past the end of the stream), and the
+# successor's rows within that window are searched for the sync point.
+# Corpus-like 256x256 planes synced within 117 (luma) and 222 (chroma)
+# bits of an arbitrary start, over 720 starts.  A successor that has
+# not synced inside the window falls back to the sequential walk.
+_SYNC_WINDOW_BITS = 256
+
+# Iterations between the walk's termination checks and trap clamps.
+_CHECK_EVERY = 32
+
+
+def _segment_counts(
+    n_blocks: np.ndarray, total_bits: np.ndarray
+) -> np.ndarray:
+    """Segments per stream for one walk: segments of about equal bit
+    length, enough of them to bring the walk to about
+    :data:`_TARGET_LANES` lanes, but never one under
+    :data:`_MIN_SEGMENT_BLOCKS` blocks (and always at least one)."""
+    seg_bits = max(1, -(-int(total_bits.sum()) // _TARGET_LANES))
+    want = np.rint(total_bits / seg_bits).astype(np.int64)
+    return np.maximum(np.minimum(want, n_blocks // _MIN_SEGMENT_BLOCKS), 1)
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Flatten the row ranges ``[lo[i], hi[i])`` into (i, row) pairs."""
+    lens = np.maximum(hi - lo, 0)
+    owner = np.repeat(np.arange(lo.size), lens)
+    shift = np.repeat(lo - (np.cumsum(lens) - lens), lens)
+    return owner, np.arange(int(lens.sum())) + shift
+
+
+def _gather(
+    chunks: Sequence[Tuple[np.ndarray, ...]],
+    rows: np.ndarray,
+    lanes: np.ndarray,
+) -> List[np.ndarray]:
+    """Every field of the chunked row matrices, read at (rows, lanes)."""
+    ci = rows // _CHUNK
+    lo = int(ci.min()) if ci.size else 0
+    hi = int(ci.max()) if ci.size else 0
+    if lo == hi:
+        rr = rows - lo * _CHUNK
+        return [m[rr, lanes] for m in chunks[lo]]
+    out = [np.empty(rows.size, dtype=m.dtype) for m in chunks[0]]
+    for c in range(lo, hi + 1):
+        at = np.flatnonzero(ci == c)
+        rr, ll = rows[at] - c * _CHUNK, lanes[at]
+        for o, m in zip(out, chunks[c]):
+            o[at] = m[rr, ll]
+    return out
 
 
 def decode_planes_batch(
@@ -375,72 +464,89 @@ def decode_planes_batch(
 ) -> List[np.ndarray]:
     """Lock-step Huffman decode of many plane streams at once.
 
-    Every stream advances one symbol per iteration under vectorized
-    numpy ops, so the per-symbol interpreter overhead — the whole cost
-    of :func:`decode_plane` — is amortized over the batch.  Each stream
-    indexes its own packed LUTs through per-stream offsets into one flat
-    buffer, so streams with different Huffman tables (the normal case:
-    tables are optimized per image) batch together.
+    Every lane advances one symbol per iteration under vectorized numpy
+    ops, so the per-symbol interpreter overhead — the whole cost of
+    :func:`decode_plane` — is amortized over the lanes.  Each lane
+    indexes its stream's packed LUTs through per-lane offsets into one
+    flat buffer, so streams with different Huffman tables (the normal
+    case: tables are optimized per image) batch together.
 
-    The loop body is numpy-dispatch bound, so every iteration is a
-    fixed sequence of ufunc calls on preallocated temporaries: the peek
-    is two shifts (left to drop consumed bits, right by the per-stream
-    ``64 - lut_bits``, no mask), the coefficient-cursor bump for decoded
-    nonzeros is pre-folded into the LUT run field (see
-    :func:`_fold_nonzero_step`), and symbols are recorded
-    *unconditionally* as four per-iteration rows (DC flag, advanced
-    coefficient cursor, raw LUT entry, end bit) written straight into
-    chunked event matrices.  Block numbering, event filtering, the
-    per-block bounds check and the corrupt-coefficient check are all
-    reconstructed vectorized over the recorded chunks in the epilogue.
-    Finished streams are not compacted away either: they decode junk —
-    their cursor reads the next stream's bytes or parks in an all-zero
-    trap region at the end of the buffer (index 0 of a canonical-Huffman
-    LUT is always a valid code, so a parked stream keeps making
-    progress, and the region is wide enough that the cursor only needs
-    clamping at the periodic check, not every symbol) — and every junk
-    symbol is dropped in the epilogue
-    because its reconstructed block index is past the stream's last
-    block.  Corrupt streams stall at an invalid prefix or trip one of
-    the epilogue checks; either way a :class:`CodecError` raises before
-    anything is returned.
+    **Segments.**  The walk's iteration count is the symbol count of its
+    longest lane, so each stream is split into ``k`` segments that start
+    at evenly spaced bit offsets (:func:`_segment_counts` picks ``k``),
+    and every segment is its own lane.  A segment lane starts as if at a
+    block start (DC table, coefficient cursor 0), so it decodes junk
+    until Huffman self-synchronization puts it on the true symbol
+    boundaries.  The decoder's whole state is (bit cursor, coefficient
+    cursor), so the first state a lane shares with its predecessor's
+    walk is its sync point: from there on both lanes decode the same
+    symbols.  The epilogue finds that point for every lane pair, keeps
+    the predecessor's rows up to it and the successor's rows after it,
+    and rebases the successor's block numbers by the predecessor's count
+    there (:func:`_stitch`).  A successor that has not synced within
+    :data:`_SYNC_WINDOW_BITS` is dropped together with every later lane
+    of its stream, and the stream's remaining blocks are decoded
+    sequentially (:func:`_decode_blocks`) from the first block the
+    predecessor starts after its own sync point.  DC prediction is the plane-wide prefix
+    sum it always was, and the encoded bytes are untouched.
+
+    **The loop.**  Every iteration is a fixed sequence of ufunc calls on
+    preallocated temporaries: the peek is two shifts (left to drop
+    consumed bits, right by the per-lane ``64 - lut_bits``, no mask),
+    the coefficient-cursor step is pre-folded into the LUT run field
+    (see :func:`_batch_entries`), and symbols are recorded
+    *unconditionally* as four per-iteration rows (block-continues flag,
+    advanced coefficient cursor, raw LUT entry, end bit) written
+    straight into chunked event matrices — the flag row selects the
+    next iteration's table and the end-bit row *is* the lane cursors.
+    Every entry advances its lane by at least one bit (invalid prefixes
+    included), so each lane passes its stop bit within a bounded number
+    of rows; lanes that are done keep decoding junk — reading the next
+    stream's bytes or parked in an all-zero trap region at the end of
+    the buffer (index 0 of a canonical-Huffman LUT is always a valid
+    code) — and junk rows are dropped in the epilogue because they fall
+    outside their lane's kept range or past the stream's last block.
+    Block numbering, stitching, event filtering, the bounds check and
+    the corrupt-coefficient check are all reconstructed vectorized over
+    the recorded chunks, so a corrupt stream raises :class:`CodecError`
+    exactly when :func:`decode_plane` would.
 
     Output ``i`` is bit-identical to ``decode_plane(*tasks[i])``:
     streams are concatenated with the same 8-byte 1-bit spacer padding
     :func:`~repro.dataprep.jpeg.huffman.bit_windows_array` applies, so
     even trailing peeks past a stream's end see the same bits, and the
-    amplitude-gather epilogue is the same code on a shared window array.
+    amplitude gather is the same arithmetic on a shared window array.
 
-    Working memory is four narrow matrices of (symbols of the longest
-    stream) × (number of streams) — callers should group streams of
-    similar length (e.g. luma planes apart from chroma planes) so the
-    matrix is dense and short streams don't spin on junk for the whole
-    walk.
+    Working memory is five narrow matrices of (rows of the longest lane)
+    × (lanes) — callers should group streams of similar length (e.g.
+    luma planes apart from chroma planes) so the matrix is dense.  The
+    outputs are views into one coefficient buffer, written in natural
+    (un-zig-zagged) order by the scatter itself.
     """
     if not tasks:
         return []
     n = len(tasks)
     streams = [bytes(t[0]) for t in tasks]
+    n_blocks = np.array([t[3] for t in tasks], dtype=np.int64)
+    if np.any(n_blocks <= 0):
+        raise CodecError("plane must have at least one block")
     # One window array over all streams.  Per-stream 1-bit spacers keep
     # end-of-stream peeks identical to the single-stream decoder; the
-    # final zero word is the parking trap for finished streams.
-    # The zero tail is wide enough that a parked cursor advancing at
-    # most 63 bits per iteration cannot escape it between the
-    # every-128-iteration clamps below (128 * 63 bits < 1024 bytes), so
-    # the hot loop carries no bounds clamp at all.
+    # final zero word is the parking trap for finished lanes.  The zero
+    # tail is wide enough that a parked cursor advancing at most 63 bits
+    # per iteration cannot escape it between the periodic clamps below
+    # (_CHECK_EVERY * 63 bits < 1024 bytes), so the hot loop carries no
+    # bounds clamp at all.
     payload = b"".join(s + b"\xff" * 8 for s in streams) + b"\x00" * 1024
     warr = bit_windows_array(payload)
-    trap = np.uint64((len(payload) - 1024) * 8)
+    trap = (len(payload) - 1024) * 8
+    total_bits = np.array([len(s) * 8 for s in streams], dtype=np.int64)
     base_bit = np.zeros(n, dtype=np.int64)
-    total_bits = np.empty(n, dtype=np.int64)
-    offset = 0
-    for i, s in enumerate(streams):
-        base_bit[i] = offset * 8
-        total_bits[i] = len(s) * 8
-        offset += len(s) + 8
+    np.cumsum(total_bits[:-1] + 64, out=base_bit[1:])
+    end_bit = base_bit + total_bits
     # Each stream's DC and AC LUTs are widened to one shared peek width
     # (the prefix property makes a ``repeat`` expansion exact), so the
-    # peek shift is a per-stream constant in the hot loop and only the
+    # peek shift is a per-lane constant in the hot loop and only the
     # LUT base offset still selects DC vs AC.
     parts = []
     dc_off = np.empty(n, dtype=np.int64)
@@ -461,68 +567,68 @@ def decode_planes_batch(
         lut_bits[i] = bits
         lut_off += dc_arr.shape[0] + ac_arr.shape[0]
     flat_lut = np.concatenate(parts)
-    n_blocks = np.array([t[3] for t in tasks], dtype=np.int64)
-    if np.any(n_blocks <= 0):
-        raise CodecError("plane must have at least one block")
     block_base = np.zeros(n, dtype=np.int64)
     np.cumsum(n_blocks[:-1], out=block_base[1:])
     out = np.zeros((int(n_blocks.sum()), 64), dtype=np.int32)
 
-    # Everything the hot loop touches is uint64: cursors are absolute
-    # bit positions and LUT entries keep their packed layout (a -1
-    # corrupt marker becomes a huge unsigned run that ends the block and
-    # is caught by the epilogue's coefficient check).  Event rows store
-    # narrower: kn and entries fit uint32, and so do bit cursors unless
-    # the payload is gigantic.
-    u = np.uint64
-    pos = base_bit.astype(np.uint64)
-    k = np.zeros(n, dtype=np.uint64)
-    blk = np.zeros(n, dtype=np.int64)
-    sbm = u(64) - lut_bits.astype(np.uint64)
-    dc_off_u, ac_off_u = dc_off.astype(np.uint64), ac_off.astype(np.uint64)
-    pos_dtype = np.uint32 if len(payload) * 8 < 1 << 32 else np.uint64
+    # Lanes: stream ``sid``, segment ``seg``, starting at bit ``start``.
+    # ``head`` bounds the rows searched for a lane's sync point; a lane
+    # stops once its cursor passes its successor's ``head`` (the last
+    # lane of a stream: the stream's end).
+    segs = _segment_counts(n_blocks, total_bits)
+    lanes = int(segs.sum())
+    sid = np.repeat(np.arange(n), segs)
+    first_lane = np.zeros(n, dtype=np.int64)
+    np.cumsum(segs[:-1], out=first_lane[1:])
+    seg = np.arange(lanes) - first_lane[sid]
+    start = base_bit[sid] + (seg * total_bits[sid]) // segs[sid]
+    last = seg == segs[sid] - 1
+    head = np.minimum(start + _SYNC_WINDOW_BITS, end_bit[sid])
+    stop = np.where(last, end_bit[sid], np.roll(head, -1))
+
+    # Cursors are absolute bit positions (uint32 unless the payload is
+    # gigantic); window words and LUT offsets are uint64, LUT entries
+    # and coefficient cursors uint32 (a marker's huge run ends the block
+    # and is caught by the epilogue's coefficient check).
+    pos_t = np.uint32 if trap + 1024 * 8 < 1 << 32 else np.uint64
+    pos = start.astype(pos_t)
+    stop_p = stop.astype(pos_t)
+    trap_p = pos_t(trap)
+    k = np.zeros(lanes, dtype=np.uint32)
+    in_block = np.zeros(lanes, dtype=bool)  # k != 0: the next symbol is AC
+    sbm = (64 - lut_bits[sid]).astype(np.uint64)
+    dc_off_u = dc_off[sid].astype(np.uint64)
+    ac_off_u = ac_off[sid].astype(np.uint64)
     # Preallocated hot-loop temporaries — the loop allocates nothing but
-    # the two ``np.where`` results per iteration.
-    t0 = np.empty(n, dtype=np.uint64)
-    win = np.empty(n, dtype=np.uint64)
-    sh = np.empty(n, dtype=np.uint64)
-    run = np.empty(n, dtype=np.uint32)
-    adv = np.empty(n, dtype=np.uint32)
-    lt = np.empty(n, dtype=bool)
-    ZERO, ONE, THREE, SEVEN, K64 = u(0), u(1), u(3), u(7), u(64)
-    ELEVEN, LOW6 = np.uint32(11), np.uint32(63)
-    # A valid block is at most 65 symbols (DC + 63 coefficients + EOB),
-    # finished streams need one junk DC start to be counted done, and
-    # the done/progress checks run every 128 iterations: an unfinished
-    # stream that starts no new block across a whole window is stalled
-    # on an invalid prefix (a valid or junk-decoding stream starts one
-    # at least every 65 symbols), so corrupt input raises promptly
-    # instead of recording events until the cap.
-    cap = 65 * int(n_blocks.max()) + 256
+    # the ``np.where`` result per iteration.
+    t0 = np.empty(lanes, dtype=pos_t)
+    win = np.empty(lanes, dtype=np.uint64)
+    sh = np.empty(lanes, dtype=np.uint64)
+    run = np.empty(lanes, dtype=np.uint32)
+    adv = np.empty(lanes, dtype=np.uint32)
+    THREE, SEVEN = pos_t(3), pos_t(7)
+    ELEVEN, LOW6, K64 = np.uint32(11), np.uint32(63), np.uint32(64)
+    # Every row advances its lane by at least one bit, so this many
+    # iterations take every lane past its stop bit.
+    cap = int((stop - start).max()) + 2 * _CHECK_EVERY
     done = False
-    prev_blk = blk.copy()
-    chunks: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-    c_dc = c_kn = c_en = c_po = None
+    chunks: List[Tuple[np.ndarray, ...]] = []
+    c_in = c_kn = c_en = c_po = None
     r = _CHUNK
     T = 0
     for t in range(cap):
-        if not (t & 127):
-            np.minimum(pos, trap, out=pos)
-            if bool((blk > n_blocks).all()):
+        if not (t % _CHECK_EVERY):
+            np.minimum(pos, trap_p, out=pos)
+            if bool((pos > stop_p).all()):
                 done = True
                 break
-            if t and bool(((blk == prev_blk) & (blk <= n_blocks)).any()):
-                raise CodecError("invalid Huffman code in bitstream")
-            np.copyto(prev_blk, blk)
         if r == _CHUNK:
-            c_dc = np.empty((_CHUNK, n), dtype=bool)
-            c_kn = np.empty((_CHUNK, n), dtype=np.uint32)
-            c_en = np.empty((_CHUNK, n), dtype=np.uint32)
-            c_po = np.empty((_CHUNK, n), dtype=pos_dtype)
-            chunks.append((c_dc, c_kn, c_en, c_po))
+            c_in = np.empty((_CHUNK, lanes), dtype=bool)
+            c_kn = np.empty((_CHUNK, lanes), dtype=np.uint32)
+            c_en = np.empty((_CHUNK, lanes), dtype=np.uint32)
+            c_po = np.empty((_CHUNK, lanes), dtype=pos_t)
+            chunks.append((c_in, c_kn, c_en, c_po))
             r = 0
-        is_dc = c_dc[r]
-        np.equal(k, ZERO, out=is_dc)
         np.right_shift(pos, THREE, out=t0)
         # Bound-method take skips the np.take dispatch wrapper — it is
         # measurably cheaper at hot-loop call counts.
@@ -530,93 +636,215 @@ def decode_planes_batch(
         np.bitwise_and(pos, SEVEN, out=sh)
         np.left_shift(win, sh, out=win)
         np.right_shift(win, sbm, out=win)  # the peek, mask-free
-        off = np.where(is_dc, dc_off_u, ac_off_u)
+        off = np.where(in_block, ac_off_u, dc_off_u)
         np.add(off, win, out=off)
         entry = c_en[r]
         flat_lut.take(off, out=entry)
         np.right_shift(entry, ELEVEN, out=run)
-        np.add(k, run, out=c_kn[r], casting="same_kind")
+        kn = c_kn[r]
+        np.add(k, run, out=kn)
         np.bitwise_and(entry, LOW6, out=adv)
-        np.add(pos, adv, out=pos)
-        c_po[r] = pos
-        k = np.where(is_dc, ONE, c_kn[r])
-        np.less(k, K64, out=lt)
-        np.multiply(k, lt, out=k)
-        np.add(blk, is_dc, out=blk)
+        row = c_po[r]
+        np.add(pos, adv, out=row)
+        pos = row
+        in_block = c_in[r]
+        np.less(kn, K64, out=in_block)
+        np.multiply(kn, in_block, out=k)
         r += 1
         T += 1
-    if not done and not bool((blk > n_blocks).all()):
-        raise CodecError("invalid Huffman code in bitstream")
+    if not done and not bool((np.minimum(pos, trap_p) > stop_p).all()):
+        raise CodecError("bitstream underrun")  # unreachable: see cap
 
-    # Epilogue: reconstruct block numbering from the recorded walk, drop
-    # junk symbols, run the deferred checks, then gather amplitudes and
-    # scatter — the same closing moves as decode_plane, batched.  The
-    # reconstruction runs chunk by chunk (each chunk's matrices fit in
-    # cache) with the cumulative block count carried across chunks; the
-    # surviving events — a small fraction of the recorded rows — are
-    # then concatenated once for the shared amplitude gather.
-    nb32 = n_blocks.astype(np.int32)
-    carry = np.zeros(n, dtype=np.int32)
-    cols = np.arange(n)
-    last_pos = np.zeros(n, dtype=np.int64)
-    sel_kn: List[np.ndarray] = []
-    sel_en: List[np.ndarray] = []
-    sel_po: List[np.ndarray] = []
-    sel_bi: List[np.ndarray] = []
-    sel_col: List[np.ndarray] = []
-    remaining = T
-    for c_dc, c_kn, c_en, c_po in chunks:
-        rows = min(_CHUNK, remaining)
-        remaining -= rows
-        if not rows:
-            break
-        d = c_dc[:rows]
-        blkm = np.cumsum(d, axis=0, dtype=np.int32)
-        blkm += carry[None, :]
-        carry = blkm[-1].copy()
-        np.subtract(blkm, 1, out=blkm)  # now the block index per row
-        real = blkm < nb32[None, :]
-        # ``blk`` is nondecreasing, so each column's real rows are a
-        # prefix: the column's last real row this chunk (if any) carries
-        # its final cursor position.
-        cnt = real.sum(axis=0)
-        has = cnt > 0
-        if has.any():
-            last_pos[has] = c_po[cnt[has] - 1, cols[has]]
-        en = c_en[:rows]
-        ev = (en & np.uint32(0x1F << 6)) != 0  # nonzero amplitude size
-        np.logical_and(ev, real, out=ev)
-        sel = np.flatnonzero(ev.ravel())
-        if sel.size:
-            sel_kn.append(np.take(c_kn[:rows].ravel(), sel))
-            sel_en.append(np.take(en.ravel(), sel))
-            sel_po.append(np.take(c_po[:rows].ravel(), sel))
-            sel_bi.append(np.take(blkm.ravel(), sel))
-            sel_col.append(sel % n)
-    if np.any(last_pos - base_bit > total_bits):
-        raise CodecError("bitstream underrun")
-    if sel_kn:
-        kn = np.concatenate(sel_kn).astype(np.int64)
-        kcv = kn - 1  # undo the folded nonzero step: the coefficient index
-        if np.any(kcv >= 64):
+    # Epilogue pass 1: each lane's running DC count (its local block
+    # number + 1) per row — a row is a DC symbol when the row before it
+    # ended its block — appended to the chunk's matrices.
+    carry = np.zeros(lanes, dtype=np.int32)
+    ended = np.ones(lanes, dtype=bool)  # every lane starts at a block
+    for c, chunk in enumerate(chunks):
+        rows = min(_CHUNK, T - c * _CHUNK)
+        chunk = tuple(m[:rows] for m in chunk)
+        is_dc = np.empty((rows, lanes), dtype=bool)
+        is_dc[0] = ended
+        np.logical_not(chunk[0][:-1], out=is_dc[1:])
+        ended = ~chunk[0][-1]
+        cum = np.cumsum(is_dc, axis=0, dtype=np.int32)
+        cum += carry[None, :]
+        carry = cum[-1].copy()
+        chunks[c] = chunk + (cum,)
+
+    # Kept rows ``lo < row <= hi`` per lane, the offset from its local
+    # block numbers to its plane's, and the streams left to the
+    # sequential walk.
+    lo, hi, off, tails = _stitch(
+        chunks, T, sid, seg, start, head, first_lane, base_bit
+    )
+
+    # Epilogue pass 2: keep each lane's rows inside (lo, hi] that fall
+    # in its plane's blocks, run the coefficient check, gather the
+    # amplitudes and scatter — the same closing moves as decode_plane,
+    # batched per chunk.  Rows are numbered straight into ``out``.
+    row_base = (off - 1 + block_base[sid]).astype(np.int32)
+    row_end = (block_base + n_blocks)[sid].astype(np.int32)
+    in_plane = np.zeros(lanes, dtype=np.int64)
+    flat_out = out.reshape(-1)
+    row0 = 0
+    for c_in, c_kn, c_en, c_po, cum in chunks:
+        rows = c_in.shape[0]
+        gb = np.add(cum, row_base[None, :], out=cum)  # out row per symbol
+        real = gb < row_end[None, :]
+        # Block numbers never fall along a lane, so each lane's in-plane
+        # rows are a prefix of its walk.
+        in_plane += real.sum(axis=0)
+        ridx = np.arange(row0, row0 + rows)[:, None]
+        real &= ridx > lo[None, :]
+        real &= ridx <= hi[None, :]
+        row0 += rows
+        ev = (c_en & np.uint32(0x1F << 6)) != 0  # nonzero amplitude size
+        ev &= real
+        sel = np.flatnonzero(ev)
+        if not sel.size:
+            continue
+        kn = c_kn.ravel().take(sel)
+        if kn.max() > 64:  # coefficient index kn - 1 past the block
             raise CodecError("corrupt AC coefficient stream")
-        en = np.concatenate(sel_en)
-        size = ((en >> np.uint32(6)) & np.uint32(31)).astype(np.int64)
-        end = np.concatenate(sel_po).astype(np.int64)
-        blkv = np.concatenate(sel_bi).astype(np.int64)
-        col = np.concatenate(sel_col)
-        idx = ((blkv + block_base[col]) << 6) | kcv
-        start = end - size
-        rs = (start & 7).astype(np.uint64)
-        amp = (
-            (warr[start >> 3] << rs)
-            >> (np.uint64(64) - size.astype(np.uint64))
-        ).astype(np.int64)
-        vals = np.where(amp >> (size - 1) != 0, amp, amp - (1 << size) + 1)
-        out.reshape(-1)[idx] = vals
+        size = (c_en.ravel().take(sel) >> np.uint32(6)) & np.uint32(31)
+        first = c_po.ravel().take(sel) - size
+        word = warr.take(first >> 3)
+        word <<= first & 7
+        word >>= 64 - size
+        amp = word.view(np.int64)
+        neg = (amp >> (size - 1)) == 0
+        # Scatter straight to natural (un-zig-zagged) coefficient order.
+        idx = (gb.ravel().take(sel).astype(np.int64) << 6) | ZIGZAG[kn - 1]
+        flat_out[idx] = amp - neg * ((1 << size) - 1)
+    # Bounds check: the last kept row of a stream must end inside it.
+    last_row = np.minimum(np.minimum(hi, in_plane - 1), T - 1)
+    kept = np.flatnonzero(last_row > lo)
+    last_pos = base_bit.copy()
+    if kept.size:
+        end = _gather(chunks, last_row[kept], kept)[3]
+        np.maximum.at(last_pos, sid[kept], end.astype(np.int64))
+    if np.any(last_pos > end_bit):
+        raise CodecError("bitstream underrun")
+    for i, bit, block in tails:
+        nb = int(n_blocks[i])
+        if block < nb:
+            b0 = int(block_base[i])
+            tail = _decode_blocks(
+                streams[i], tasks[i][1], tasks[i][2], nb, bit, block
+            )
+            out[b0 + block : b0 + nb] = tail[:, UNZIGZAG]
     results: List[np.ndarray] = []
     for i in range(n):
         plane = out[block_base[i] : block_base[i] + n_blocks[i]]
         np.cumsum(plane[:, 0], out=plane[:, 0])
-        results.append(plane[:, UNZIGZAG].reshape(int(n_blocks[i]), 8, 8))
+        results.append(plane.reshape(int(n_blocks[i]), 8, 8))
     return results
+
+
+def _stitch(
+    chunks: Sequence[Tuple[np.ndarray, ...]],
+    T: int,
+    sid: np.ndarray,
+    seg: np.ndarray,
+    start: np.ndarray,
+    head: np.ndarray,
+    first_lane: np.ndarray,
+    base_bit: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[Tuple[int, int, int]]]:
+    """Join every segment lane to its predecessor at their sync point.
+
+    A lane's cursor rises strictly until it leaves its stream, so "rows
+    ending at or before bit b" is a row prefix, and both sides of the
+    search are row ranges: the successor's rows up to its ``head`` bound
+    and the predecessor's rows between the successor's start and that
+    bound.  Each row's state is keyed (pair, end bit, coefficient
+    cursor after the row); keys rise along a range, so one
+    ``searchsorted`` finds every pair's first shared state.
+
+    Returns each lane's kept row range ``(lo, hi]``, the offset that
+    turns its local block number into the plane's, and the sequential
+    tails ``(stream, bit, block)`` of streams with a lane that never
+    synced.
+    """
+    lanes = sid.size
+    succ = np.flatnonzero(seg > 0)
+    pred = succ - 1
+    pos_t = chunks[0][3].dtype
+    # Per lane as a predecessor: rows ending at or before its
+    # successor's start and head (thresholds 0 count nothing: every row
+    # ends past bit 0).  As a successor: rows ending at or before its
+    # own head — at most the first _SYNC_WINDOW_BITS rows.
+    nxt_start = np.zeros(lanes, dtype=pos_t)
+    nxt_head = np.zeros(lanes, dtype=pos_t)
+    own_head = np.zeros(lanes, dtype=pos_t)
+    nxt_start[pred] = start[succ]
+    nxt_head[pred] = head[succ]
+    own_head[succ] = head[succ]
+    n_start = np.zeros(lanes, dtype=np.int64)
+    n_head = np.zeros(lanes, dtype=np.int64)
+    n_own = np.zeros(lanes, dtype=np.int64)
+    for c, chunk in enumerate(chunks):
+        po = chunk[3]
+        n_start += (po <= nxt_start).sum(axis=0)
+        n_head += (po <= nxt_head).sum(axis=0)
+        if c * _CHUNK < _SYNC_WINDOW_BITS:
+            head_rows = po[: _SYNC_WINDOW_BITS - c * _CHUNK]
+            n_own += (head_rows <= own_head).sum(axis=0)
+    n_start, n_head_p, n_head_s = n_start[pred], n_head[pred], n_own[succ]
+    s_pair, s_row = _ranges(np.zeros_like(n_head_s), n_head_s)
+    p_pair, p_row = _ranges(n_start, n_head_p)
+
+    def keys(pair, row, lane):
+        _, kn, _, po, cum = _gather(chunks, row, lane)
+        k_after = np.where(kn < 64, kn, 0).astype(np.int64)
+        rel = po.astype(np.int64) - start[succ[pair]]
+        return (pair << 32) | (rel << 7) | k_after, cum
+
+    sk, s_cum = keys(s_pair, s_row, succ[s_pair])
+    pk, p_cum = keys(p_pair, p_row, pred[p_pair])
+    synced = np.zeros(succ.size, dtype=bool)
+    r_succ = np.zeros(succ.size, dtype=np.int64)
+    r_pred = np.zeros(succ.size, dtype=np.int64)
+    delta = np.zeros(lanes, dtype=np.int64)
+    if sk.size and pk.size:
+        ix = np.minimum(np.searchsorted(pk, sk), pk.size - 1)
+        hits = np.flatnonzero(pk[ix] == sk)
+        pairs, first = np.unique(s_pair[hits], return_index=True)
+        h = hits[first]
+        synced[pairs] = True
+        r_succ[pairs] = s_row[h]
+        r_pred[pairs] = p_row[ix[h]]
+        delta[succ[pairs]] = p_cum[ix[h]].astype(np.int64) - s_cum[h]
+    lo = np.full(lanes, -1, dtype=np.int64)
+    hi = np.full(lanes, T, dtype=np.int64)
+    lo[succ] = r_succ
+    hi[pred] = r_pred
+    # The predecessor's matched row must lie in its own kept range.
+    bad = np.zeros(lanes, dtype=bool)
+    bad[succ] = ~(synced & (r_pred >= lo[pred]))
+    off = np.cumsum(delta)
+    off -= off[first_lane][sid]
+    tails: List[Tuple[int, int, int]] = []
+    for i in np.unique(sid[bad]):
+        f = int(first_lane[i])
+        e = f + int(np.count_nonzero(sid == i))
+        m = f + int(np.argmax(bad[f:e]))
+        hi[m:e] = -1
+        # Resume at the first block the predecessor starts after its own
+        # sync point (the stream's start for a first lane).
+        p = m - 1
+        x, bit, block = 0, int(start[f]), 0
+        while p > f:
+            cum_p = np.concatenate([c[4][:, p] for c in chunks])
+            x = int(np.searchsorted(cum_p, cum_p[lo[p]] + 1))
+            if x < T:
+                bit = int(np.concatenate([c[3][:, p] for c in chunks])[x - 1])
+                block = int(cum_p[x] + off[p] - 1)
+                break
+            hi[p] = -1
+            p -= 1
+            x, bit, block = 0, int(start[f]), 0
+        hi[p] = x - 1
+        tails.append((int(i), bit - int(base_bit[i]), block))
+    return lo, hi, off, tails

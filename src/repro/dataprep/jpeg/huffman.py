@@ -181,13 +181,18 @@ def bit_windows_array(data: bytes) -> np.ndarray:
     with 1-bits past the end (JPEG pads with 1s, so trailing peeks are
     harmless).  ``windows[i]`` holds bytes ``i..i+7`` MSB-first; together
     with a bit cursor this supports O(1) peeks of up to 57 bits."""
-    padded = data + b"\xff" * 8
-    raw = np.frombuffer(padded, dtype=np.uint8).astype(np.uint64)
     n = len(data) + 1
-    win = np.zeros(n, dtype=np.uint64)
-    for k in range(8):
-        win = (win << np.uint64(8)) | raw[k : k + n]
-    return win
+    rows = -(-n // 8)
+    padded = data + b"\xff" * (8 * rows - len(data) + 7)
+    win = np.empty(8 * rows, dtype=np.uint64)
+    # Windows at offsets j, j + 8, j + 16, ... are the big-endian words
+    # of the byte string shifted by j: eight strided copies, no shifts.
+    by_phase = win.reshape(rows, 8)
+    for j in range(8):
+        by_phase[:, j] = np.frombuffer(
+            padded, dtype=">u8", count=rows, offset=j
+        )
+    return win[:n]
 
 
 def bit_windows(data: bytes) -> List[int]:

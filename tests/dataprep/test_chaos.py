@@ -10,6 +10,8 @@ the single bad sample with a deterministic fill, so parallel and serial
 runs under the same chaos still agree bit-for-bit.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from repro.dataprep import (
     run_engine,
     wrap_loader,
 )
+from repro.dataprep import engine as engine_mod
 from repro.dataprep.jpeg import codec as jpeg_codec
 from repro.errors import CodecError, DataprepError, PrepWorkerCrash
 
@@ -175,6 +178,39 @@ def test_persistent_crash_quarantines_the_shard(clean):
     assert report.samples_quarantined == 0
     counters = registry.to_manifest()["counters"]
     assert counters["prep.shards_quarantined"] == 1
+
+
+_START_DELAY_S = 2.0
+_real_worker_loop = engine_mod._worker_loop
+
+
+def _slow_start_worker_loop(*args):
+    # Runs in the forked child: a worker process that takes longer to
+    # come up than a shard may take to prepare.
+    time.sleep(_START_DELAY_S)
+    return _real_worker_loop(*args)
+
+
+def test_slow_worker_startup_expires_no_shard(clean, monkeypatch):
+    """The per-attempt deadline starts at pickup, not at dispatch: a
+    worker whose start-up outlasts ``shard_timeout_s`` still delivers
+    every shard on its first attempt (start-up is the heartbeat's to
+    police, and its timeout is far off)."""
+    res = ResilienceConfig(
+        shard_timeout_s=1.0, backoff_base_s=0.01, backoff_cap_s=0.05,
+        heartbeat_timeout_s=30.0,
+    )
+    monkeypatch.setattr(engine_mod, "_worker_loop", _slow_start_worker_loop)
+    with PrepEngine(
+        _pipe(), _loader, 20, 4, seed=7, num_workers=2,
+        sample_nbytes=_SAMPLE_NBYTES, resilience=res, mp_context="fork",
+    ) as engine:
+        batches = [b.data.copy() for b in engine.batches()]
+        report = engine.report
+    _assert_identical(batches, clean)
+    assert report.deadline_expiries == 0
+    assert report.shards_quarantined == 0
+    assert report.retries == 0
 
 
 def test_retry_budget_exhaustion_raises(clean):

@@ -216,12 +216,11 @@ def test_decode_planes_batch_corrupt_stream_raises():
         entropy_fast.decode_planes_batch([(stream[:2], dc_t, ac_t, nb)])
 
 
-def test_decode_batch_lockstep_path_identity(monkeypatch):
+def test_decode_batch_lockstep_path_identity():
     blobs = [
         jpeg_codec.encode(img, quality=75) for img in _images(6, 24, 24, 5)
     ]
     want = [jpeg_codec.JpegCodec.decode(b) for b in blobs]
-    monkeypatch.setattr(jpeg_codec, "_LOCKSTEP_MIN_IMAGES", 2)
-    got = jpeg_codec.decode_batch(blobs)
+    got = jpeg_codec.decode_batch(blobs, lockstep_min=2)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
