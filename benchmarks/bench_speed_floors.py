@@ -237,13 +237,21 @@ def test_batched_prep_speedup_over_reference():
     per sample).  The reference is timed on 8 images and scaled
     linearly — it is a strict per-sample loop, so its cost is linear by
     construction — because all 256 through it would take minutes."""
-    from repro.dataprep.ops_image import image_pipeline
-    from repro.dataprep.pipeline import spawn_rngs
+    from repro.dataprep.jpeg import codec
+    from repro.dataprep.ops_image import DecodeJpeg, image_pipeline
+    from repro.dataprep.pipeline import PrepPipeline, spawn_rngs
+
+    class ReferenceDecodeJpeg(DecodeJpeg):
+        def apply(self, data, rng):
+            return codec.decode_reference(bytes(data))
 
     size, batch, reference_samples, repeats = 256, 256, 8, 5
     crop = size - 32
     fast_pipe = image_pipeline(out_height=crop, out_width=crop)
-    ref_pipe = image_pipeline(out_height=crop, out_width=crop, fast_decode=False)
+    ref_pipe = PrepPipeline(
+        [ReferenceDecodeJpeg(), *image_pipeline(crop, crop).ops[1:]],
+        name=fast_pipe.name,
+    )
     blobs = _bench_jpeg_blobs(size, batch)
 
     batched = fast_pipe.run_batch_vectorized(
@@ -317,20 +325,17 @@ def test_jpeg_plan_speedup_over_per_op_path():
 def test_jpeg_fast_decode_speedup_over_reference():
     """256×256 photo-like image: vectorized entropy decode against the
     symbol-at-a-time reference, timed interleaved."""
-    from repro.dataprep.jpeg.codec import JpegCodec
+    from repro.dataprep.jpeg import codec
 
-    codec = JpegCodec(quality=75)
-    blob = codec.encode(bench_image(256, 256))
-    assert np.array_equal(
-        codec.decode(blob, fast=True), codec.decode(blob, fast=False)
-    )
+    blob = codec.encode(bench_image(256, 256), quality=75)
+    assert np.array_equal(codec.decode(blob), codec.decode_reference(blob))
     fast = ref = math.inf
     for _ in range(10):
         t0 = time.perf_counter()
-        codec.decode(blob, fast=True)
+        codec.decode(blob)
         fast = min(fast, time.perf_counter() - t0)
         t0 = time.perf_counter()
-        codec.decode(blob, fast=False)
+        codec.decode_reference(blob)
         ref = min(ref, time.perf_counter() - t0)
     speedup = ref / fast
     print(f"JPEG fast decode vs reference: {speedup:.2f}x")
@@ -354,15 +359,22 @@ def test_jpeg_segmented_lockstep_speedup_at_batch_32():
         for _ in range(batch)
     ]
     blobs = codec.encode_batch(images, quality=80)
-    lockstep = codec.decode_batch(blobs, lockstep_min=2)
+    assert codec.lockstep_min_images(32 * 32) <= batch
+    lockstep = codec.decode_batch(blobs)
     for i, blob in enumerate(blobs):
         assert np.array_equal(lockstep[i], codec.decode(blob)), f"image {i}"
-    assert codec.lockstep_min_images(32 * 32) <= batch
+
+    def per_image_walk():
+        # Raise the crossover past the batch for this call only.
+        calibrated = codec._LOCKSTEP_MIN_IMAGES
+        codec._LOCKSTEP_MIN_IMAGES = batch + 1
+        try:
+            codec.decode_batch(blobs)
+        finally:
+            codec._LOCKSTEP_MIN_IMAGES = calibrated
 
     speedup = _interleaved_ratio(
-        lambda: codec.decode_batch(blobs, lockstep_min=2),
-        lambda: codec.decode_batch(blobs, lockstep_min=batch + 1),
-        repeats,
+        lambda: codec.decode_batch(blobs), per_image_walk, repeats
     )
     print(f"JPEG segmented lock-step vs per-image walk, batch 32: {speedup:.2f}x")
     assert speedup >= MIN_SEGMENTED_LOCKSTEP_SPEEDUP
@@ -412,7 +424,7 @@ def test_cold_sweep_kernel_speedup_over_scalar_engine():
     assert len(points) == 576
 
     clear_memo()
-    batched = run_sweep(spec, n_jobs=1, batch="auto")
+    batched = run_sweep(spec, n_jobs=1, batch=True)
     assert batched.batch_points == len(points), [
         d for d in batched.dispatch if d != "batch"
     ][:3]
@@ -427,6 +439,6 @@ def test_cold_sweep_kernel_speedup_over_scalar_engine():
         clear_memo()
         run_sweep(spec, n_jobs=1, batch=batch)
 
-    speedup = best_of(lambda: cold(False), 3) / best_of(lambda: cold("auto"), 3)
+    speedup = best_of(lambda: cold(False), 3) / best_of(lambda: cold(True), 3)
     print(f"cold grid batch kernel vs scalar engine: {speedup:.2f}x")
     assert speedup >= MIN_COLD_KERNEL_SPEEDUP

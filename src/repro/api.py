@@ -589,14 +589,14 @@ def sweep(
     n_jobs: int = 1,
     cache: Union[None, str, Path, ResultCache] = None,
     metrics: Union[None, bool, obs.MetricsRegistry] = None,
-    batch: Union[bool, str] = "auto",
+    batch: bool = True,
 ):
     """Evaluate a grid through the facade (thin wrapper over
     :func:`repro.core.sweeps.run_sweep` with the facade's cache and
     metrics conveniences).  Accepts a :class:`SweepRequest` (the wire
     form), a :class:`~repro.core.sweeps.SweepSpec`, or an explicit point
-    list.  ``batch`` controls the vectorized kernel: ``"auto"``
-    (default) evaluates every expressible analytical point in
+    list.  ``batch=True`` (default) evaluates every expressible
+    analytical point through the vectorized kernel in
     structure-of-arrays passes, ``False`` forces per-point evaluation."""
     if isinstance(spec, SweepRequest):
         spec = spec.resolve()

@@ -427,20 +427,6 @@ class ResultCache:
             obs.inc("cache.hits")
             return entry["result"]
 
-    def get_many(self, keys) -> dict:
-        """Batch lookup: ``{key: payload}`` for every hit.
-
-        Misses are simply absent from the returned dict (no ``None``
-        placeholders), so ``key in found`` is the hit test.  The service
-        batch scheduler scans a whole dispatch's point set through this
-        before touching the kernel."""
-        found = {}
-        for key in keys:
-            payload = self.get(key)
-            if payload is not None:
-                found[key] = payload
-        return found
-
     def put(self, key: str, result: dict) -> None:
         """Store ``result`` (a JSON-encodable dict) under ``key``.
 

@@ -544,12 +544,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import serve
 
     try:
-        serve(
-            _service_config(args),
-            host=args.host,
-            port=args.port,
-            drain_timeout=args.drain_timeout,
-        )
+        serve(_service_config(args), host=args.host, port=args.port)
     except ConfigError as exc:
         raise SystemExit(str(exc)) from None
     return 0

@@ -314,7 +314,7 @@ def run_sweep(
     cache: Optional[ResultCache] = None,
     chunksize: Optional[int] = None,
     metrics: Union[None, bool, "obs.MetricsRegistry"] = None,
-    batch: Union[bool, str] = "auto",
+    batch: bool = True,
 ) -> SweepOutcome:
     """Evaluate a grid, serving cached points and computing the rest.
 

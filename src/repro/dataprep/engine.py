@@ -78,7 +78,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import queue
 import threading
 import time
 import traceback
@@ -87,6 +86,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 
 import multiprocessing
 from multiprocessing import shared_memory
+from multiprocessing.connection import wait as wait_readable
 
 import numpy as np
 
@@ -325,7 +325,7 @@ def _worker_loop(
             shard, slot, attempt = task
             # Pickup acknowledgement: the supervisor starts this
             # attempt's deadline clock now, not at dispatch.
-            results.put(("started", worker_id, shard.index, attempt))
+            results.send(("started", worker_id, shard.index, attempt))
             try:
                 if chaos is not None:
                     chaos.before_prepare(shard.index, attempt)
@@ -348,7 +348,7 @@ def _worker_loop(
                     shard.index, attempt
                 ):
                     continue  # injected lost completion: the slot is stranded
-                results.put(
+                results.send(
                     (
                         "ok",
                         worker_id,
@@ -366,7 +366,7 @@ def _worker_loop(
                 retryable = not (
                     isinstance(exc, ReproError) and not exc.retryable
                 )
-                results.put(
+                results.send(
                     (
                         "error",
                         worker_id,
@@ -385,17 +385,26 @@ def _worker_loop(
 
 
 class _Worker:
-    """Supervisor-side handle: process, private task queue, heartbeat,
-    and the single in-flight assignment ``(shard, slot, attempt,
-    deadline)`` (None when idle; the deadline is None until the worker
-    acknowledges pickup)."""
+    """Supervisor-side handle: process, private task queue, the read end
+    of its private result pipe, heartbeat, and the single in-flight
+    assignment ``(shard, slot, attempt, deadline)`` (None when idle; the
+    deadline is None until the worker acknowledges pickup).
 
-    __slots__ = ("wid", "proc", "tasks", "heartbeat", "assignment")
+    Results travel over one pipe per worker, written synchronously: a
+    shared ``multiprocessing.Queue`` serializes writers on a
+    cross-process lock held by each writer's feeder thread, so a worker
+    that dies mid-write (a hard crash) would leave it held and silence
+    every other worker for good."""
 
-    def __init__(self, wid: int, proc: Any, tasks: Any, heartbeat: Any) -> None:
+    __slots__ = ("wid", "proc", "tasks", "results", "heartbeat", "assignment")
+
+    def __init__(
+        self, wid: int, proc: Any, tasks: Any, results: Any, heartbeat: Any
+    ) -> None:
         self.wid = wid
         self.proc = proc
         self.tasks = tasks
+        self.results = results
         self.heartbeat = heartbeat
         self.assignment: Optional[Tuple[ShardSpec, int, int, Optional[float]]] = None
 
@@ -456,7 +465,6 @@ class PrepEngine:
         # validation below aborts construction.
         self._segments: List[shared_memory.SharedMemory] = []
         self._live: Dict[int, _Worker] = {}
-        self._results: Optional[Any] = None
         self._closed = False
         if num_workers < 0:
             raise DataprepError(f"num_workers must be >= 0: {num_workers}")
@@ -541,10 +549,7 @@ class PrepEngine:
         for worker in workers:
             worker.tasks.close()
             worker.tasks.cancel_join_thread()
-        if self._results is not None:
-            self._results.close()
-            self._results.cancel_join_thread()
-            self._results = None
+            worker.results.close()
         segments, self._segments = self._segments, []
         for seg in segments:
             try:
@@ -557,6 +562,7 @@ class PrepEngine:
         assert self._ctx is not None
         wid = next(self._wid_counter)
         tasks = self._ctx.Queue()
+        results, results_writer = self._ctx.Pipe(duplex=False)
         heartbeat = None
         interval = 0.0
         if self.resilience is not None and self.resilience.heartbeat_timeout_s > 0:
@@ -571,7 +577,7 @@ class PrepEngine:
                 self.seed,
                 [seg.name for seg in self._segments],
                 tasks,
-                self._results,
+                results_writer,
                 heartbeat,
                 interval,
                 self.chaos,
@@ -580,7 +586,9 @@ class PrepEngine:
             daemon=True,
         )
         proc.start()
-        return _Worker(wid, proc, tasks, heartbeat)
+        # Only the worker writes: the pipe reads EOF once it is gone.
+        results_writer.close()
+        return _Worker(wid, proc, tasks, results, heartbeat)
 
     def _start(self) -> None:
         if self._started:
@@ -598,7 +606,6 @@ class PrepEngine:
                         create=True, size=self.slot_bytes
                     )
                 )
-            self._results = self._ctx.Queue()
             for _ in range(self.num_workers):
                 worker = self._spawn_worker()
                 self._live[worker.wid] = worker
@@ -693,11 +700,13 @@ class PrepEngine:
                 free.append(slot)
 
     def _poll(self) -> Optional[Tuple]:
-        assert self._results is not None
-        try:
-            return self._results.get(timeout=0.05)
-        except queue.Empty:
-            return None
+        readers = [worker.results for worker in self._live.values()]
+        for conn in wait_readable(readers, timeout=0.05):
+            try:
+                return conn.recv()
+            except (EOFError, OSError):
+                continue  # the worker is gone; _check_workers reaps it
+        return None
 
     def _dispatch(
         self,
@@ -836,6 +845,7 @@ class PrepEngine:
             worker.proc.join(timeout=5.0)
             worker.tasks.close()
             worker.tasks.cancel_join_thread()
+            worker.results.close()
             if res is not None and res.respawn:
                 replacement = self._spawn_worker()
                 self._live[replacement.wid] = replacement

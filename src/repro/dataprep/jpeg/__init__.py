@@ -22,12 +22,6 @@ compute stage — the part that costs cycles — is the real algorithm, so
 compression ratios and decode cost scale exactly like baseline JPEG.
 """
 
-from repro.dataprep.jpeg.codec import (
-    JpegCodec,
-    decode,
-    decode_batch,
-    encode,
-    encode_batch,
-)
+from repro.dataprep.jpeg.codec import decode, decode_batch, encode, encode_batch
 
-__all__ = ["JpegCodec", "decode", "decode_batch", "encode", "encode_batch"]
+__all__ = ["decode", "decode_batch", "encode", "encode_batch"]

@@ -8,19 +8,21 @@ quantize → zig-zag + RLE → canonical Huffman → bitstream.
 decode is the exact reverse.  Tables are optimized per image and shipped
 in the header (see :mod:`repro.dataprep.jpeg.huffman`).
 
-Two entropy paths produce *byte-identical* streams: the reference
-symbol-at-a-time path (``fast=False``, the executable spec) and the
-vectorized path in :mod:`repro.dataprep.jpeg.entropy_fast` (default).
-:func:`encode_batch` additionally runs the DCT/quantize stage over a
-whole stack of same-shape images at once, the layout the synthetic
-dataset generators feed it.
+:func:`encode_batch` and :func:`decode_batch` are the one implementation:
+they run the color/DCT/quantize stages over whole stacks of same-geometry
+images and the entropy stages through the vectorized coder in
+:mod:`repro.dataprep.jpeg.entropy_fast`.  :func:`encode` and
+:func:`decode` are their batch of one.  :func:`encode_reference` and
+:func:`decode_reference` keep the symbol-at-a-time entropy coder as the
+executable spec: byte-identical streams, identical pixels.
 """
 
 from __future__ import annotations
 
+import contextlib
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,10 +42,9 @@ _MAGIC = b"RJPG"
 _VERSION = 1
 
 
-def _component_planes(
-    rgb: np.ndarray, subsample: bool
-) -> Tuple[List[np.ndarray], Tuple[int, int]]:
-    """YCbCr planes ready for blocking; returns planes and padded luma shape."""
+def _component_planes(rgb: np.ndarray, subsample: bool) -> List[np.ndarray]:
+    """YCbCr planes ready for blocking (one image; the reference encoder's
+    layout)."""
     h, w = rgb.shape[:2]
     # 4:2:0 needs even dims before halving; pad once here.
     pad_h = (-h) % (16 if subsample else 8)
@@ -54,7 +55,7 @@ def _component_planes(
     if subsample:
         cb = color.subsample_420(cb)
         cr = color.subsample_420(cr)
-    return [y, cb, cr], y.shape
+    return [y, cb, cr]
 
 
 def _quantized_blocks(plane: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -216,10 +217,21 @@ def _plane_geometry(subsample: bool, h: int, w: int) -> _PlaneGeometry:
     return _PlaneGeometry(luma_shape, chroma_shape, chroma_padded)
 
 
+@contextlib.contextmanager
+def _malformed_is_codec_error():
+    """Report a malformed stream's low-level failure as a CodecError."""
+    try:
+        yield
+    except CodecError:
+        raise
+    except (struct.error, IndexError, ValueError, KeyError) as exc:
+        raise CodecError(f"malformed RJPG stream: {exc}") from exc
+
+
 def _parse_frame(data: bytes) -> _Frame:
     if data[:4] != _MAGIC:
         raise CodecError("not an RJPG stream")
-    try:
+    with _malformed_is_codec_error():
         version, quality, subsample_flag, h, w = struct.unpack_from(
             "<BBBHH", data, 4
         )
@@ -239,157 +251,56 @@ def _parse_frame(data: bytes) -> _Frame:
         return _Frame(
             quality, bool(subsample_flag), h, w, tuple(specs), tuple(streams)
         )
-    except CodecError:
-        raise
-    except (struct.error, IndexError, ValueError, KeyError) as exc:
-        raise CodecError(f"malformed RJPG stream: {exc}") from exc
-
-
-def _entropy_decode_planes(
-    frame: _Frame, geometry: _PlaneGeometry, fast: bool
-) -> List[np.ndarray]:
-    """The serial stage: Huffman-decode each plane's stream to quantized
-    8×8 blocks (the transform stage can then run batched)."""
-    dc_luma, ac_luma, dc_chroma, ac_chroma = (
-        table_from_spec(s) for s in frame.specs
-    )
-    tables = [(dc_luma, ac_luma), (dc_chroma, ac_chroma), (dc_chroma, ac_chroma)]
-    planes: List[np.ndarray] = []
-    for stream, shape, (dc_t, ac_t) in zip(
-        frame.streams, geometry.plane_shapes, tables
-    ):
-        nblocks = (shape[0] // 8) * (shape[1] // 8)
-        if fast:
-            blocks = entropy_fast.decode_plane(stream, dc_t, ac_t, nblocks)
-        else:
-            reader = BitReader(stream)
-            blocks = np.empty((nblocks, 8, 8), dtype=np.int32)
-            prev_dc = 0
-            for b in range(nblocks):
-                blocks[b], prev_dc = decode_block(reader, dc_t, ac_t, prev_dc)
-        planes.append(blocks)
-    return planes
-
-
-def _transform_planes(
-    blocks: Sequence[np.ndarray], frame: _Frame, geometry: _PlaneGeometry
-) -> np.ndarray:
-    """Dequantize → IDCT → reassemble planes → color for one image; the
-    padded RGB (crop to h×w is the caller's job)."""
-    luma_q = quant.scaled_table(quant.LUMA_BASE, frame.quality)
-    chroma_q = quant.scaled_table(quant.CHROMA_BASE, frame.quality)
-    planes: List[np.ndarray] = []
-    for plane_blocks, shape, qtable in zip(
-        blocks, geometry.plane_shapes, [luma_q, chroma_q, chroma_q]
-    ):
-        coeffs = quant.dequantize(plane_blocks, qtable)
-        planes.append(dct.unblockify(dct.idct2(coeffs), shape) + 128.0)
-    y = planes[0]
-    ch, cw = geometry.chroma_shape
-    cb = planes[1][:ch, :cw]
-    cr = planes[2][:ch, :cw]
-    if frame.subsample:
-        return color.ycbcr_planes_420_to_rgb(y, cb, cr)
-    return color.ycbcr_planes_to_rgb(y, cb, cr)
-
-
-@dataclass
-class JpegCodec:
-    """Configurable codec instance.
-
-    ``fast`` selects the vectorized entropy path (byte-identical output;
-    the reference path survives as the executable specification and as
-    the baseline for the codec-throughput benchmark).
-    """
-
-    quality: int = 75
-    subsample: bool = True
-    fast: bool = True
-
-    def encode(self, rgb: np.ndarray) -> bytes:
-        """Compress an H×W×3 uint8 RGB image."""
-        _check_image(rgb)
-        h, w = rgb.shape[:2]
-        luma_q = quant.scaled_table(quant.LUMA_BASE, self.quality)
-        chroma_q = quant.scaled_table(quant.CHROMA_BASE, self.quality)
-        planes, _ = _component_planes(rgb, self.subsample)
-
-        if self.fast:
-            symbols = [
-                entropy_fast.plane_symbols(
-                    _quantized_blocks(
-                        dct.pad_to_blocks(plane),
-                        luma_q if i == 0 else chroma_q,
-                    )
-                )
-                for i, plane in enumerate(planes)
-            ]
-            streams, tables = _entropy_encode_planes(symbols)
-            return _frame(self.quality, self.subsample, (h, w), tables, streams)
-
-        encoded = []
-        for i, plane in enumerate(planes):
-            table = luma_q if i == 0 else chroma_q
-            encoded.append(_encode_plane(dct.pad_to_blocks(plane), table))
-
-        dc_luma = HuffmanTable.from_frequencies(_collect_frequencies(encoded[0][1]))
-        ac_luma = HuffmanTable.from_frequencies(_collect_frequencies(encoded[0][2]))
-        dc_chroma = HuffmanTable.from_frequencies(
-            _collect_frequencies(encoded[1][1] + encoded[2][1])
-        )
-        ac_chroma = HuffmanTable.from_frequencies(
-            _collect_frequencies(encoded[1][2] + encoded[2][2])
-        )
-
-        streams = []
-        for i, (_q, dc_events, ac_events) in enumerate(encoded):
-            dc_table = dc_luma if i == 0 else dc_chroma
-            ac_table = ac_luma if i == 0 else ac_chroma
-            writer = BitWriter()
-            for dc_ev, ac_ev in zip(dc_events, ac_events):
-                for symbol, amp, size in dc_ev:
-                    dc_table.write_symbol(writer, symbol)
-                    writer.write(amp, size)
-                for symbol, amp, size in ac_ev:
-                    ac_table.write_symbol(writer, symbol)
-                    writer.write(amp, size)
-            streams.append(writer.getvalue())
-        return _frame(
-            self.quality,
-            self.subsample,
-            (h, w),
-            [dc_luma, ac_luma, dc_chroma, ac_chroma],
-            streams,
-        )
-
-    @staticmethod
-    def decode(data: bytes, fast: bool = True) -> np.ndarray:
-        """Decompress back to H×W×3 uint8 RGB."""
-        if data[:4] != _MAGIC:
-            raise CodecError("not an RJPG stream")
-        try:
-            return JpegCodec._decode_checked(data, fast)
-        except CodecError:
-            raise
-        except (struct.error, IndexError, ValueError, KeyError) as exc:
-            raise CodecError(f"malformed RJPG stream: {exc}") from exc
-
-    @staticmethod
-    def _decode_checked(data: bytes, fast: bool = True) -> np.ndarray:
-        frame = _parse_frame(data)
-        geometry = _plane_geometry(frame.subsample, frame.h, frame.w)
-        blocks = _entropy_decode_planes(frame, geometry, fast)
-        return _transform_planes(blocks, frame, geometry)[: frame.h, : frame.w]
 
 
 def encode(rgb: np.ndarray, quality: int = 75, subsample: bool = True) -> bytes:
-    """Module-level convenience wrapper around :class:`JpegCodec`."""
-    return JpegCodec(quality=quality, subsample=subsample).encode(rgb)
+    """Compress an H×W×3 uint8 RGB image (:func:`encode_batch` of one)."""
+    return encode_batch([rgb], quality=quality, subsample=subsample)[0]
 
 
-def decode(data: bytes) -> np.ndarray:
-    """Module-level convenience wrapper around :class:`JpegCodec`."""
-    return JpegCodec.decode(data)
+def encode_reference(
+    rgb: np.ndarray, quality: int = 75, subsample: bool = True
+) -> bytes:
+    """:func:`encode` with the symbol-at-a-time entropy coder (the
+    executable spec; byte-identical output)."""
+    _check_image(rgb)
+    luma_q = quant.scaled_table(quant.LUMA_BASE, quality)
+    chroma_q = quant.scaled_table(quant.CHROMA_BASE, quality)
+    planes = _component_planes(rgb, subsample)
+    encoded = [
+        _encode_plane(dct.pad_to_blocks(plane), luma_q if i == 0 else chroma_q)
+        for i, plane in enumerate(planes)
+    ]
+
+    dc_luma = HuffmanTable.from_frequencies(_collect_frequencies(encoded[0][1]))
+    ac_luma = HuffmanTable.from_frequencies(_collect_frequencies(encoded[0][2]))
+    dc_chroma = HuffmanTable.from_frequencies(
+        _collect_frequencies(encoded[1][1] + encoded[2][1])
+    )
+    ac_chroma = HuffmanTable.from_frequencies(
+        _collect_frequencies(encoded[1][2] + encoded[2][2])
+    )
+
+    streams = []
+    for i, (_q, dc_events, ac_events) in enumerate(encoded):
+        dc_table = dc_luma if i == 0 else dc_chroma
+        ac_table = ac_luma if i == 0 else ac_chroma
+        writer = BitWriter()
+        for dc_ev, ac_ev in zip(dc_events, ac_events):
+            for symbol, amp, size in dc_ev:
+                dc_table.write_symbol(writer, symbol)
+                writer.write(amp, size)
+            for symbol, amp, size in ac_ev:
+                ac_table.write_symbol(writer, symbol)
+                writer.write(amp, size)
+        streams.append(writer.getvalue())
+    return _frame(
+        quality,
+        subsample,
+        rgb.shape[:2],
+        [dc_luma, ac_luma, dc_chroma, ac_chroma],
+        streams,
+    )
 
 
 def encode_batch(
@@ -403,7 +314,7 @@ def encode_batch(
     over the whole stack (images are stacked into one tall plane per
     component, so the 8×8 matmuls amortize across the batch); the
     per-image entropy stage then slices out each image's blocks.  Output
-    is byte-for-byte what :func:`encode` produces per image.
+    is byte-for-byte what :func:`encode_reference` produces per image.
     """
     images = list(images)
     if not images:
@@ -412,7 +323,10 @@ def encode_batch(
     _check_image(first)
     if any(im.shape != first.shape or im.dtype != first.dtype for im in images):
         # Mixed shapes: no batching win to be had, encode one by one.
-        return [encode(im, quality=quality, subsample=subsample) for im in images]
+        return [
+            encode_batch([im], quality=quality, subsample=subsample)[0]
+            for im in images
+        ]
 
     h, w = first.shape[:2]
     batch = len(images)
@@ -455,18 +369,20 @@ def encode_batch(
     return out
 
 
+
 # The batched transform pays off by amortizing numpy dispatch across
-# small frames; past ~2 luma planes' worth of pixels the float64
+# small frames; past a few luma planes' worth of pixels the float64
 # working set falls out of cache and batching turns memory-bound (a
 # 64×256×256 chunk measured ~3× slower than per-image on 1 core), so
 # the chunk size adapts to keep roughly this many pixels in flight.
-_TRANSFORM_PIXEL_BUDGET = 131_072
+# Measured on 256×256 batches decoded into a pooled arena slot, 4
+# images per chunk beat 2 by ~6%; this budget gives 4 there.
+_TRANSFORM_PIXEL_BUDGET = 262_144
 
-# Transform chunk compiled prep plans pin for arena decodes: with the
-# entropy stage batched and delivery going straight into a pooled slot,
-# slightly larger chunks than the pixel-budget heuristic picks measured
-# fastest (4 images/chunk beat 2 by ~6% on 256x256 batches).
-PLANNED_TRANSFORM_CHUNK = 4
+
+def transform_chunk_images(h: int, w: int) -> int:
+    """Images of ``h``×``w`` pixels per batched transform pass."""
+    return max(1, _TRANSFORM_PIXEL_BUDGET // max(1, h * w))
 
 
 # Lock-step entropy decode beats the per-stream walk once its fixed
@@ -498,13 +414,42 @@ def lockstep_min_images(luma_blocks: int) -> int:
     dispatch cost is geometry-independent, but the fixed per-stream
     setup is amortized over fewer symbols on small planes, pushing the
     crossover up roughly with the square root of the block deficit.
-    Compiled prep plans record this value per geometry instead of
-    hard-coding :data:`_LOCKSTEP_MIN_IMAGES`.
     """
     if luma_blocks <= 0:
         return _LOCKSTEP_MIN_IMAGES
     scale = max(1.0, _LOCKSTEP_REF_BLOCKS / luma_blocks) ** 0.5
     return max(2, int(round(_LOCKSTEP_MIN_IMAGES * scale)))
+
+
+def _decode_plane_reference(
+    stream: bytes, dc_t: HuffmanTable, ac_t: HuffmanTable, n_blocks: int
+) -> np.ndarray:
+    """Symbol-at-a-time twin of :func:`entropy_fast.decode_plane`."""
+    reader = BitReader(stream)
+    blocks = np.empty((n_blocks, 8, 8), dtype=np.int32)
+    prev_dc = 0
+    for b in range(n_blocks):
+        blocks[b], prev_dc = decode_block(reader, dc_t, ac_t, prev_dc)
+    return blocks
+
+
+def _entropy_decode_planes(
+    frame: _Frame,
+    geometry: _PlaneGeometry,
+    decode_plane: Callable[[bytes, HuffmanTable, HuffmanTable, int], np.ndarray],
+) -> List[np.ndarray]:
+    """One image's quantized 8×8 blocks per plane, each plane's stream
+    walked on its own by ``decode_plane``."""
+    dc_luma, ac_luma, dc_chroma, ac_chroma = (
+        table_from_spec(s) for s in frame.specs
+    )
+    tables = [(dc_luma, ac_luma), (dc_chroma, ac_chroma), (dc_chroma, ac_chroma)]
+    return [
+        decode_plane(stream, dc_t, ac_t, (shape[0] // 8) * (shape[1] // 8))
+        for stream, shape, (dc_t, ac_t) in zip(
+            frame.streams, geometry.plane_shapes, tables
+        )
+    ]
 
 
 def _entropy_decode_group(
@@ -536,24 +481,18 @@ def _entropy_decode_group(
 
 def _decode_group(
     frames: Sequence[_Frame],
-    fast: bool,
-    blocks: Optional[List[List[np.ndarray]]] = None,
+    geometry: _PlaneGeometry,
+    per_image: Sequence[Sequence[np.ndarray]],
 ) -> np.ndarray:
-    """Decode frames that share one geometry key as a single stack.
+    """The transform stage for frames sharing one geometry key: an
+    ``N×h×w×3`` uint8 stack from each image's quantized blocks.
 
-    The entropy stage (``blocks``, precomputed by the caller when it
-    already batch-decoded the whole geometry group) feeds one
-    dequantize/IDCT/color pass: every image's blocks are concatenated
-    into tall stacked planes (the mirror image of :func:`encode_batch`'s
-    layout — per-plane ops are local to row groups, so images never
-    mix), transformed at once, and sliced back apart.  Pixel-identical
-    to :func:`JpegCodec.decode` per image.
+    Every image's blocks are concatenated into tall stacked planes (the
+    mirror image of :func:`encode_batch`'s layout — per-plane ops are
+    local to row groups, so images never mix), dequantized, inverse
+    transformed and color converted at once, and sliced back apart.
     """
     first = frames[0]
-    geometry = _plane_geometry(first.subsample, first.h, first.w)
-    per_image = blocks if blocks is not None else [
-        _entropy_decode_planes(f, geometry, fast) for f in frames
-    ]
     n = len(frames)
     luma_q = quant.scaled_table(quant.LUMA_BASE, first.quality)
     chroma_q = quant.scaled_table(quant.CHROMA_BASE, first.quality)
@@ -561,7 +500,10 @@ def _decode_group(
     for p, (shape, qtable) in enumerate(
         zip(geometry.plane_shapes, [luma_q, chroma_q, chroma_q])
     ):
-        blocks = np.concatenate([image_blocks[p] for image_blocks in per_image])
+        blocks = (
+            per_image[0][p] if n == 1
+            else np.concatenate([image_blocks[p] for image_blocks in per_image])
+        )
         coeffs = quant.dequantize(blocks, qtable)
         tall_shape = (n * shape[0], shape[1])
         tall_planes.append(dct.unblockify(dct.idct2(coeffs), tall_shape) + 128.0)
@@ -585,107 +527,90 @@ def _decode_group(
     return rgb.reshape(n, ph, pw, 3)[:, : first.h, : first.w]
 
 
+def decode(data: bytes) -> np.ndarray:
+    """Decompress back to H×W×3 uint8 RGB (:func:`decode_batch` of one)."""
+    return decode_batch([data])[0]
+
+
+def decode_reference(data: bytes) -> np.ndarray:
+    """:func:`decode` with the symbol-at-a-time entropy decoder (the
+    executable spec; identical pixels).  The transform stage is the
+    shared one."""
+    frame = _parse_frame(bytes(data))
+    geometry = _plane_geometry(frame.subsample, frame.h, frame.w)
+    with _malformed_is_codec_error():
+        blocks = _entropy_decode_planes(
+            frame, geometry, _decode_plane_reference
+        )
+        return _decode_group([frame], geometry, [blocks])[0]
+
+
 def decode_batch(
-    datas: Sequence[bytes],
-    fast: bool = True,
-    *,
-    lockstep_min: Optional[int] = None,
-    transform_chunk: Optional[int] = None,
-    out: Optional[np.ndarray] = None,
+    datas: Sequence[bytes], *, out: Optional[np.ndarray] = None
 ) -> List[np.ndarray]:
     """Decode a batch of streams, batching the transform stage.
 
-    Frames are grouped by (quality, subsample, h, w); each group shares a
-    single dequantize/IDCT/color pass over vertically stacked planes (see
-    :func:`_decode_group`).  Entropy decoding is per image below the
-    lock-step crossover for the group's geometry (every frame carries
-    its own optimized Huffman tables, so nothing is shared there) and
-    switches to the lock-step batch walk above it.  Output is
-    pixel-identical to :func:`decode` per item, in input order.
+    Frames are grouped by (quality, subsample, h, w).  A group's entropy
+    stage walks each image's streams on their own below the lock-step
+    crossover for its geometry (:func:`lockstep_min_images`) and in one
+    lock-step walk per plane kind at or above it; its transform stage
+    runs in chunks of :func:`transform_chunk_images` images (see
+    :func:`_decode_group`).  Output is pixel-identical to
+    :func:`decode_reference` per item, in input order.
 
-    ``lockstep_min`` overrides the measured per-geometry crossover
-    (:func:`lockstep_min_images`) and ``transform_chunk`` the
-    pixel-budget-derived transform chunk size — compiled prep plans
-    record both per geometry.  ``out`` (an ``N×h×w×3`` uint8 stack)
-    receives the decoded images in place — the arena path: nothing is
-    stacked and no per-image result arrays outlive the call.  With
-    ``out`` every frame must match the stack's geometry.
+    ``out`` (an ``N×h×w×3`` uint8 stack) receives the decoded images in
+    place — the arena path: nothing is stacked and no per-image result
+    arrays outlive the call.  With ``out`` every frame must match the
+    stack's geometry.
     """
     datas = list(datas)
     if out is not None and len(out) != len(datas):
         raise CodecError(
             f"out= holds {len(out)} slots for {len(datas)} streams"
         )
-    if len(datas) <= 1:
-        decoded = [JpegCodec.decode(data, fast=fast) for data in datas]
-        if out is None:
-            return decoded
-        _deliver(decoded, list(range(len(datas))), out, decoded)
-        return out  # type: ignore[return-value]
     frames = [_parse_frame(bytes(data)) for data in datas]
     groups: Dict[Tuple[int, bool, int, int], List[int]] = {}
     for i, frame in enumerate(frames):
         groups.setdefault(frame.geometry_key, []).append(i)
     results: List[Optional[np.ndarray]] = [None] * len(datas)
-    for indices in groups.values():
-        first = frames[indices[0]]
-        geometry = _plane_geometry(first.subsample, first.h, first.w)
-        nb_luma = (geometry.luma_shape[0] // 8) * (geometry.luma_shape[1] // 8)
-        threshold = (
-            lockstep_min if lockstep_min is not None
-            else lockstep_min_images(nb_luma)
-        )
-        group_blocks: Optional[List[List[np.ndarray]]] = None
-        if fast and len(indices) >= threshold:
-            group_blocks = _entropy_decode_group(
-                [frames[i] for i in indices], geometry
-            )
-        pixels = first.h * first.w
-        chunk_size = (
-            max(1, int(transform_chunk)) if transform_chunk is not None
-            else max(1, _TRANSFORM_PIXEL_BUDGET // max(1, pixels))
-        )
-        for start in range(0, len(indices), chunk_size):
-            chunk = indices[start : start + chunk_size]
-            chunk_blocks = (
-                group_blocks[start : start + chunk_size]
-                if group_blocks is not None
-                else None
-            )
-            if len(chunk) == 1:
-                i = chunk[0]
-                if chunk_blocks is None:
-                    decoded = JpegCodec.decode(datas[i], fast=fast)
-                else:
-                    decoded = _transform_planes(
-                        chunk_blocks[0], frames[i], geometry
-                    )[: frames[i].h, : frames[i].w]
-                _deliver([decoded], [i], out, results)
-                continue
-            rgb = _decode_group([frames[i] for i in chunk], fast, chunk_blocks)
-            _deliver([rgb[j] for j in range(len(chunk))], chunk, out, results)
+    with _malformed_is_codec_error():
+        for indices in groups.values():
+            group = [frames[i] for i in indices]
+            first = group[0]
+            geometry = _plane_geometry(first.subsample, first.h, first.w)
+            luma_h, luma_w = geometry.luma_shape
+            if len(group) >= lockstep_min_images((luma_h // 8) * (luma_w // 8)):
+                blocks = _entropy_decode_group(group, geometry)
+            else:
+                blocks = [
+                    _entropy_decode_planes(f, geometry, entropy_fast.decode_plane)
+                    for f in group
+                ]
+            chunk = transform_chunk_images(first.h, first.w)
+            for start in range(0, len(group), chunk):
+                stop = start + chunk
+                rgb = _decode_group(group[start:stop], geometry, blocks[start:stop])
+                _deliver(rgb, indices[start:stop], out, results)
     if out is not None:
         return out  # type: ignore[return-value]
     return results  # type: ignore[return-value]
 
 
 def _deliver(
-    decoded: Sequence[np.ndarray],
+    decoded: np.ndarray,
     indices: Sequence[int],
     out: Optional[np.ndarray],
     results: List[Optional[np.ndarray]],
-) -> List[np.ndarray]:
-    """Route per-image decode results to ``out`` slots (arena path) or
-    the collected-results list."""
-    if out is None:
-        for img, i in zip(decoded, indices):
-            results[i] = img
-        return results  # type: ignore[return-value]
+) -> None:
+    """Route a chunk's images to ``out`` slots (arena path) or the
+    collected-results list."""
     for img, i in zip(decoded, indices):
+        if out is None:
+            results[i] = img
+            continue
         if img.shape != out.shape[1:]:
             raise CodecError(
                 f"decode out= expects uniform {out.shape[1:]} images, "
                 f"got {img.shape}"
             )
         out[i, ...] = img
-    return results  # type: ignore[return-value]

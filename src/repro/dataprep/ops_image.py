@@ -60,37 +60,27 @@ class DecodePng(PrepOp):
         return op, SampleSpec("image_u8", (height, width, 3), out_bytes)
 
 
-@dataclass
 class DecodeJpeg(PrepOp):
-    """JPEG → uint8 RGB (the dominant formatting cost, §III-C).
+    """JPEG → uint8 RGB (the dominant formatting cost, §III-C)."""
 
-    ``fast=False`` selects the symbol-at-a-time reference entropy
-    decoder — the executable spec, and the baseline the prep-throughput
-    benchmark measures its speedup against."""
-
-    fast: bool = True
-    name: str = "decode_jpeg"
-    kind: str = "decode"
+    name = "decode_jpeg"
+    kind = "decode"
 
     def apply(self, data: Any, rng: np.random.Generator) -> np.ndarray:
         if not isinstance(data, (bytes, bytearray)):
             raise DataprepError("decode_jpeg expects compressed bytes")
-        return jpeg_codec.JpegCodec.decode(bytes(data), fast=self.fast)
+        return jpeg_codec.decode(bytes(data))
 
     def apply_batch(
         self, batch: Any, rngs: Sequence[np.random.Generator]
     ) -> Any:
-        """Batched decode: the per-image entropy stage feeds one shared
-        dequantize/IDCT/color pass over the whole stack (see
-        :func:`repro.dataprep.jpeg.codec.decode_batch`)."""
+        """Batched decode: the entropy stage (lock-step above the
+        crossover) feeds shared dequantize/IDCT/color passes over the
+        stack (see :func:`repro.dataprep.jpeg.codec.decode_batch`)."""
         for blob in batch:
             if not isinstance(blob, (bytes, bytearray)):
                 raise DataprepError("decode_jpeg expects compressed bytes")
-        return stack_samples(
-            jpeg_codec.decode_batch(
-                [bytes(b) for b in batch], fast=self.fast
-            )
-        )
+        return stack_samples(jpeg_codec.decode_batch([bytes(b) for b in batch]))
 
     def cost(self, spec: SampleSpec) -> Tuple[OpCost, SampleSpec]:
         spec.expect("jpeg", self.name)
@@ -354,16 +344,13 @@ def image_pipeline(
     noise_sigma: float = 4.0,
     mirror_probability: float = 0.5,
     source_format: str = "jpeg",
-    fast_decode: bool = True,
 ) -> "PrepPipeline":
     """The full Table II image pipeline: decode → crop → mirror → noise →
-    cast.  ``source_format`` selects the decoder ("jpeg" or "png");
-    ``fast_decode=False`` pins the JPEG decoder to its reference entropy
-    path (the prep benchmark's baseline)."""
+    cast.  ``source_format`` selects the decoder ("jpeg" or "png")."""
     from repro.dataprep.pipeline import PrepPipeline
 
     if source_format == "jpeg":
-        decoder = DecodeJpeg(fast=fast_decode)
+        decoder = DecodeJpeg()
     elif source_format == "png":
         decoder = DecodePng()
     else:

@@ -213,22 +213,22 @@ class CopyInStage(PlanStage):
 
 class DecodeJpegStage(PlanStage):
     """JPEG blobs → uint8 image stack, decoded straight into the arena
-    (no per-image arrays, no ``np.stack``).  The lock-step crossover and
-    transform chunk are compile-time constants recorded in the plan."""
+    (no per-image arrays, no ``np.stack``).  ``describe()`` reports the
+    lock-step crossover and transform chunk ``decode_batch`` picks for
+    4:2:0 frames of the plan's geometry."""
 
-    invariants = ("huffman_luts", "quant_tables", "lockstep_min")
+    invariants = ("huffman_luts", "quant_tables")
 
     def __init__(self, op: Any, geometry: PlanGeometry) -> None:
         from repro.dataprep.jpeg import codec as jpeg_codec
 
         self.fuses = (op.name,)
-        self._fast = op.fast
         h, w, _ = geometry.sample_shape
         sub_h, sub_w = jpeg_codec._plane_geometry(True, h, w).luma_shape
         self.lockstep_min = jpeg_codec.lockstep_min_images(
             (sub_h // 8) * (sub_w // 8)
         )
-        self.transform_chunk = jpeg_codec.PLANNED_TRANSFORM_CHUNK
+        self.transform_chunk = jpeg_codec.transform_chunk_images(h, w)
         self._slot = np.empty(
             (geometry.batch_size,) + geometry.sample_shape, dtype=np.uint8
         )
@@ -239,13 +239,7 @@ class DecodeJpegStage(PlanStage):
         for blob in data:
             if not isinstance(blob, (bytes, bytearray)):
                 raise DataprepError("decode_jpeg expects compressed bytes")
-        jpeg_codec.decode_batch(
-            [bytes(b) for b in data],
-            fast=self._fast,
-            lockstep_min=self.lockstep_min,
-            transform_chunk=self.transform_chunk,
-            out=self._slot,
-        )
+        jpeg_codec.decode_batch([bytes(b) for b in data], out=self._slot)
         return self._slot
 
     def slots(self) -> List[Tuple[str, np.ndarray]]:
@@ -260,10 +254,10 @@ class DecodeJpegStage(PlanStage):
 
 
 class DecodePngStage(PlanStage):
-    """PNG blobs → uint8 image stack via the lock-step inflate path,
-    decoded straight into the arena."""
+    """PNG blobs → uint8 image stack, decoded straight into the arena;
+    ``describe()`` reports the inflate lock-step crossover."""
 
-    invariants = ("deflate_luts", "lockstep_min")
+    invariants = ("deflate_luts",)
 
     def __init__(self, op: Any, geometry: PlanGeometry) -> None:
         from repro.dataprep.png import deflate
@@ -280,9 +274,7 @@ class DecodePngStage(PlanStage):
         for blob in data:
             if not isinstance(blob, (bytes, bytearray)):
                 raise DataprepError("decode_png expects compressed bytes")
-        png_codec.decode_batch(
-            data, lockstep_min=self.lockstep_min, out=self._slot
-        )
+        png_codec.decode_batch(data, out=self._slot)
         return self._slot
 
     def slots(self) -> List[Tuple[str, np.ndarray]]:

@@ -19,6 +19,6 @@ Unlike the JPEG codec this one is exactly lossless — a property test
 pins bit-perfect round trips on arbitrary images.
 """
 
-from repro.dataprep.png.codec import PngCodec, decode, encode
+from repro.dataprep.png.codec import decode, encode
 
-__all__ = ["PngCodec", "decode", "encode"]
+__all__ = ["decode", "encode"]

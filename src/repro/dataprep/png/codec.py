@@ -1,9 +1,12 @@
-"""The PNG-like container: filter, compress, frame."""
+"""The PNG-like container: filter, compress, frame.
+
+:func:`decode_batch` is the one decode implementation; :func:`decode` is
+its batch of one.
+"""
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,76 +18,34 @@ _MAGIC = b"RPNG"
 _VERSION = 1
 
 
-@dataclass
-class PngCodec:
-    """Lossless codec instance.
-
-    ``max_chain`` tunes the LZ77 matcher (longer chains = better ratio,
-    slower encode) — the same knob zlib levels turn.
-    """
-
-    max_chain: int = 32
-
-    def encode(self, image: np.ndarray) -> bytes:
-        if image.ndim != 3 or image.shape[2] not in (1, 3, 4):
-            raise CodecError(f"expected HxWx{{1,3,4}} image, got {image.shape}")
-        if image.dtype != np.uint8:
-            raise CodecError(f"expected uint8, got {image.dtype}")
-        h, w, c = image.shape
-        methods, residuals = filter_image(image)
-        # Interleave the filter byte before each scanline, PNG-style.
-        raw = np.empty((h, w * c + 1), dtype=np.uint8)
-        raw[:, 0] = methods
-        raw[:, 1:] = residuals
-        compressed = deflate.compress(raw.tobytes(), max_chain=self.max_chain)
-        out = bytearray(_MAGIC)
-        out.extend(struct.pack("<BHHB", _VERSION, h, w, c))
-        out.extend(compressed)
-        return bytes(out)
-
-    @staticmethod
-    def decode(data: bytes) -> np.ndarray:
-        if data[:4] != _MAGIC:
-            raise CodecError("not an RPNG stream")
-        try:
-            return PngCodec._decode_checked(data)
-        except CodecError:
-            raise
-        except (struct.error, IndexError, ValueError, KeyError) as exc:
-            raise CodecError(f"malformed RPNG stream: {exc}") from exc
-
-    @staticmethod
-    def _decode_checked(data: bytes) -> np.ndarray:
-        version, h, w, c = struct.unpack_from("<BHHB", data, 4)
-        if version != _VERSION:
-            raise CodecError(f"unsupported RPNG version {version}")
-        raw = deflate.decompress(data[4 + struct.calcsize("<BHHB"):])
-        stride = w * c
-        if len(raw) != h * (stride + 1):
-            raise CodecError("decompressed payload has the wrong size")
-        lines = np.frombuffer(raw, dtype=np.uint8).reshape(h, stride + 1)
-        methods = lines[:, 0].tolist()
-        residuals = lines[:, 1:]
-        return unfilter_image(methods, residuals, (h, w, c))
-
-
-def encode(image: np.ndarray, max_chain: int = 32) -> bytes:
-    """Module-level convenience wrapper around :class:`PngCodec`."""
-    return PngCodec(max_chain=max_chain).encode(image)
+def encode(image: np.ndarray) -> bytes:
+    """Compress an H×W×{1,3,4} uint8 image losslessly."""
+    if image.ndim != 3 or image.shape[2] not in (1, 3, 4):
+        raise CodecError(f"expected HxWx{{1,3,4}} image, got {image.shape}")
+    if image.dtype != np.uint8:
+        raise CodecError(f"expected uint8, got {image.dtype}")
+    h, w, c = image.shape
+    methods, residuals = filter_image(image)
+    # Interleave the filter byte before each scanline, PNG-style.
+    raw = np.empty((h, w * c + 1), dtype=np.uint8)
+    raw[:, 0] = methods
+    raw[:, 1:] = residuals
+    out = bytearray(_MAGIC)
+    out.extend(struct.pack("<BHHB", _VERSION, h, w, c))
+    out.extend(deflate.compress(raw.tobytes()))
+    return bytes(out)
 
 
 def decode(data: bytes) -> np.ndarray:
-    """Module-level convenience wrapper around :class:`PngCodec`."""
-    return PngCodec.decode(data)
+    """Decompress one RPNG blob (:func:`decode_batch` of one)."""
+    return decode_batch([data])[0]
 
 
-def decode_batch(
-    datas, *, lockstep_min: "int | None" = None, out: "np.ndarray | None" = None
-) -> list:
+def decode_batch(datas, *, out: "np.ndarray | None" = None) -> list:
     """Decode many RPNG blobs, inflating their deflate payloads in
-    lock-step (:func:`deflate.decompress_batch`); the row-sequential
-    unfilter pass stays per-image.  Byte-identical to mapping
-    :func:`decode`; malformed blobs raise the reference error.
+    lock-step at or above the measured crossover
+    (:func:`deflate.decompress_batch`); the row-sequential unfilter pass
+    stays per-image.  Malformed blobs raise the per-blob error.
 
     ``out`` optionally receives the decoded images in place (an
     ``N x h x w x c`` uint8 arena slot; every image must match) and is
@@ -107,9 +68,7 @@ def decode_batch(
             raise CodecError(f"unsupported RPNG version {version}")
         headers.append((h, w, c))
     offset = 4 + struct.calcsize("<BHHB")
-    raws = deflate.decompress_batch(
-        [d[offset:] for d in datas], lockstep_min=lockstep_min
-    )
+    raws = deflate.decompress_batch([d[offset:] for d in datas])
     results = [] if out is None else out
     for i, (raw, (h, w, c)) in enumerate(zip(raws, headers)):
         stride = w * c

@@ -255,9 +255,7 @@ _DIST_EXTRA_U64 = np.array(_DIST_EXTRA, dtype=np.uint64)
 _CHUNK_ROWS = 256
 
 
-def decompress_batch(
-    datas: Sequence[bytes], *, lockstep_min: Optional[int] = None
-) -> List[bytes]:
+def decompress_batch(datas: Sequence[bytes]) -> List[bytes]:
     """Decompress many streams, decoding their Huffman tokens in
     lock-step (the PR 4 SIMD discipline, extended to the inflate path).
 
@@ -269,14 +267,11 @@ def decompress_batch(
     to :func:`decompress` per item; malformed streams are re-decoded on
     the per-stream path so they raise exactly the reference error.
 
-    Below ``lockstep_min`` streams (default the measured crossover
-    ``_LOCKSTEP_MIN_STREAMS``) the per-stream loop is used directly.
+    Below the measured crossover ``_LOCKSTEP_MIN_STREAMS`` the
+    per-stream loop is used directly.
     """
     datas = [bytes(d) for d in datas]
-    threshold = (
-        _LOCKSTEP_MIN_STREAMS if lockstep_min is None else max(2, lockstep_min)
-    )
-    if len(datas) < threshold:
+    if len(datas) < _LOCKSTEP_MIN_STREAMS:
         return [decompress(d) for d in datas]
     try:
         parsed = [_parse_stream(d) for d in datas]

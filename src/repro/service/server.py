@@ -495,11 +495,11 @@ class SimulationService:
         wait for in-flight engine work, flush write-backs."""
         self._batch.close()
 
-    async def aclose(self, drain_timeout: Optional[float] = None) -> Dict:
+    async def aclose(self) -> Dict:
         """Graceful shutdown: drain, scatter dispatches, stop the
         executor, flush the write-back queue; returns the drain report
         (also kept as ``last_drain``)."""
-        report = await self.drain(drain_timeout)
+        report = await self.drain()
         report["writebacks_flushed"] = await self._batch.aclose(
             timeout=None if report["drained"] else 1.0
         )
@@ -633,7 +633,7 @@ class SimulationServer:
             except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
 
-    async def close(self, drain_timeout: Optional[float] = None) -> Dict:
+    async def close(self) -> Dict:
         """Graceful stop: close the listener, drain the service (new
         frames on live connections get ``rejected/draining``, admitted
         work completes and is answered), then tear down idle
@@ -642,7 +642,7 @@ class SimulationServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        report = await self.service.aclose(drain_timeout)
+        report = await self.service.aclose()
         for task in list(self._conn_tasks):
             task.cancel()
         if self._conn_tasks:
@@ -660,7 +660,6 @@ async def _run_server(
     stop: Optional[asyncio.Event] = None,
     announce=None,
     chaos=None,
-    drain_timeout: Optional[float] = None,
     install_signals: bool = False,
 ) -> None:
     server = SimulationServer(SimulationService(config, chaos=chaos), host, port)
@@ -687,7 +686,7 @@ async def _run_server(
     try:
         await stop.wait()
     finally:
-        await server.close(drain_timeout)
+        await server.close()
 
 
 def serve(
@@ -695,7 +694,6 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 7543,
     announce=print,
-    drain_timeout: Optional[float] = None,
 ) -> None:
     """Run a server until interrupted (the ``repro serve`` entry).
 
@@ -713,7 +711,6 @@ def serve(
                     f"repro service listening on {addr[0]}:{addr[1]} "
                     f"({protocol.PROTOCOL})"
                 ),
-                drain_timeout=drain_timeout,
                 install_signals=True,
             )
         )
@@ -740,13 +737,11 @@ class ServerThread:
         host: str = "127.0.0.1",
         port: int = 0,
         chaos=None,
-        drain_timeout: Optional[float] = None,
     ) -> None:
         self._config = config
         self._host = host
         self._port = port
         self._chaos = chaos
-        self._drain_timeout = drain_timeout
         self._thread: Optional[threading.Thread] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop: Optional[asyncio.Event] = None
@@ -776,7 +771,6 @@ class ServerThread:
             await _run_server(
                 self._config, self._host, self._port, ready=ready,
                 stop=self._stop, chaos=self._chaos,
-                drain_timeout=self._drain_timeout,
             )
 
         def _announce_started():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dataprep.jpeg import JpegCodec, decode, encode
+from repro.dataprep.jpeg import decode, encode
 from repro.errors import CodecError
 
 
@@ -58,8 +58,7 @@ def test_tiny_image(rng):
 
 
 def test_no_subsampling_mode(smooth_image):
-    codec = JpegCodec(quality=90, subsample=False)
-    out = JpegCodec.decode(codec.encode(smooth_image))
+    out = decode(encode(smooth_image, quality=90, subsample=False))
     assert out.shape == smooth_image.shape
     # 4:4:4 at the same quality is at least as accurate on chroma-rich data.
     sub = decode(encode(smooth_image, quality=90, subsample=True))

@@ -1,10 +1,11 @@
 """Lock-step PNG inflate: identity with the per-stream path, errors,
 and arena (``out=``) delivery.
 
-The deflate lock-step walk only engages above its measured crossover
-(``_LOCKSTEP_MIN_STREAMS``); every test here forces both sides of the
-threshold with ``lockstep_min=`` so the vectorized walk is actually
-exercised on small batches.
+The deflate lock-step walk only engages at its measured crossover
+(``_LOCKSTEP_MIN_STREAMS``); the stream-level tests call the walk
+(``_decompress_lockstep``) directly so it is exercised on small
+batches, and the codec-level tests decode batches on both sides of the
+crossover.
 """
 
 import numpy as np
@@ -43,25 +44,25 @@ def _streams(n, seed=0):
     return blobs
 
 
+def _lockstep(blobs):
+    """The lock-step walk ``decompress_batch`` takes at its crossover."""
+    return deflate._decompress_lockstep(
+        blobs, [deflate._parse_stream(b) for b in blobs]
+    )
+
+
 def test_lockstep_inflate_identity_above_threshold():
     blobs = _streams(12)
     reference = [deflate.decompress(b) for b in blobs]
-    assert deflate.decompress_batch(blobs, lockstep_min=2) == reference
+    assert _lockstep(blobs) == reference
 
 
 def test_below_threshold_uses_per_stream_path_identically():
     blobs = _streams(6, seed=4)
     reference = [deflate.decompress(b) for b in blobs]
-    assert deflate.decompress_batch(blobs, lockstep_min=100) == reference
-    # And the default threshold (192) also routes this small batch
-    # through the per-stream loop with identical bytes.
+    # The default threshold (192) routes this small batch through the
+    # per-stream loop with identical bytes.
     assert deflate.decompress_batch(blobs) == reference
-
-
-def test_lockstep_threshold_floor_is_two():
-    blobs = _streams(3, seed=9)
-    reference = [deflate.decompress(b) for b in blobs]
-    assert deflate.decompress_batch(blobs, lockstep_min=0) == reference
 
 
 def test_malformed_stream_raises_reference_error():
@@ -70,25 +71,28 @@ def test_malformed_stream_raises_reference_error():
     with pytest.raises(CodecError) as reference_err:
         deflate.decompress(truncated)
     blobs[3] = truncated
+    # Enough streams to cross the lock-step threshold.
+    blobs = blobs * (deflate._LOCKSTEP_MIN_STREAMS // len(blobs))
     with pytest.raises(CodecError) as batch_err:
-        deflate.decompress_batch(blobs, lockstep_min=2)
+        deflate.decompress_batch(blobs)
     assert str(batch_err.value) == str(reference_err.value)
 
 
 def test_codec_decode_batch_identity_both_regimes():
-    imgs = _images(10)
-    blobs = [png.encode(img) for img in imgs]
-    for lockstep_min in (2, 100):
-        decoded = png.decode_batch(blobs, lockstep_min=lockstep_min)
+    for n in (10, deflate._LOCKSTEP_MIN_STREAMS):
+        imgs = _images(n)
+        blobs = [png.encode(img) for img in imgs]
+        decoded = png.decode_batch(blobs)
         for img, got in zip(imgs, decoded):
             assert np.array_equal(img, got)
 
 
 def test_codec_decode_batch_out_arena_delivery():
-    imgs = _images(8, h=9, w=7, seed=5)
+    n = deflate._LOCKSTEP_MIN_STREAMS
+    imgs = _images(n, h=9, w=7, seed=5)
     blobs = [png.encode(img) for img in imgs]
-    arena = np.empty((8, 9, 7, 3), dtype=np.uint8)
-    returned = png.decode_batch(blobs, lockstep_min=2, out=arena)
+    arena = np.empty((n, 9, 7, 3), dtype=np.uint8)
+    returned = png.decode_batch(blobs, out=arena)
     assert returned is arena
     for img, got in zip(imgs, arena):
         assert np.array_equal(img, got)

@@ -8,6 +8,7 @@ import pytest
 from repro.dataprep.jpeg import codec, entropy_fast
 from repro.datasets.imagenet import synthesize_image
 from repro.errors import CodecError
+from tests.dataprep.test_ops_batch_equality import _lockstep_decode
 from tests.dataprep.test_ops_batch_equality import _plane_tasks as plane_tasks
 from tests.properties.test_prop_segmented_lockstep import segmentation
 
@@ -102,10 +103,10 @@ def test_corrupt_code_in_any_segment_fails_like_the_single_decode(segment):
             alone = codec.decode(batch[0])
         except CodecError:
             with pytest.raises(CodecError):
-                codec.decode_batch(batch, lockstep_min=2)
+                _lockstep_decode(batch)
             outcomes.add("error")
             continue
-        got = codec.decode_batch(batch, lockstep_min=2)
+        got = _lockstep_decode(batch)
         assert np.array_equal(got[0], alone)
         outcomes.add("decoded")
     assert outcomes == {"error", "decoded"}

@@ -1,12 +1,12 @@
 """Property: the codec fast paths agree with the reference paths on
-arbitrary inputs — ``decode_fast(encode_fast(x)) == decode(encode(x))``
-and the encoded bytes themselves are identical."""
+arbitrary inputs — ``decode(encode(x)) == decode_reference(x_ref)`` where
+the encoded bytes ``encode(x) == x_ref == encode_reference(x)``."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.dataprep.jpeg.codec import JpegCodec
+from repro.dataprep.jpeg import codec
 from repro.dataprep.png import deflate, filters, lz77
 
 small_images = hnp.arrays(
@@ -27,13 +27,11 @@ small_images = hnp.arrays(
 )
 @settings(max_examples=30, deadline=None)
 def test_jpeg_fast_equals_reference(img, quality, subsample):
-    fast = JpegCodec(quality=quality, subsample=subsample, fast=True)
-    ref = JpegCodec(quality=quality, subsample=subsample, fast=False)
-    blob = fast.encode(img)
-    assert blob == ref.encode(img)
-    assert np.array_equal(
-        JpegCodec.decode(blob, fast=True), JpegCodec.decode(blob, fast=False)
+    blob = codec.encode(img, quality=quality, subsample=subsample)
+    assert blob == codec.encode_reference(
+        img, quality=quality, subsample=subsample
     )
+    assert np.array_equal(codec.decode(blob), codec.decode_reference(blob))
 
 
 @given(data=st.binary(max_size=2048), max_chain=st.sampled_from([1, 4, 32]))

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dataprep.jpeg import codec, entropy_fast
 from repro.errors import CodecError
+from tests.dataprep.test_ops_batch_equality import _lockstep_decode
 from tests.dataprep.test_ops_batch_equality import _plane_tasks as plane_tasks
 
 
@@ -128,7 +129,7 @@ def test_corrupt_blob_fails_batch_exactly_when_it_fails_alone(
     blobs[victim] = bytes(bad)
     alone = [outcome(lambda b=b: codec.decode(b)) for b in blobs]
     with segmentation(min_blocks=min_blocks):
-        batch = outcome(lambda: codec.decode_batch(blobs, lockstep_min=2))
+        batch = outcome(lambda: _lockstep_decode(blobs))
     if any(result is CodecError for result in alone):
         assert batch is CodecError
     else:
