@@ -214,6 +214,11 @@ def memo_size() -> int:
 
 # -- cross-process locking ---------------------------------------------------
 
+#: Seconds a writer waits for a contended entry lock before giving up.
+LOCK_TIMEOUT_S = 10.0
+#: Age in seconds past which a lock stamp is reclaimed as orphaned.
+LOCK_STALE_AFTER_S = 30.0
+
 
 class LockTimeout(ConfigError):
     """A :class:`CacheLock` could not be acquired within its timeout."""
@@ -238,8 +243,8 @@ class CacheLock:
     def __init__(
         self,
         path: os.PathLike,
-        timeout: float = 10.0,
-        stale_after: float = 30.0,
+        timeout: float = LOCK_TIMEOUT_S,
+        stale_after: float = LOCK_STALE_AFTER_S,
         poll: float = 0.005,
     ) -> None:
         self.path = Path(path)
@@ -375,14 +380,10 @@ class ResultCache:
         directory: os.PathLike,
         version: int = CACHE_VERSION,
         locked: bool = False,
-        lock_timeout: float = 10.0,
-        lock_stale_after: float = 30.0,
     ):
         self.directory = Path(directory)
         self.version = version
         self.locked = locked
-        self.lock_timeout = lock_timeout
-        self.lock_stale_after = lock_stale_after
         self.stats = CacheStats()
 
     def _path(self, key: str) -> Path:
@@ -393,8 +394,8 @@ class ResultCache:
         path = self._path(key)
         return CacheLock(
             path.with_name(path.name + ".lock"),
-            timeout=self.lock_timeout,
-            stale_after=self.lock_stale_after,
+            timeout=LOCK_TIMEOUT_S,
+            stale_after=LOCK_STALE_AFTER_S,
         )
 
     def get(self, key: str) -> Optional[dict]:

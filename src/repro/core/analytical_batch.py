@@ -442,7 +442,6 @@ def evaluate_grid(
 def evaluate_points(
     points: Sequence,
     keys: Sequence[str],
-    isolate_errors: bool = True,
 ) -> Tuple[
     List[Optional[SimulationResult]],
     List[str],
@@ -461,11 +460,11 @@ def evaluate_points(
       (:func:`repro.core.sweeps.cache_key`, aligned with ``points``),
       before the SoA passes, so requests that spell the same scenario
       twice cost one evaluation; duplicates share the result object.
-    * **per-point error isolation** (``isolate_errors=True``) — a
-      poisoned point (invalid scenario, degenerate rates) must not fail
-      its batch-mates, so errors the grid entry would raise are instead
-      returned in the third, point-aligned list.  The captured
-      exceptions are the very objects the scalar engine would raise.
+    * **per-point error isolation** — a poisoned point (invalid
+      scenario, degenerate rates) must not fail its batch-mates, so
+      errors the grid entry would raise are instead returned in the
+      third, point-aligned list.  The captured exceptions are the very
+      objects the scalar engine would raise.
 
     Returns ``(results, reasons, errors)``, all aligned with
     ``points``.  A point has exactly one of ``results[i]`` (kernel
@@ -483,7 +482,7 @@ def evaluate_points(
             unique_idx.append(idx)
         slot.append(j)
     u_results, u_reasons, u_errors = _evaluate(
-        [points[i] for i in unique_idx], isolate=isolate_errors
+        [points[i] for i in unique_idx], isolate=True
     )
     return (
         [u_results[j] for j in slot],

@@ -143,7 +143,9 @@ class ResilienceConfig:
     Backoff before re-dispatch is ``base · 2^(attempt-1)`` capped at
     ``backoff_cap_s``.  ``shard_timeout_s`` is the per-shard deadline;
     ``heartbeat_timeout_s`` declares a worker dead when its beat (every
-    ``heartbeat_interval_s``) goes stale — 0 disables heartbeats.
+    ``heartbeat_interval_s``) goes stale — 0 disables heartbeats; any
+    other value must exceed the interval, or healthy workers read stale
+    between beats.  A dead or hung worker is always respawned.
     """
 
     max_shard_retries: int = 3
@@ -153,7 +155,6 @@ class ResilienceConfig:
     backoff_cap_s: float = 2.0
     heartbeat_interval_s: float = 0.2
     heartbeat_timeout_s: float = 10.0
-    respawn: bool = True
 
     def __post_init__(self) -> None:
         if self.max_shard_retries < 0 or self.max_total_retries < 0:
@@ -164,6 +165,13 @@ class ResilienceConfig:
             raise DataprepError("backoff times must be >= 0")
         if self.heartbeat_interval_s <= 0:
             raise DataprepError("heartbeat_interval_s must be positive")
+        if self.heartbeat_timeout_s < 0 or (
+            0 < self.heartbeat_timeout_s <= self.heartbeat_interval_s
+        ):
+            raise DataprepError(
+                "heartbeat_timeout_s must be 0 (disabled) or exceed "
+                "heartbeat_interval_s"
+            )
 
 
 @dataclass
@@ -846,7 +854,7 @@ class PrepEngine:
             worker.tasks.close()
             worker.tasks.cancel_join_thread()
             worker.results.close()
-            if res is not None and res.respawn:
+            if res is not None:
                 replacement = self._spawn_worker()
                 self._live[replacement.wid] = replacement
                 self.report.respawns += 1

@@ -139,10 +139,6 @@ class BitReader:
         self._pos = pos
         return value
 
-    @property
-    def bits_left(self) -> int:
-        return len(self._data) * 8 - self._pos
-
 
 # -- vectorized bit I/O ------------------------------------------------------
 

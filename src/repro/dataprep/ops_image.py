@@ -34,16 +34,6 @@ class DecodePng(PrepOp):
             raise DataprepError("decode_png expects compressed bytes")
         return png_codec.decode(bytes(data))
 
-    def apply_batch(
-        self, batch: Any, rngs: Sequence[np.random.Generator]
-    ) -> Any:
-        from repro.dataprep.png import codec as png_codec
-
-        for blob in batch:
-            if not isinstance(blob, (bytes, bytearray)):
-                raise DataprepError("decode_png expects compressed bytes")
-        return stack_samples(png_codec.decode_batch(batch))
-
     def cost(self, spec: SampleSpec) -> Tuple[OpCost, SampleSpec]:
         spec.expect("png", self.name)
         height, width = spec.shape[:2]
@@ -247,16 +237,6 @@ class GaussianNoise(PrepOp):
             raise DataprepError("gaussian_noise expects uint8 pixels")
         noise = rng.standard_normal(data.shape, dtype=np.float32)
         return self._finish(noise, data)
-
-    def apply_reference_f64(
-        self, data: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """The original float64 implementation, kept as the numerical
-        reference the float32 path's goldens were re-pinned against."""
-        if data.dtype != np.uint8:
-            raise DataprepError("gaussian_noise expects uint8 pixels")
-        noisy = data.astype(np.float32) + rng.normal(0.0, self.sigma, data.shape)
-        return np.clip(np.round(noisy), 0, 255).astype(np.uint8)
 
     def _finish(self, noise: np.ndarray, data: np.ndarray) -> np.ndarray:
         # In-place scale/add/round/clip on the float32 noise buffer: no

@@ -254,16 +254,12 @@ class DecodeJpegStage(PlanStage):
 
 
 class DecodePngStage(PlanStage):
-    """PNG blobs → uint8 image stack, decoded straight into the arena;
-    ``describe()`` reports the inflate lock-step crossover."""
+    """PNG blobs → uint8 image stack, decoded straight into the arena."""
 
     invariants = ("deflate_luts",)
 
     def __init__(self, op: Any, geometry: PlanGeometry) -> None:
-        from repro.dataprep.png import deflate
-
         self.fuses = (op.name,)
-        self.lockstep_min = deflate._LOCKSTEP_MIN_STREAMS
         self._slot = np.empty(
             (geometry.batch_size,) + geometry.sample_shape, dtype=np.uint8
         )
@@ -279,9 +275,6 @@ class DecodePngStage(PlanStage):
 
     def slots(self) -> List[Tuple[str, np.ndarray]]:
         return [("decoded", self._slot)]
-
-    def describe(self) -> str:
-        return super().describe() + f"  lockstep_min={self.lockstep_min}"
 
 
 class FusedCropMirrorStage(PlanStage):

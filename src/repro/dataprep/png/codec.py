@@ -42,10 +42,8 @@ def decode(data: bytes) -> np.ndarray:
 
 
 def decode_batch(datas, *, out: "np.ndarray | None" = None) -> list:
-    """Decode many RPNG blobs, inflating their deflate payloads in
-    lock-step at or above the measured crossover
-    (:func:`deflate.decompress_batch`); the row-sequential unfilter pass
-    stays per-image.  Malformed blobs raise the per-blob error.
+    """Decode many RPNG blobs, each inflated by :func:`deflate.decompress`
+    and unfiltered row by row.  Malformed blobs raise the per-blob error.
 
     ``out`` optionally receives the decoded images in place (an
     ``N x h x w x c`` uint8 arena slot; every image must match) and is
@@ -68,9 +66,9 @@ def decode_batch(datas, *, out: "np.ndarray | None" = None) -> list:
             raise CodecError(f"unsupported RPNG version {version}")
         headers.append((h, w, c))
     offset = 4 + struct.calcsize("<BHHB")
-    raws = deflate.decompress_batch([d[offset:] for d in datas])
     results = [] if out is None else out
-    for i, (raw, (h, w, c)) in enumerate(zip(raws, headers)):
+    for i, (data, (h, w, c)) in enumerate(zip(datas, headers)):
+        raw = deflate.decompress(data[offset:])
         stride = w * c
         if len(raw) != h * (stride + 1):
             raise CodecError("decompressed payload has the wrong size")

@@ -10,7 +10,7 @@ machinery is shared with the JPEG codec.
 from __future__ import annotations
 
 import struct
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -232,250 +232,6 @@ def decompress(data: bytes) -> bytes:
         raise
     except (struct.error, IndexError, ValueError, KeyError) as exc:
         raise CodecError(f"malformed deflate stream: {exc}") from exc
-
-
-# Lock-step token decode beats the per-stream loop only once its fixed
-# numpy-dispatch cost per token row (four masked phases over shared
-# windows) is amortized over enough streams.  The crossover is
-# content-dependent: literal-heavy payloads (noise-like filter
-# residuals) cross near ~140 streams because match phases are skipped,
-# match-heavy payloads closer to ~350.  192 is the measured middle
-# ground for photo-like PNG batches.
-_LOCKSTEP_MIN_STREAMS = 192
-
-# Array mirrors for the lock-step walk (uint64 domain: they mix with
-# bit cursors and 64-bit windows).
-_LENGTH_BASE_U64 = np.array(_LENGTH_BASE, dtype=np.uint64)
-_LENGTH_EXTRA_U64 = np.array(_LENGTH_EXTRA, dtype=np.uint64)
-_DIST_BASE_U64 = np.array(_DIST_BASE, dtype=np.uint64)
-_DIST_EXTRA_U64 = np.array(_DIST_EXTRA, dtype=np.uint64)
-
-#: Event rows are stored in chunked matrices of this many iterations
-#: (bounds transient memory without per-iteration list appends).
-_CHUNK_ROWS = 256
-
-
-def decompress_batch(datas: Sequence[bytes]) -> List[bytes]:
-    """Decompress many streams, decoding their Huffman tokens in
-    lock-step (the PR 4 SIMD discipline, extended to the inflate path).
-
-    One vectorized walk advances a bit cursor per stream and decodes
-    one litlen symbol (plus its masked length-extra / distance-symbol /
-    distance-extra phases) per iteration across every live stream; the
-    serial LZ77 expansion then runs per stream over the recorded token
-    matrix, with literal runs emitted as single slices.  Byte-identical
-    to :func:`decompress` per item; malformed streams are re-decoded on
-    the per-stream path so they raise exactly the reference error.
-
-    Below the measured crossover ``_LOCKSTEP_MIN_STREAMS`` the
-    per-stream loop is used directly.
-    """
-    datas = [bytes(d) for d in datas]
-    if len(datas) < _LOCKSTEP_MIN_STREAMS:
-        return [decompress(d) for d in datas]
-    try:
-        parsed = [_parse_stream(d) for d in datas]
-    except CodecError:
-        # At least one malformed header: per-stream decode reports it
-        # with the exact reference error (in input order).
-        return [decompress(d) for d in datas]
-    return _decompress_lockstep(datas, parsed)
-
-
-def _parse_stream(data: bytes):
-    """(expected_len, litlen runtime, dist runtime | None, payload)."""
-    try:
-        (expected_len,) = struct.unpack_from("<I", data, 0)
-        offset = 4
-        litlen_spec, offset = _read_table(data, offset)
-        lit_rt = table_runtime(litlen_spec)
-        has_dist = data[offset]
-        offset += 1
-        dist_rt = None
-        if has_dist:
-            dist_spec, offset = _read_table(data, offset)
-            dist_rt = table_runtime(dist_spec)
-        return expected_len, lit_rt, dist_rt, data[offset:]
-    except CodecError:
-        raise
-    except (struct.error, IndexError, ValueError, KeyError) as exc:
-        raise CodecError(f"malformed deflate stream: {exc}") from exc
-
-
-def _decompress_lockstep(datas: List[bytes], parsed: List) -> List[bytes]:
-    from repro.dataprep.jpeg.huffman import bit_windows_array
-
-    n = len(datas)
-    expected = [p[0] for p in parsed]
-    payloads = [p[3] for p in parsed]
-
-    # Flat per-stream windows: window index = woff[s] + (pos[s] >> 3).
-    wins = [bit_windows_array(p) for p in payloads]
-    woff = np.zeros(n, dtype=np.uint64)
-    woff[1:] = np.cumsum([len(w) for w in wins[:-1]])
-    warr = np.concatenate(wins)
-    total_bits = np.array([len(p) * 8 for p in payloads], dtype=np.uint64)
-
-    # Flat LUTs with per-stream offsets and widths.  The peek uses each
-    # stream's own width via ``>> (63 - bits) >> 1`` (two shifts keep
-    # the shift count in 0..63 even for 0-bit reads).
-    lit_luts = [np.asarray(p[1].lut, dtype=np.int64) for p in parsed]
-    lit_off = np.zeros(n, dtype=np.uint64)
-    lit_off[1:] = np.cumsum([lu.size for lu in lit_luts[:-1]])
-    lit_flat = np.concatenate(lit_luts)
-    lit_shift = np.array(
-        [63 - p[1].lut_bits for p in parsed], dtype=np.uint64
-    )
-    # Streams without a distance table get a 2-entry invalid LUT: any
-    # match attempt decodes entry 0 and the lane falls back per-stream
-    # (which raises the exact "no distance table" error).
-    dist_luts = [
-        np.asarray(p[2].lut, dtype=np.int64)
-        if p[2] is not None
-        else np.zeros(2, dtype=np.int64)
-        for p in parsed
-    ]
-    dist_off = np.zeros(n, dtype=np.uint64)
-    dist_off[1:] = np.cumsum([lu.size for lu in dist_luts[:-1]])
-    dist_flat = np.concatenate(dist_luts)
-    dist_shift = np.array(
-        [63 - (p[2].lut_bits if p[2] is not None else 1) for p in parsed],
-        dtype=np.uint64,
-    )
-
-    pos = np.zeros(n, dtype=np.uint64)
-    done = np.zeros(n, dtype=bool)
-    failed = np.zeros(n, dtype=bool)
-    t_end = np.full(n, -1, dtype=np.int64)
-    prev_pos = pos.copy()
-    SEVEN = np.uint64(7)
-    THREE = np.uint64(3)
-    ONE = np.uint64(1)
-    K29 = np.uint64(29)
-
-    def peek(width_shift: np.ndarray) -> np.ndarray:
-        """Next bits of every stream at its cursor, MSB-aligned to each
-        stream's width (``width_shift`` = 63 - width)."""
-        win = warr[(pos >> THREE) + woff]
-        return ((win << (pos & SEVEN)) >> width_shift) >> ONE
-
-    sym_chunks: List[np.ndarray] = []
-    md_chunks: List[np.ndarray] = []
-    T = 0
-    row = _CHUNK_ROWS  # force allocation on the first iteration
-    while not done.all():
-        if row == _CHUNK_ROWS:
-            sym_chunks.append(np.zeros((_CHUNK_ROWS, n), dtype=np.uint16))
-            md_chunks.append(np.zeros((_CHUNK_ROWS, n), dtype=np.uint32))
-            row = 0
-        active = ~done
-
-        # Phase A: one litlen symbol per stream.
-        entry = lit_flat[peek(lit_shift) + lit_off]
-        sym = (entry >> 5) * active
-        pos += (entry & 31).astype(np.uint64) * active
-
-        # Phases B-D fire only when some lane decoded a match this
-        # iteration — filtered PNG residuals are literal-heavy, so most
-        # iterations skip three of the four window reads.
-        ismatch = active & (sym > END_OF_BLOCK)
-        if ismatch.any():
-            # Phase B: length extra bits (match lanes only).
-            lidx = np.minimum(np.maximum(sym - 257, 0), 28)
-            failed |= ismatch & (sym - 257 > 28)
-            nb = _LENGTH_EXTRA_U64[lidx] * ismatch
-            length = (_LENGTH_BASE_U64[lidx] + peek(63 - nb)) * ismatch
-            pos += nb
-
-            # Phase C: distance symbol (match lanes only).
-            dentry = dist_flat[peek(dist_shift) + dist_off]
-            dstall = ismatch & (dentry == 0)
-            dsym = ((dentry >> 5) * ismatch).astype(np.uint64)
-            failed |= ismatch & (dsym > K29)
-            pos += (dentry & 31).astype(np.uint64) * ismatch
-
-            # Phase D: distance extra bits (match lanes only).
-            dnb = _DIST_EXTRA_U64[np.minimum(dsym, K29)] * ismatch
-            distance = _DIST_BASE_U64[np.minimum(dsym, K29)] + peek(63 - dnb)
-            distance *= ismatch
-            pos += dnb
-
-            failed |= dstall
-            md_chunks[-1][row] = (length << np.uint64(16)) | distance
-        # else: the pre-zeroed md row already encodes "no match".
-
-        # A consumed token that ran past its stream is an underrun.
-        over = active & (pos > total_bits)
-        failed |= over
-        np.minimum(pos, total_bits, out=pos)
-
-        sym_chunks[-1][row] = sym
-
-        isend = active & (sym == END_OF_BLOCK)
-        t_end[isend] = T
-        done |= isend | failed
-        row += 1
-        T += 1
-        if T % 64 == 0:
-            # An invalid litlen prefix never advances its cursor; flag
-            # stalled lanes so the per-stream path raises for them.
-            stalled = ~done & (pos == prev_pos)
-            failed |= stalled
-            done |= stalled
-            np.copyto(prev_pos, pos)
-
-    sym_mat = np.concatenate(sym_chunks)[:T]
-    md_mat = np.concatenate(md_chunks)[:T]
-
-    out: List[Optional[bytes]] = [None] * n
-    for s in range(n):
-        if not failed[s] and t_end[s] >= 0:
-            out[s] = _expand_lane(
-                sym_mat[: t_end[s], s], md_mat[: t_end[s], s], expected[s]
-            )
-        if out[s] is None:
-            # Malformed (or lock-step-inapplicable) lane: the reference
-            # path reproduces the exact CodecError.
-            out[s] = decompress(datas[s])
-    return out  # type: ignore[return-value]
-
-
-def _expand_lane(
-    syms: np.ndarray, mds: np.ndarray, expected_len: int
-) -> Optional[bytes]:
-    """LZ77 expansion of one stream's token column; literal runs are
-    emitted as single slices.  None marks a malformed token stream (the
-    caller re-decodes it per-stream for the exact error)."""
-    matches = np.flatnonzero(syms > END_OF_BLOCK)
-    lit = syms.astype(np.uint8)
-    if matches.size == 0:
-        body = lit.tobytes()
-        return body if len(body) == expected_len else None
-    lens = (mds[matches] >> 16).tolist()
-    dists = (mds[matches] & 0xFFFF).tolist()
-    buf = bytearray()
-    prev = 0
-    for m, length, distance in zip(matches.tolist(), lens, dists):
-        if m > prev:
-            buf += lit[prev:m].tobytes()
-        produced = len(buf)
-        if (
-            produced + length > expected_len
-            or distance == 0
-            or distance > produced
-        ):
-            return None
-        start = produced - distance
-        if distance >= length:
-            buf += buf[start : start + length]
-        else:
-            seg = bytes(buf[start:])
-            reps = -(-length // distance)
-            buf += (seg * reps)[:length]
-        prev = m + 1
-    if prev < syms.size:
-        buf += lit[prev:].tobytes()
-    return bytes(buf) if len(buf) == expected_len else None
 
 
 def decompress_reference(data: bytes) -> bytes:

@@ -180,9 +180,6 @@ class PcieTopology:
     def endpoints(self) -> List[Node]:
         return [n for n in self._nodes.values() if n.kind is NodeKind.ENDPOINT]
 
-    def endpoints_where(self, predicate) -> List[Node]:
-        return [n for n in self.endpoints() if predicate(n)]
-
     def __len__(self) -> int:
         return len(self._nodes)
 

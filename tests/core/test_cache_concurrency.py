@@ -105,7 +105,7 @@ def test_stale_lock_from_killed_process_is_reclaimed(tmp_path):
     p.start()
     p.join(timeout=30)
     assert p.exitcode == 0
-    cache = ResultCache(directory, locked=True, lock_timeout=10.0)
+    cache = ResultCache(directory, locked=True)
     lock_path = cache.lock(key).path
     assert lock_path.exists()  # orphaned
     # The dead owner's pid is detected and the lock reclaimed well

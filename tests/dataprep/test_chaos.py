@@ -223,6 +223,18 @@ def test_retry_budget_exhaustion_raises(clean):
         _run(chaos=chaos, resilience=res)
 
 
+def test_heartbeat_timeout_must_be_zero_or_exceed_the_interval():
+    # Negative would silently disable heartbeats; at or below the beat
+    # interval every healthy worker reads stale between beats.
+    for timeout in (-1.0, 0.1, 0.2):
+        with pytest.raises(DataprepError, match="heartbeat_timeout_s"):
+            ResilienceConfig(heartbeat_interval_s=0.2, heartbeat_timeout_s=timeout)
+    assert ResilienceConfig(heartbeat_timeout_s=0).heartbeat_timeout_s == 0
+    assert ResilienceConfig(
+        heartbeat_interval_s=0.2, heartbeat_timeout_s=0.25
+    ).heartbeat_timeout_s == 0.25
+
+
 def test_process_chaos_requires_workers():
     for kind in ("crash", "hang", "lose_result"):
         with pytest.raises(DataprepError):

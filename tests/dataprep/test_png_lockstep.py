@@ -1,19 +1,19 @@
-"""Lock-step PNG inflate: identity with the per-stream path, errors,
-and arena (``out=``) delivery.
+"""PNG ``decode_batch``: identity with the source images and per-blob
+``decode``, errors, and arena (``out=``) delivery.
 
-The deflate lock-step walk only engages at its measured crossover
-(``_LOCKSTEP_MIN_STREAMS``); the stream-level tests call the walk
-(``_decompress_lockstep``) directly so it is exercised on small
-batches, and the codec-level tests decode batches on both sides of the
-crossover.
+Every blob is inflated by the table-driven ``deflate.decompress``.  The
+192- and 256-blob batches cover the sizes at which a lock-step inflate
+walk measured faster (at most ~1.3x), so any batched inflate added there
+must keep these pixels and errors.
 """
 
 import numpy as np
 import pytest
 
 from repro.dataprep.png import codec as png
-from repro.dataprep.png import deflate
 from repro.errors import CodecError
+
+_BATCH_SIZES = (192, 256)
 
 
 def _images(n, h=12, w=10, seed=0):
@@ -32,63 +32,31 @@ def _images(n, h=12, w=10, seed=0):
     return out
 
 
-def _streams(n, seed=0):
-    rng = np.random.default_rng(seed)
-    blobs = []
-    for i in range(n):
-        if i % 3 == 0:
-            raw = bytes(rng.integers(0, 256, 200 + i, dtype=np.uint8))
-        else:  # repetitive payload: exercises the match phases
-            raw = (b"abcdef" * 40 + bytes([i]))[: 180 + i]
-        blobs.append(deflate.compress(raw))
-    return blobs
-
-
-def _lockstep(blobs):
-    """The lock-step walk ``decompress_batch`` takes at its crossover."""
-    return deflate._decompress_lockstep(
-        blobs, [deflate._parse_stream(b) for b in blobs]
-    )
-
-
-def test_lockstep_inflate_identity_above_threshold():
-    blobs = _streams(12)
-    reference = [deflate.decompress(b) for b in blobs]
-    assert _lockstep(blobs) == reference
-
-
-def test_below_threshold_uses_per_stream_path_identically():
-    blobs = _streams(6, seed=4)
-    reference = [deflate.decompress(b) for b in blobs]
-    # The default threshold (192) routes this small batch through the
-    # per-stream loop with identical bytes.
-    assert deflate.decompress_batch(blobs) == reference
-
-
 def test_malformed_stream_raises_reference_error():
-    blobs = _streams(8, seed=2)
+    blobs = [png.encode(img) for img in _images(8, seed=2)]
     truncated = blobs[3][: len(blobs[3]) // 2]
     with pytest.raises(CodecError) as reference_err:
-        deflate.decompress(truncated)
+        png.decode(truncated)
     blobs[3] = truncated
-    # Enough streams to cross the lock-step threshold.
-    blobs = blobs * (deflate._LOCKSTEP_MIN_STREAMS // len(blobs))
+    blobs = blobs * (_BATCH_SIZES[0] // len(blobs))
     with pytest.raises(CodecError) as batch_err:
-        deflate.decompress_batch(blobs)
+        png.decode_batch(blobs)
     assert str(batch_err.value) == str(reference_err.value)
 
 
-def test_codec_decode_batch_identity_both_regimes():
-    for n in (10, deflate._LOCKSTEP_MIN_STREAMS):
-        imgs = _images(n)
-        blobs = [png.encode(img) for img in imgs]
-        decoded = png.decode_batch(blobs)
-        for img, got in zip(imgs, decoded):
-            assert np.array_equal(img, got)
+@pytest.mark.parametrize("n", _BATCH_SIZES)
+def test_codec_decode_batch_matches_sources_and_per_blob_decode(n):
+    imgs = _images(n)
+    blobs = [png.encode(img) for img in imgs]
+    decoded = png.decode_batch(blobs)
+    assert len(decoded) == n
+    for img, blob, got in zip(imgs, blobs, decoded):
+        assert np.array_equal(img, got)
+        assert np.array_equal(png.decode(blob), got)
 
 
 def test_codec_decode_batch_out_arena_delivery():
-    n = deflate._LOCKSTEP_MIN_STREAMS
+    n = _BATCH_SIZES[0]
     imgs = _images(n, h=9, w=7, seed=5)
     blobs = [png.encode(img) for img in imgs]
     arena = np.empty((n, 9, 7, 3), dtype=np.uint8)

@@ -296,10 +296,8 @@ POISON_SCALE = 16
 
 
 def _poisoning(real):
-    def evaluate_points(points, keys, isolate_errors=True):
-        results, reasons, errors = real(
-            points, keys, isolate_errors=isolate_errors
-        )
+    def evaluate_points(points, keys):
+        results, reasons, errors = real(points, keys)
         results, errors = list(results), list(errors)
         for i, point in enumerate(points):
             if point.scale == POISON_SCALE:
@@ -361,7 +359,7 @@ def test_error_envelope_matches_unbatched_path(monkeypatch):
     )
     [kernel] = _gather(via_kernel, [_envelope(poisoned)])
 
-    def declining(points, keys, isolate_errors=True):
+    def declining(points, keys):
         nothing = [None] * len(points)
         return nothing, ["declined"] * len(points), nothing
 
