@@ -8,6 +8,8 @@ calibrated constants from :mod:`repro.dataprep.cost`.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Any, Sequence, Tuple
 
@@ -220,34 +222,96 @@ class Mirror(PrepOp):
         return op, spec
 
 
+#: Entries of a :func:`noise_table`: one per 16-bit uniform draw.
+NOISE_LEVELS = 1 << 16
+
+#: Largest offset a noise table stores.  Any larger offset already clips
+#: every uint8 pixel to 0 or 255, so saturating there leaves the op's
+#: output unchanged and keeps ``pixel + offset`` inside int16.
+_MAX_OFFSET = 255
+
+
+@functools.lru_cache(maxsize=32)
+def noise_table(sigma: float) -> np.ndarray:
+    """The read-only int16 inverse-CDF table of ``round(sigma * Z)``.
+
+    Entry ``u`` is the offset a 16-bit uniform draw ``u`` maps to: the
+    smallest ``k`` with ``E(k) > u``, where the edge ``E(k)`` is the CDF
+    ``P(round(sigma * Z) <= k) = Phi((k + 1/2) / sigma)`` rounded to a
+    multiple of ``2**-16``.  So each offset's mass is within ``2**-16``
+    of the rounded-Gaussian pmf, and a tail whose mass is below
+    ``2**-17`` rounds to an empty bin and never appears.  The edges come
+    from the upper tail alone and are mirrored, so ``T[-1 - u] == -T[u]``
+    holds exactly.  ``sigma == 0`` gives the all-zero table.
+    """
+    scale = sigma * math.sqrt(2.0)
+    # tail[k] = round(2**16 * P(round(sigma * Z) > k)) for k in [0, 255).
+    tail = np.array(
+        [
+            round(NOISE_LEVELS * 0.5 * math.erfc((k + 0.5) / scale)) if scale else 0
+            for k in range(_MAX_OFFSET)
+        ],
+        dtype=np.int64,
+    )
+    # E(-255) .. E(-1) are the mirrored tails, E(0) .. E(254) their
+    # complements; draws past either end saturate at -255 / +255.
+    edges = np.concatenate([tail[::-1], NOISE_LEVELS - tail])
+    every_draw = np.arange(NOISE_LEVELS)
+    table = np.searchsorted(edges, every_draw, side="right") - _MAX_OFFSET
+    table = table.astype(np.int16)
+    table.setflags(write=False)
+    return table
+
+
+def add_table_noise(
+    table: np.ndarray,
+    data: np.ndarray,
+    rngs: Sequence[np.random.Generator],
+    out: np.ndarray,
+) -> np.ndarray:
+    """Write ``clip(data[i] + table[u], 0, 255)`` into the int16 ``out[i]``,
+    with one 16-bit uniform ``u`` per element drawn from ``rngs[i]`` —
+    the draws :meth:`GaussianNoise.apply` makes.
+
+    The gather runs one sample at a time on purpose: ``np.take`` turns
+    its uint16 indices into an intp array, 8 bytes per element, so a
+    batch-wide gather would allocate four times the batch's int16 size.
+    ``data[i] + table[u]`` lies in [-255, 510], so int16 cannot overflow.
+    """
+    for row, rng in zip(out, rngs):
+        draws = rng.integers(0, NOISE_LEVELS, size=row.shape, dtype=np.uint16)
+        # Every uint16 draw indexes the 2**16-entry table, so "wrap" never
+        # wraps; unlike the default mode it writes ``out`` unbuffered.
+        np.take(table, draws, out=row, mode="wrap")
+    out += data
+    np.clip(out, 0, 255, out=out)
+    return out
+
+
 @dataclass
 class GaussianNoise(PrepOp):
-    """Additive Gaussian noise on uint8 pixels, clipped to range."""
+    """Additive rounded-Gaussian noise on uint8 pixels, clipped to range.
+
+    Table-driven, as a hardware noise engine is: each subpixel draws a
+    16-bit uniform ``u`` from the sample's generator and adds the offset
+    ``noise_table(sigma)[u]``; the sum is clipped to [0, 255].
+    """
 
     sigma: float = 4.0
     name: str = "gaussian_noise"
     kind: str = "noise"
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise DataprepError(f"sigma must be >= 0: {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise DataprepError(f"sigma must be finite and >= 0: {self.sigma}")
 
     def apply(self, data: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         if data.dtype != np.uint8:
             raise DataprepError("gaussian_noise expects uint8 pixels")
-        noise = rng.standard_normal(data.shape, dtype=np.float32)
-        return self._finish(noise, data)
-
-    def _finish(self, noise: np.ndarray, data: np.ndarray) -> np.ndarray:
-        # In-place scale/add/round/clip on the float32 noise buffer: no
-        # float64 temporary is ever materialized.  The op sequence is
-        # shared between the scalar and batched paths so their math is
-        # bit-identical by construction.
-        noise *= np.float32(self.sigma)
-        noise += data
-        np.round(noise, out=noise)
-        np.clip(noise, 0.0, 255.0, out=noise)
-        return noise.astype(np.uint8)
+        draws = rng.integers(0, NOISE_LEVELS, size=data.shape, dtype=np.uint16)
+        # int16 offsets + uint8 pixels promote to int16: no overflow.
+        noisy = noise_table(self.sigma)[draws] + data
+        return np.clip(noisy, 0, 255).astype(np.uint8)
 
     def apply_batch(
         self, batch: Any, rngs: Sequence[np.random.Generator]
@@ -256,13 +320,9 @@ class GaussianNoise(PrepOp):
             return super().apply_batch(batch, rngs)
         if batch.dtype != np.uint8:
             raise DataprepError("gaussian_noise expects uint8 pixels")
-        noise = np.empty(batch.shape, dtype=np.float32)
-        for row, rng in zip(noise, rngs):
-            # Same per-sample draw as ``apply``, written straight into
-            # the batch-wide buffer; the fused arithmetic below then runs
-            # once over the whole stack.
-            rng.standard_normal(row.shape, dtype=np.float32, out=row)
-        return self._finish(noise, batch)
+        noisy = np.empty(batch.shape, dtype=np.int16)
+        add_table_noise(noise_table(self.sigma), batch, rngs, noisy)
+        return noisy.astype(np.uint8)
 
     def cost(self, spec: SampleSpec) -> Tuple[OpCost, SampleSpec]:
         spec.expect("image_u8", self.name)

@@ -8,11 +8,11 @@ speed into pipeline-level speed (the FFCV insight):
 
 * **fusion** — adjacent element-wise ops collapse into single passes
   (``random_crop``+``mirror`` become one strided per-sample copy;
-  ``gaussian_noise``+``cast`` share one float32 buffer and never
+  ``gaussian_noise``+``cast`` share one int16 buffer and never
   round-trip through uint8);
 * **invariant hoisting** — per-batch constants (Huffman/quant LUTs via
-  their caches, mel banks, Hann windows, crop index layouts) are bound
-  at compile time, outside the batch loop;
+  their caches, the noise table, mel banks, Hann windows, crop index
+  layouts) are bound at compile time, outside the batch loop;
 * **pooled arenas** — every intermediate is a pre-sized slot allocated
   at compile time, so steady-state ``execute()`` calls allocate nothing
   beyond codec-internal temporaries that are freed within the call
@@ -46,6 +46,7 @@ import numpy as np
 
 from repro import cache, obs
 from repro.errors import DataprepError
+from repro.dataprep.ops_image import add_table_noise, noise_table
 from repro.dataprep.pipeline import PrepPipeline, SampleSpec
 
 __all__ = [
@@ -254,9 +255,9 @@ class DecodeJpegStage(PlanStage):
 
 
 class DecodePngStage(PlanStage):
-    """PNG blobs → uint8 image stack, decoded straight into the arena."""
-
-    invariants = ("deflate_luts",)
+    """PNG blobs → uint8 image stack, decoded straight into the arena.
+    Nothing is hoisted: every RPNG stream carries its own Huffman
+    tables."""
 
     def __init__(self, op: Any, geometry: PlanGeometry) -> None:
         self.fuses = (op.name,)
@@ -370,68 +371,59 @@ class MirrorStage(PlanStage):
 
 
 class FusedNoiseCastStage(PlanStage):
-    """``gaussian_noise`` + ``cast`` sharing one float32 buffer: noise is
-    drawn per-sample straight into the slot, the add/round/clip run in
-    place, and the normalize-multiply writes the float32 output slot —
-    the uint8 round-trip between the two ops disappears.  Bit-identity
-    holds because post-clip values are exact integers in [0, 255], all
-    exactly representable in float32, so skipping the uint8 cast cannot
-    change a ulp."""
+    """``gaussian_noise`` + ``cast`` over one int16 slot: each sample's
+    table offsets are gathered straight into the slot, the add and clip
+    run in place over the whole batch, and the normalize-multiply writes
+    the float32 output slot — the uint8 round-trip between the two ops
+    disappears.  Bit-identity holds because post-clip values are
+    exact integers in [0, 255] and int16 → float32 is exact, so the
+    multiply sees the operands ``cast`` would."""
+
+    invariants = ("noise_table",)
 
     def __init__(self, noise: Any, castop: Any, geometry: PlanGeometry,
                  in_shape: Tuple[int, ...]) -> None:
         self.fuses = (noise.name, castop.name)
-        self._noise = noise
+        self._table = noise_table(noise.sigma)
         self._scale = np.float32(castop.scale)
         shape = (geometry.batch_size,) + in_shape
-        self._buf = np.empty(shape, dtype=np.float32)
+        self._noisy = np.empty(shape, dtype=np.int16)
         self._out = np.empty(shape, dtype=np.float32)
 
     def run(self, data: Any, rngs: Sequence[np.random.Generator]) -> Any:
         if data.dtype != np.uint8:
             raise DataprepError("gaussian_noise expects uint8 pixels")
-        buf = self._buf
-        for row, rng in zip(buf, rngs):
-            rng.standard_normal(row.shape, dtype=np.float32, out=row)
-        buf *= np.float32(self._noise.sigma)
-        buf += data
-        np.round(buf, out=buf)
-        np.clip(buf, 0.0, 255.0, out=buf)
-        np.multiply(buf, self._scale, out=self._out)
+        noisy = add_table_noise(self._table, data, rngs, self._noisy)
+        np.multiply(noisy, self._scale, out=self._out)
         return self._out
 
     def slots(self) -> List[Tuple[str, np.ndarray]]:
-        return [("noise", self._buf), ("out_f32", self._out)]
+        return [("noisy", self._noisy), ("out_f32", self._out)]
 
 
 class NoiseStage(PlanStage):
     """Standalone ``gaussian_noise`` (uint8 → uint8 through the arena)."""
 
+    invariants = ("noise_table",)
+
     def __init__(self, noise: Any, geometry: PlanGeometry,
                  in_shape: Tuple[int, ...]) -> None:
         self.fuses = (noise.name,)
-        self._noise = noise
+        self._table = noise_table(noise.sigma)
         shape = (geometry.batch_size,) + in_shape
-        self._buf = np.empty(shape, dtype=np.float32)
+        self._noisy = np.empty(shape, dtype=np.int16)
         self._out = np.empty(shape, dtype=np.uint8)
 
     def run(self, data: Any, rngs: Sequence[np.random.Generator]) -> Any:
         if data.dtype != np.uint8:
             raise DataprepError("gaussian_noise expects uint8 pixels")
-        buf = self._buf
-        for row, rng in zip(buf, rngs):
-            rng.standard_normal(row.shape, dtype=np.float32, out=row)
-        buf *= np.float32(self._noise.sigma)
-        buf += data
-        np.round(buf, out=buf)
-        np.clip(buf, 0.0, 255.0, out=buf)
-        # Assignment truncates exactly like astype; post-clip values are
-        # exact integers so both match the reference bits.
-        self._out[...] = buf
+        noisy = add_table_noise(self._table, data, rngs, self._noisy)
+        # Post-clip values lie in [0, 255], so the narrowing copy is exact.
+        np.copyto(self._out, noisy, casting="unsafe")
         return self._out
 
     def slots(self) -> List[Tuple[str, np.ndarray]]:
-        return [("noise", self._buf), ("out_u8", self._out)]
+        return [("noisy", self._noisy), ("out_u8", self._out)]
 
 
 class CastStage(PlanStage):

@@ -1,5 +1,7 @@
 """Tests for the image preparation operations."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,9 @@ from repro.dataprep.ops_image import (
     Mirror,
     RandomCrop,
     image_pipeline,
+    noise_table,
 )
-from repro.dataprep.pipeline import SampleSpec
+from repro.dataprep.pipeline import SampleSpec, spawn_rngs
 from repro.errors import DataprepError
 
 
@@ -85,6 +88,69 @@ def test_noise_zero_sigma_near_identity(rng):
 def test_noise_requires_uint8(rng):
     with pytest.raises(DataprepError):
         GaussianNoise().apply(np.zeros((4, 4, 3), dtype=np.float32), rng)
+
+
+@pytest.mark.parametrize("sigma", [-1.0, math.inf, math.nan])
+def test_noise_sigma_validated(sigma):
+    with pytest.raises(DataprepError):
+        GaussianNoise(sigma=sigma)
+
+
+def _tail(sigma, k):
+    """P(round(sigma * Z) > k) for a standard normal Z."""
+    return 0.5 * math.erfc((k + 0.5) / (sigma * math.sqrt(2.0)))
+
+
+@pytest.mark.parametrize("sigma", [4.0, 16.0])
+def test_noise_table_is_the_quantized_rounded_gaussian(sigma):
+    table = noise_table(sigma)
+    assert table.dtype == np.int16 and table.shape == (1 << 16,)
+    assert not table.flags.writeable
+    assert np.all(np.diff(table) >= 0), "an inverse CDF is monotone"
+    assert np.array_equal(table[::-1], -table), "not symmetric"
+    kmax = int(table.max())
+    # A far-tail offset whose mass is under 2**-16 may own no entry.
+    counts = np.bincount(table + kmax, minlength=2 * kmax + 1)
+    for k, count in zip(range(-kmax, kmax + 1), counts.tolist()):
+        pmf = _tail(sigma, k - 1) - _tail(sigma, k)
+        assert abs(count / 2**16 - pmf) <= 2**-16, f"offset {k}"
+    # Truncated exactly where the tail mass falls below 2**-17.
+    assert _tail(sigma, kmax) < 2**-17 <= _tail(sigma, kmax - 1)
+
+
+def test_noise_table_zero_sigma_and_saturation():
+    assert not noise_table(0.0).any()
+    wide = noise_table(1e4)
+    assert wide.min() == -255 and wide.max() == 255
+    assert np.array_equal(wide[::-1], -wide)
+
+
+@pytest.mark.parametrize("sigma", [4.0, 16.0])
+def test_noise_op_chi_square_against_table_pmf(sigma):
+    """Over 10**7 draws of the op at mid-grey (no clipping), the offset
+    histogram fits the table's pmf: chi-square below its 1e-4 critical
+    value (Wilson-Hilferty approximation of the chi-square quantile)."""
+    op = GaussianNoise(sigma=sigma)
+    img = np.full((224, 224, 3), 128, dtype=np.uint8)
+    samples = -(-10**7 // img.size)
+    table = noise_table(sigma)
+    kmax = int(table.max())
+    assert 128 + kmax < 255 and 128 - kmax > 0
+    observed = np.zeros(2 * kmax + 1, dtype=np.int64)
+    for rng in spawn_rngs(np.random.default_rng(2024), samples):
+        out = op.apply(img, rng).astype(np.int64) - 128 + kmax
+        observed += np.bincount(out.ravel(), minlength=observed.size)
+    draws = observed.sum()
+    assert draws >= 10**7
+    expected = draws * np.bincount(table + kmax, minlength=observed.size) / 2**16
+    drawn = expected > 0
+    assert not observed[~drawn].any(), "an offset outside the table"
+    observed, expected = observed[drawn], expected[drawn]
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    dof = observed.size - 1
+    z = 3.719  # standard normal quantile at 1 - 1e-4
+    critical = dof * (1 - 2 / (9 * dof) + z * math.sqrt(2 / (9 * dof))) ** 3
+    assert chi2 < critical, f"chi2={chi2:.1f} over {dof} dof (critical {critical:.1f})"
 
 
 def test_cast_scales_to_unit_range(rng):

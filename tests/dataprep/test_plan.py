@@ -25,6 +25,10 @@ from repro.dataprep.ops_image import (
 )
 from repro.dataprep.pipeline import PrepPipeline, spawn_rngs
 from repro.dataprep.plan import (
+    DecodePngStage,
+    FusedNoiseCastStage,
+    NoiseStage,
+    PlanGeometry,
     PlanInapplicable,
     compile_plan,
     geometry_for_batch,
@@ -230,6 +234,7 @@ def test_describe_names_fusions_hoists_and_arena():
     assert "random_crop+mirror" in text
     assert "gaussian_noise+cast" in text
     assert "huffman_luts" in text
+    assert "noise_table" in text
     assert "lockstep_min" in text
     assert "arena:" in text
     atext = try_plan(
@@ -238,6 +243,59 @@ def test_describe_names_fusions_hoists_and_arena():
     ).describe()
     assert "hann_window" in atext
     assert "mel_bank" in atext
+
+
+def test_png_decode_stage_claims_no_hoisted_invariant():
+    """Every RPNG stream carries its own Huffman tables, so there is no
+    per-batch constant for the PNG decode stage to hoist."""
+    pipe = image_pipeline(out_height=32, out_width=32, source_format="png")
+    blobs = [png.encode(img) for img in _images(2, 48, 48, seed=9)]
+    plan = try_plan(pipe, blobs)
+    decode = plan.stages[0]
+    assert isinstance(decode, DecodePngStage)
+    assert decode.invariants == ()
+    assert "hoisted" not in decode.describe()
+
+
+def test_standalone_noise_stage_hoists_the_table():
+    pipe = PrepPipeline(
+        [GaussianNoise(sigma=2.0), Mirror(probability=0.5)], name="noise-first"
+    )
+    plan = try_plan(pipe, np.stack(_images(2, 8, 8)))
+    assert isinstance(plan.stages[0], NoiseStage)
+    assert "hoisted[noise_table]" in plan.stages[0].describe()
+
+
+@pytest.mark.parametrize("fused", [True, False], ids=["noise+cast", "noise"])
+def test_noise_stage_transient_memory_is_per_sample(fused):
+    """At batch 32 x 224x224x3 a noise stage's peak traced allocation
+    stays within a few of one sample's intp index array (1.2 MB): the
+    table gather runs per sample, because a batch-wide ``np.take`` would
+    materialize a 38.5 MB intp index array.  The stage's own arena
+    absorbs every batch-sized buffer."""
+    n, shape = 32, (224, 224, 3)
+    geometry = PlanGeometry(n, "array", shape, "uint8")
+    noise = GaussianNoise(sigma=4.0)
+    if fused:
+        stage = FusedNoiseCastStage(noise, CastToFloat(), geometry, shape)
+    else:
+        stage = NoiseStage(noise, geometry, shape)
+    batch = np.full((n,) + shape, 128, dtype=np.uint8)
+    stage.run(batch, spawn_rngs(np.random.default_rng(0), n))
+    rngs = spawn_rngs(np.random.default_rng(1), n)
+    sample_index_bytes = int(np.prod(shape)) * np.dtype(np.intp).itemsize
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        stage.run(batch, rngs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 3 * sample_index_bytes, (
+        f"peak transient {peak - base} bytes; one sample's index array "
+        f"is {sample_index_bytes}"
+    )
 
 
 def test_execute_batch_size_mismatch_raises_before_any_stage():
