@@ -18,7 +18,9 @@ host's speed:
   (256 × 256² JPEG batch);
 * the compiled prep plan ≥1.05× the per-op vectorized path on the
   decode-bound JPEG pipeline and ≥1.3× on the audio pipeline (measured
-  in a fresh process, see :func:`audio_plan_speedup`).
+  in a fresh process, see :func:`audio_plan_speedup`);
+* windowed JPEG decode (224 of 256, mirrored into the slot) ≥1.05× the
+  full decode plus the plan's crop-and-mirror copy, batch 32.
 
 Every path pair is checked bit-identical **before** anything is timed:
 a fast path that is wrong never produces a number.  Plain pytest, no
@@ -49,6 +51,9 @@ MIN_JPEG_PLAN_SPEEDUP = 1.05
 MIN_AUDIO_PLAN_SPEEDUP = 1.3
 #: Ten fresh-process probes on a 2-core VM read 1.86-2.02x.
 MIN_SEGMENTED_LOCKSTEP_SPEEDUP = 1.3
+#: Six fresh-process runs of 30 interleaved rounds on a 2-core VM read
+#: 1.11-1.22x; the shared entropy walk is about half of either side.
+MIN_WINDOWED_DECODE_SPEEDUP = 1.05
 
 
 # -- timing helpers -----------------------------------------------------------
@@ -380,6 +385,56 @@ def test_jpeg_segmented_lockstep_speedup_at_batch_32():
     )
     print(f"JPEG segmented lock-step vs per-image walk, batch 32: {speedup:.2f}x")
     assert speedup >= MIN_SEGMENTED_LOCKSTEP_SPEEDUP
+
+
+def test_jpeg_windowed_decode_speedup():
+    """32 corpus-like 256×256 JPEGs cropped to 224 (the ``prep-image``
+    batch): ``decode_batch`` with a crop window per image, mirrored into
+    the slot, against the full decode followed by the crop-and-mirror
+    copy the plan runs for non-JPEG sources (``FusedCropMirrorStage``),
+    timed interleaved on the same windows.  Both slots are checked
+    bit-identical first."""
+    from repro.dataprep.jpeg import codec
+    from repro.dataprep.ops_image import Mirror, RandomCrop
+    from repro.dataprep.pipeline import spawn_rngs
+    from repro.dataprep.plan import FusedCropMirrorStage, PlanGeometry
+    from repro.datasets.imagenet import synthesize_image
+
+    # 30 rounds: at 15, one run of six read 1.00x on a 2-core VM.
+    batch, size, crop_size, repeats = 32, 256, 224, 30
+    rng = np.random.default_rng([13, 1])
+    images = [
+        synthesize_image(rng, size, size, int(rng.integers(0, 1000)))
+        for _ in range(batch)
+    ]
+    blobs = codec.encode_batch(images, quality=80)
+    crop, mirror = RandomCrop(crop_size, crop_size), Mirror()
+    geometry = PlanGeometry(batch, "array", (size, size, 3), "uint8")
+    crop_copy = FusedCropMirrorStage(crop, mirror, geometry, (size, size, 3))
+    full = np.empty((batch, size, size, 3), dtype=np.uint8)
+    windowed = np.empty((batch, crop_size, crop_size, 3), dtype=np.uint8)
+
+    def rngs():
+        return spawn_rngs(np.random.default_rng(0), batch)
+
+    def decode_then_copy():
+        codec.decode_batch(blobs, out=full)
+        return crop_copy.run(full, rngs())
+
+    def decode_windows():
+        draws = rngs()
+        tops, lefts = crop.offsets((size, size), draws)
+        flips = mirror.coin_flips(draws)
+        windows = [
+            (int(t), int(l), crop_size, crop_size, bool(f))
+            for t, l, f in zip(tops, lefts, flips)
+        ]
+        return codec.decode_batch(blobs, out=windowed, windows=windows)
+
+    assert np.array_equal(decode_windows(), decode_then_copy())
+    speedup = _interleaved_ratio(decode_windows, decode_then_copy, repeats)
+    print(f"JPEG windowed decode vs full decode + crop copy, batch 32: {speedup:.2f}x")
+    assert speedup >= MIN_WINDOWED_DECODE_SPEEDUP
 
 
 # -- sweep ratios -------------------------------------------------------------

@@ -15,6 +15,8 @@ images and the entropy stages through the vectorized coder in
 :func:`decode` are their batch of one.  :func:`encode_reference` and
 :func:`decode_reference` keep the symbol-at-a-time entropy coder as the
 executable spec: byte-identical streams, identical pixels.
+:func:`decode_batch` can also deliver one :class:`Window` of each frame,
+optionally mirrored, transforming only the blocks the window touches.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import contextlib
 import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -193,28 +195,39 @@ class _Frame:
 
 @dataclass(frozen=True)
 class _PlaneGeometry:
-    """Padded plane shapes the encoder used for one image geometry."""
+    """Padded plane shapes the encoder used for one image geometry.
+
+    Luma is padded to whole MCUs (16×16 pixels for 4:2:0, 8×8 for
+    4:4:4), so each chroma plane is a whole number of 8×8 blocks too.
+    """
 
     luma_shape: Tuple[int, int]
     chroma_shape: Tuple[int, int]
-    chroma_padded: Tuple[int, int]
+    mcu: int
 
     @property
     def plane_shapes(self) -> Tuple[Tuple[int, int], ...]:
-        return (self.luma_shape, self.chroma_padded, self.chroma_padded)
+        return (self.luma_shape, self.chroma_shape, self.chroma_shape)
 
 
 def _plane_geometry(subsample: bool, h: int, w: int) -> _PlaneGeometry:
-    align = 16 if subsample else 8
-    ph = h + ((-h) % align)
-    pw = w + ((-w) % align)
-    luma_shape = (ph, pw)
+    mcu = 16 if subsample else 8
+    ph = h + ((-h) % mcu)
+    pw = w + ((-w) % mcu)
     chroma_shape = (ph // 2, pw // 2) if subsample else (ph, pw)
-    chroma_padded = (
-        chroma_shape[0] + ((-chroma_shape[0]) % 8),
-        chroma_shape[1] + ((-chroma_shape[1]) % 8),
-    )
-    return _PlaneGeometry(luma_shape, chroma_shape, chroma_padded)
+    return _PlaneGeometry((ph, pw), chroma_shape, mcu)
+
+
+class Window(NamedTuple):
+    """The part of a frame a windowed decode delivers: rows
+    ``top:top + height`` and columns ``left:left + width``, mirrored
+    left-right when ``flip`` is set."""
+
+    top: int
+    left: int
+    height: int
+    width: int
+    flip: bool = False
 
 
 @contextlib.contextmanager
@@ -371,13 +384,15 @@ def encode_batch(
 
 
 # The batched transform pays off by amortizing numpy dispatch across
-# small frames; past a few luma planes' worth of pixels the float64
-# working set falls out of cache and batching turns memory-bound (a
-# 64×256×256 chunk measured ~3× slower than per-image on 1 core), so
-# the chunk size adapts to keep roughly this many pixels in flight.
-# Measured on 256×256 batches decoded into a pooled arena slot, 4
-# images per chunk beat 2 by ~6%; this budget gives 4 there.
-_TRANSFORM_PIXEL_BUDGET = 262_144
+# small frames, but its float64 working set must stay in the per-core
+# L2 (2 MB on the 2-core VM): colour conversion alone took 1.67 ms per
+# 256×256 image in a 4-image chunk against 1.20 ms for one image.  So
+# the chunk size keeps roughly this many pixels in flight.  Median
+# full-frame transform ms/image over 32 corpus-like images on the 2-core
+# VM, budget 262,144 → 65,536: 64² (chunk 64 → 16) 0.229 → 0.155,
+# 128² (16 → 4) 0.900 → 0.563, 256² (4 → 1) 2.024 → 1.852; 512² stays
+# at 1.
+_TRANSFORM_PIXEL_BUDGET = 65_536
 
 
 def transform_chunk_images(h: int, w: int) -> int:
@@ -457,9 +472,12 @@ def _entropy_decode_group(
 ) -> List[List[np.ndarray]]:
     """Per-image quantized blocks for a geometry group, Huffman-decoded
     in two lock-step walks (:func:`entropy_fast.decode_planes_batch`):
-    one over every luma stream, one over every chroma stream, so each
-    walk's streams have similar symbol counts and nobody spins on junk
-    waiting for a stream 30× its length."""
+    one over every luma stream, one over every chroma stream.  The walk
+    cuts each stream into segment lanes of similar length, so one walk
+    over all three planes would not stall on long streams either.  It
+    was bit-identical and faster (44.2 against 49.8 ms per 32 corpus-like
+    256×256 images), but its peak allocation rose from 20.4 to 27.2 MB,
+    so the planes keep separate walks for memory."""
     luma_tasks = []
     chroma_tasks = []
     shapes = geometry.plane_shapes
@@ -479,52 +497,102 @@ def _entropy_decode_group(
     ]
 
 
-def _decode_group(
+def _mcu_span(
+    starts: Sequence[int], length: int, mcu: int, total: int
+) -> Tuple[int, List[int]]:
+    """The MCUs a chunk's windows need along one axis: the widest span
+    any window ``[start, start + length)`` touches, and each image's
+    first MCU, clamped so that span stays inside the ``total`` MCUs of
+    the frame.  One span for the whole chunk lets its blocks stack."""
+    firsts = [start // mcu for start in starts]
+    span = max(
+        -(-(start + length) // mcu) - first for start, first in zip(starts, firsts)
+    )
+    return span, [min(first, total - span) for first in firsts]
+
+
+def _colour_span(starts: Sequence[int], length: int, cell: int) -> Tuple[int, int]:
+    """The rows (or columns) of a stacked chunk to colour-convert: the
+    union of every window ``[start, start + length)``, widened to whole
+    ``cell``-pixel chroma cells (2 for 4:2:0, 1 for 4:4:4)."""
+    lo = min(start - start % cell for start in starts)
+    hi = max(-(-(start + length) // cell) * cell for start in starts)
+    return lo, hi
+
+
+def _transform(
     frames: Sequence[_Frame],
     geometry: _PlaneGeometry,
     per_image: Sequence[Sequence[np.ndarray]],
-) -> np.ndarray:
-    """The transform stage for frames sharing one geometry key: an
-    ``N×h×w×3`` uint8 stack from each image's quantized blocks.
+    windows: Sequence[Window],
+    dests: Sequence[np.ndarray],
+) -> None:
+    """The transform stage for a chunk of frames that share one geometry
+    key and one window size: write each frame's window (mirrored when
+    its ``flip`` is set) into its ``dests`` entry, an ``oh×ow×3`` uint8
+    array of any strides.  A full-frame decode is the window that covers
+    the frame.
 
-    Every image's blocks are concatenated into tall stacked planes (the
-    mirror image of :func:`encode_batch`'s layout — per-plane ops are
-    local to row groups, so images never mix), dequantized, inverse
-    transformed and color converted at once, and sliced back apart.
+    Only the MCU rows and columns a window touches are dequantized and
+    inverse transformed; the chunk's windows share the widest such span
+    (:func:`_mcu_span`), so their blocks stack into one tall plane per
+    component — the mirror image of :func:`encode_batch`'s layout: the
+    per-plane ops are local to row groups, so images never mix.  Colour
+    conversion covers only the windows, widened to whole chroma cells
+    (:func:`_colour_span`).  Every step is the same per-block or
+    per-pixel float64 arithmetic as the full-frame decode, so a window's
+    pixels are bit-identical to the same window cut from the full frame.
     """
     first = frames[0]
     n = len(frames)
+    oh, ow = windows[0].height, windows[0].width
+    mcu = geometry.mcu
+    luma_h, luma_w = geometry.luma_shape
+    span_r, first_r = _mcu_span([w.top for w in windows], oh, mcu, luma_h // mcu)
+    span_c, first_c = _mcu_span([w.left for w in windows], ow, mcu, luma_w // mcu)
     luma_q = quant.scaled_table(quant.LUMA_BASE, first.quality)
     chroma_q = quant.scaled_table(quant.CHROMA_BASE, first.quality)
-    tall_planes: List[np.ndarray] = []
+    planes: List[np.ndarray] = []
     for p, (shape, qtable) in enumerate(
         zip(geometry.plane_shapes, [luma_q, chroma_q, chroma_q])
     ):
-        blocks = (
-            per_image[0][p] if n == 1
-            else np.concatenate([image_blocks[p] for image_blocks in per_image])
-        )
-        coeffs = quant.dequantize(blocks, qtable)
-        tall_shape = (n * shape[0], shape[1])
-        tall_planes.append(dct.unblockify(dct.idct2(coeffs), tall_shape) + 128.0)
+        # Blocks per MCU side: 2 for 4:2:0 luma, 1 for every other plane.
+        per = mcu // 8 if p == 0 else 1
+        grid = (shape[0] // 8, shape[1] // 8, 8, 8)
+        picked = [
+            blocks[p].reshape(grid)[
+                r * per : (r + span_r) * per, c * per : (c + span_c) * per
+            ]
+            for blocks, r, c in zip(per_image, first_r, first_c)
+        ]
+        stacked = picked[0] if n == 1 else np.concatenate(picked)
+        coeffs = quant.dequantize(stacked, qtable).reshape(-1, 8, 8)
+        rows, cols = span_r * per * 8, span_c * per * 8
+        plane = dct.unblockify(dct.idct2(coeffs), (n * rows, cols))
+        plane += 128.0
+        planes.append(plane.reshape(n, rows, cols))
 
-    ch, cw = geometry.chroma_shape
-    cph, cpw = geometry.chroma_padded
-
-    def crop_chroma(tall: np.ndarray) -> np.ndarray:
-        if (cph, cpw) == (ch, cw):
-            return tall
-        return tall.reshape(n, cph, cpw)[:, :ch, :cw].reshape(n * ch, cw)
-
-    y = tall_planes[0]
-    cb = crop_chroma(tall_planes[1])
-    cr = crop_chroma(tall_planes[2])
-    if first.subsample:
-        rgb = color.ycbcr_planes_420_to_rgb(y, cb, cr)
-    else:
-        rgb = color.ycbcr_planes_to_rgb(y, cb, cr)
-    ph, pw = geometry.luma_shape
-    return rgb.reshape(n, ph, pw, 3)[:, : first.h, : first.w]
+    cell = 2 if first.subsample else 1
+    tops = [w.top - r * mcu for w, r in zip(windows, first_r)]
+    lefts = [w.left - c * mcu for w, c in zip(windows, first_c)]
+    r_lo, r_hi = _colour_span(tops, oh, cell)
+    c_lo, c_hi = _colour_span(lefts, ow, cell)
+    y = planes[0][:, r_lo:r_hi, c_lo:c_hi]
+    cb, cr = (
+        p[:, r_lo // cell : r_hi // cell, c_lo // cell : c_hi // cell]
+        for p in planes[1:]
+    )
+    channels = (
+        color.rgb_channels_420(y, cb, cr) if first.subsample
+        else color.rgb_channels(y, cb, cr)
+    )
+    targets = [
+        (dest[:, ::-1] if w.flip else dest, t - r_lo, l - c_lo)
+        for dest, w, t, l in zip(dests, windows, tops, lefts)
+    ]
+    for i, channel in enumerate(channels):
+        for k, (dest, t, l) in enumerate(targets):
+            dest[..., i] = channel[k, t : t + oh, l : l + ow]
 
 
 def decode(data: bytes) -> np.ndarray:
@@ -538,30 +606,58 @@ def decode_reference(data: bytes) -> np.ndarray:
     shared one."""
     frame = _parse_frame(bytes(data))
     geometry = _plane_geometry(frame.subsample, frame.h, frame.w)
+    image = np.empty((frame.h, frame.w, 3), dtype=np.uint8)
     with _malformed_is_codec_error():
         blocks = _entropy_decode_planes(
             frame, geometry, _decode_plane_reference
         )
-        return _decode_group([frame], geometry, [blocks])[0]
+        _transform([frame], geometry, [blocks], [_full_window(frame)], [image])
+    return image
+
+
+def _full_window(frame: _Frame) -> Window:
+    return Window(0, 0, frame.h, frame.w)
+
+
+def _checked_window(window: Sequence, frame: _Frame) -> Window:
+    window = Window(*window)
+    top, left, height, width, _ = window
+    if not (
+        0 <= top and 0 < height and top + height <= frame.h
+        and 0 <= left and 0 < width and left + width <= frame.w
+    ):
+        raise CodecError(
+            f"window {tuple(window)} lies outside a {frame.h}x{frame.w} frame"
+        )
+    return window
 
 
 def decode_batch(
-    datas: Sequence[bytes], *, out: Optional[np.ndarray] = None
+    datas: Sequence[bytes],
+    *,
+    out: Optional[np.ndarray] = None,
+    windows: Optional[Sequence[Sequence]] = None,
 ) -> List[np.ndarray]:
     """Decode a batch of streams, batching the transform stage.
 
-    Frames are grouped by (quality, subsample, h, w).  A group's entropy
-    stage walks each image's streams on their own below the lock-step
-    crossover for its geometry (:func:`lockstep_min_images`) and in one
-    lock-step walk per plane kind at or above it; its transform stage
-    runs in chunks of :func:`transform_chunk_images` images (see
-    :func:`_decode_group`).  Output is pixel-identical to
+    Frames are grouped by (quality, subsample, h, w) and window size.  A
+    group's entropy stage walks each image's streams on their own below
+    the lock-step crossover for its geometry (:func:`lockstep_min_images`)
+    and in one lock-step walk per plane kind at or above it; its
+    transform stage runs in chunks of :func:`transform_chunk_images`
+    images (see :func:`_transform`).  Output is pixel-identical to
     :func:`decode_reference` per item, in input order.
 
-    ``out`` (an ``N×h×w×3`` uint8 stack) receives the decoded images in
-    place — the arena path: nothing is stacked and no per-image result
-    arrays outlive the call.  With ``out`` every frame must match the
-    stack's geometry.
+    ``windows`` (one :class:`Window`, or a ``(top, left, height, width,
+    flip)`` tuple, per stream) decodes each stream's window only: item
+    ``i`` is ``decode_reference(datas[i])[top:top + height,
+    left:left + width]``, reversed along its width when ``flip`` is set.
+    Without it every frame is decoded whole.
+
+    ``out`` (an ``N×h×w×3`` uint8 stack, ``h×w`` the window size)
+    receives the images in place — the arena path: nothing is stacked
+    and no per-image result arrays outlive the call.  With ``out`` every
+    image must have the stack's shape.
     """
     datas = list(datas)
     if out is not None and len(out) != len(datas):
@@ -569,10 +665,29 @@ def decode_batch(
             f"out= holds {len(out)} slots for {len(datas)} streams"
         )
     frames = [_parse_frame(bytes(data)) for data in datas]
-    groups: Dict[Tuple[int, bool, int, int], List[int]] = {}
-    for i, frame in enumerate(frames):
-        groups.setdefault(frame.geometry_key, []).append(i)
-    results: List[Optional[np.ndarray]] = [None] * len(datas)
+    if windows is None:
+        wins = [_full_window(frame) for frame in frames]
+    else:
+        if len(windows) != len(frames):
+            raise CodecError(
+                f"{len(windows)} windows for {len(frames)} streams"
+            )
+        wins = [_checked_window(w, f) for w, f in zip(windows, frames)]
+    groups: Dict[Tuple, List[int]] = {}
+    for i, (frame, win) in enumerate(zip(frames, wins)):
+        groups.setdefault(
+            (frame.geometry_key, win.height, win.width), []
+        ).append(i)
+    if out is None:
+        dests = [np.empty((w.height, w.width, 3), dtype=np.uint8) for w in wins]
+    else:
+        dests = out
+        for w in wins:
+            if (w.height, w.width, 3) != out.shape[1:]:
+                raise CodecError(
+                    f"decode out= expects uniform {out.shape[1:]} images, "
+                    f"got {(w.height, w.width, 3)}"
+                )
     with _malformed_is_codec_error():
         for indices in groups.values():
             group = [frames[i] for i in indices]
@@ -588,29 +703,12 @@ def decode_batch(
                 ]
             chunk = transform_chunk_images(first.h, first.w)
             for start in range(0, len(group), chunk):
-                stop = start + chunk
-                rgb = _decode_group(group[start:stop], geometry, blocks[start:stop])
-                _deliver(rgb, indices[start:stop], out, results)
-    if out is not None:
-        return out  # type: ignore[return-value]
-    return results  # type: ignore[return-value]
-
-
-def _deliver(
-    decoded: np.ndarray,
-    indices: Sequence[int],
-    out: Optional[np.ndarray],
-    results: List[Optional[np.ndarray]],
-) -> None:
-    """Route a chunk's images to ``out`` slots (arena path) or the
-    collected-results list."""
-    for img, i in zip(decoded, indices):
-        if out is None:
-            results[i] = img
-            continue
-        if img.shape != out.shape[1:]:
-            raise CodecError(
-                f"decode out= expects uniform {out.shape[1:]} images, "
-                f"got {img.shape}"
-            )
-        out[i, ...] = img
+                part = indices[start : start + chunk]
+                _transform(
+                    group[start : start + chunk],
+                    geometry,
+                    blocks[start : start + chunk],
+                    [wins[i] for i in part],
+                    [dests[i] for i in part],
+                )
+    return dests  # type: ignore[return-value]

@@ -53,14 +53,28 @@ def ycbcr_planes_to_rgb(
     y: np.ndarray, cb: np.ndarray, cr: np.ndarray
 ) -> np.ndarray:
     """Convert float Y/Cb/Cr planes back to uint8 RGB with clipping."""
+    out = np.empty(y.shape + (3,), dtype=np.uint8)
+    for i, channel in enumerate(rgb_channels(y, cb, cr)):
+        out[..., i] = channel
+    return out
+
+
+def rgb_channels(y: np.ndarray, cb: np.ndarray, cr: np.ndarray):
+    """Yield the R, G and B planes of float Y/Cb/Cr planes, rounded and
+    clipped to 0..255 but still float64.
+
+    The planes may carry leading stack dimensions and any strides.  The
+    yielded buffer is reused for the next channel, so a caller stores
+    (or narrows to uint8) each one before asking for the next; that lets
+    the windowed decode write each image's window wherever it goes.
+    """
     if not (y.shape == cb.shape == cr.shape):
         raise CodecError("Y, Cb, Cr planes must share a shape")
     cb = cb - 128.0
     cr = cr - 128.0
     m = _YCBCR_TO_RGB
-    out = np.empty(y.shape + (3,), dtype=np.uint8)
-    buf = np.empty_like(y)
-    tmp = np.empty_like(y)
+    buf = np.empty(y.shape, dtype=y.dtype)
+    tmp = np.empty(y.shape, dtype=y.dtype)
     for i in range(3):
         np.multiply(y, m[i, 0], out=buf)
         np.multiply(cb, m[i, 1], out=tmp)
@@ -69,40 +83,40 @@ def ycbcr_planes_to_rgb(
         buf += tmp
         np.rint(buf, out=buf)
         np.clip(buf, 0, 255, out=buf)
-        out[..., i] = buf
-    return out
+        yield buf
 
 
-def ycbcr_planes_420_to_rgb(
-    y: np.ndarray, cb: np.ndarray, cr: np.ndarray
-) -> np.ndarray:
-    """4:2:0-aware variant: ``cb``/``cr`` are half-resolution planes.
+def rgb_channels_420(y: np.ndarray, cb: np.ndarray, cr: np.ndarray):
+    """:func:`rgb_channels` for 4:2:0: ``cb``/``cr`` are half-resolution
+    planes.
 
     The chroma terms of the color matrix are computed at quarter area and
     then nearest-neighbour upsampled — elementwise multiplication commutes
     with sample replication, so the result is bit-identical to upsampling
-    first, at a fraction of the arithmetic.
+    first, at a fraction of the arithmetic.  The upsample repeats each
+    chroma column into a full-width row and adds it to both luma rows of
+    the pair, so the add runs along whole contiguous rows.
     """
-    h, w = y.shape
-    hh, hw = cb.shape
-    if (2 * hh, 2 * hw) != (h, w):
+    h, w = y.shape[-2:]
+    hh, hw = cb.shape[-2:]
+    if (2 * hh, 2 * hw) != (h, w) or cb.shape != cr.shape:
         raise CodecError("chroma planes must be half the luma resolution")
+    lead = y.shape[:-2]
     cb = cb - 128.0
     cr = cr - 128.0
     m = _YCBCR_TO_RGB
-    out = np.empty((h, w, 3), dtype=np.uint8)
-    buf = np.empty_like(y)
-    ctmp = np.empty_like(cb)
+    buf = np.empty(y.shape, dtype=y.dtype)
+    pairs = buf.reshape(lead + (hh, 2, w))
+    ctmp = np.empty(cb.shape, dtype=cb.dtype)
     for i in range(3):
         np.multiply(cb, m[i, 1], out=ctmp)
         chroma = m[i, 2] * cr
         chroma += ctmp
         np.multiply(y, m[i, 0], out=buf)
-        buf.reshape(hh, 2, hw, 2)[...] += chroma[:, None, :, None]
+        pairs += np.repeat(chroma, 2, axis=-1)[..., None, :]
         np.rint(buf, out=buf)
         np.clip(buf, 0, 255, out=buf)
-        out[..., i] = buf
-    return out
+        yield buf
 
 
 def ycbcr_to_rgb(ycc: np.ndarray) -> np.ndarray:

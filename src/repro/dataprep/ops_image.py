@@ -347,6 +347,13 @@ class CastToFloat(PrepOp):
     name: str = "cast"
     kind: str = "cast"
 
+    def __post_init__(self) -> None:
+        # A NumPy scalar is not a weak scalar: float32 × np.float64 would
+        # give float64 here while the plan stages multiply in float32.  A
+        # Python float keeps every path float32 (and the plan fingerprint
+        # sees the same value).
+        self.scale = float(self.scale)
+
     def apply(self, data: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         if data.dtype != np.uint8:
             raise DataprepError("cast expects uint8 pixels")

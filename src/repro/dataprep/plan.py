@@ -7,8 +7,10 @@ geometry into an executable :class:`PrepPlan` that converts that per-op
 speed into pipeline-level speed (the FFCV insight):
 
 * **fusion** — adjacent element-wise ops collapse into single passes
-  (``random_crop``+``mirror`` become one strided per-sample copy;
-  ``gaussian_noise``+``cast`` share one int16 buffer and never
+  (after a JPEG decode, ``random_crop``+``mirror`` fold into the decode,
+  which transforms only each crop window and writes it mirrored into
+  the slot; after any other source they become one strided per-sample
+  copy; ``gaussian_noise``+``cast`` share one int16 buffer and never
   round-trip through uint8);
 * **invariant hoisting** — per-batch constants (Huffman/quant LUTs via
   their caches, the noise table, mel banks, Hann windows, crop index
@@ -216,23 +218,52 @@ class DecodeJpegStage(PlanStage):
     """JPEG blobs → uint8 image stack, decoded straight into the arena
     (no per-image arrays, no ``np.stack``).  ``describe()`` reports the
     lock-step crossover and transform chunk ``decode_batch`` picks for
-    4:2:0 frames of the plan's geometry."""
+    4:2:0 frames of the plan's geometry.
+
+    A ``random_crop`` right after the decode (and a ``mirror`` after it)
+    folds in: the stage draws each stream's two crop integers and its
+    flip uniform first — decode draws nothing, so every stream's draw
+    order is the per-sample path's — and ``decode_batch`` transforms
+    only each crop window, writing it (reversed when the sample mirrors)
+    into the slot."""
 
     invariants = ("huffman_luts", "quant_tables")
 
-    def __init__(self, op: Any, geometry: PlanGeometry) -> None:
+    def __init__(self, op: Any, geometry: PlanGeometry,
+                 crop: Any = None, mirror: Any = None) -> None:
         from repro.dataprep.jpeg import codec as jpeg_codec
 
-        self.fuses = (op.name,)
-        h, w, _ = geometry.sample_shape
+        self.fuses = tuple(o.name for o in (op, crop, mirror) if o is not None)
+        self._crop = crop
+        self._mirror = mirror
+        self._shape = geometry.sample_shape
+        h, w, _ = self._shape
         sub_h, sub_w = jpeg_codec._plane_geometry(True, h, w).luma_shape
         self.lockstep_min = jpeg_codec.lockstep_min_images(
             (sub_h // 8) * (sub_w // 8)
         )
         self.transform_chunk = jpeg_codec.transform_chunk_images(h, w)
-        self._slot = np.empty(
-            (geometry.batch_size,) + geometry.sample_shape, dtype=np.uint8
+        out_shape = (
+            (crop.out_height, crop.out_width, 3) if crop is not None
+            else geometry.sample_shape
         )
+        self._slot = np.empty(
+            (geometry.batch_size,) + out_shape, dtype=np.uint8
+        )
+
+    def _windows(self, rngs: Sequence[np.random.Generator]) -> Optional[list]:
+        if self._crop is None:
+            return None
+        tops, lefts = self._crop.offsets(self._shape, rngs)
+        flips = (
+            self._mirror.coin_flips(rngs) if self._mirror is not None
+            else np.zeros(len(rngs), dtype=bool)
+        )
+        oh, ow = self._crop.out_height, self._crop.out_width
+        return [
+            (int(t), int(l), oh, ow, bool(f))
+            for t, l, f in zip(tops, lefts, flips)
+        ]
 
     def run(self, data: Any, rngs: Sequence[np.random.Generator]) -> Any:
         from repro.dataprep.jpeg import codec as jpeg_codec
@@ -240,7 +271,9 @@ class DecodeJpegStage(PlanStage):
         for blob in data:
             if not isinstance(blob, (bytes, bytearray)):
                 raise DataprepError("decode_jpeg expects compressed bytes")
-        jpeg_codec.decode_batch([bytes(b) for b in data], out=self._slot)
+        jpeg_codec.decode_batch(
+            [bytes(b) for b in data], out=self._slot, windows=self._windows(rngs)
+        )
         return self._slot
 
     def slots(self) -> List[Tuple[str, np.ndarray]]:
@@ -755,8 +788,13 @@ def _compile(
             if isinstance(op, ops_image.DecodeJpeg) and i == 0 and (
                 geometry.input_kind == "jpeg"
             ):
-                stages.append(DecodeJpegStage(op, geometry))
+                crop, mirror = _crop_and_mirror_after(ops, i, shape)
+                stages.append(DecodeJpegStage(op, geometry, crop, mirror))
                 dtype = "uint8"
+                if crop is not None:
+                    shape = (crop.out_height, crop.out_width) + shape[2:]
+                i += 1 + (crop is not None) + (mirror is not None)
+                continue
             elif isinstance(op, ops_image.DecodePng) and i == 0 and (
                 geometry.input_kind == "png"
             ):
@@ -834,6 +872,26 @@ def _compile(
     obs.inc("prep.plan_compile_total")
     obs.observe("prep.plan_compile_ms", elapsed * 1e3)
     return PrepPlan(pipeline.name, fp, geometry, stages, elapsed)
+
+
+def _crop_and_mirror_after(
+    ops: Sequence[Any], i: int, shape: Tuple[int, ...]
+) -> Tuple[Any, Any]:
+    """The ``random_crop`` (and the ``mirror`` right after it) that the
+    decode at ``ops[i]`` can fold in, each ``None`` when absent.  A crop
+    larger than the decoded ``shape`` stays a stage of its own, which
+    raises the per-sample path's error."""
+    from repro.dataprep import ops_image
+
+    crop = ops[i + 1] if i + 1 < len(ops) else None
+    if not (
+        isinstance(crop, ops_image.RandomCrop)
+        and crop.out_height <= shape[0]
+        and crop.out_width <= shape[1]
+    ):
+        return None, None
+    mirror = ops[i + 2] if i + 2 < len(ops) else None
+    return crop, (mirror if isinstance(mirror, ops_image.Mirror) else None)
 
 
 def try_plan(pipeline: PrepPipeline, batch: Any) -> Optional[PrepPlan]:

@@ -53,14 +53,18 @@ def test_fast_decode_pixels_identical(shape, subsample):
 
 
 # (h, w, subsample): two geometries whose lock-step crossover is 6 images
-# and transform chunk 4 (4:2:0 and a 4:4:4 size that is not a multiple of
-# 16), and two small ones whose crossover is above most of the batches.
+# and transform chunk 1 (4:2:0 and a 4:4:4 size that is not a multiple of
+# 16), two small ones whose crossover is above most of the batches, and
+# one whose 5-image transform chunk puts chunk edges inside the batches.
 BATCH_GEOMETRIES = [
     (241, 255, True),
     (250, 262, False),
     (9, 130, True),
     (17, 23, False),
+    (100, 120, True),
 ]
+#: The transform chunk each pinned geometry gets (65,536-pixel budget).
+TRANSFORM_CHUNKS = {(241, 255): 1, (250, 262): 1, (100, 120): 5}
 _REFERENCES = {}
 
 
@@ -86,7 +90,8 @@ def test_decode_batch_any_size_matches_reference(geometry, batch):
         plane = codec._plane_geometry(subsample, h, w).luma_shape
         luma_blocks = (plane[0] // 8) * (plane[1] // 8)
         assert codec.lockstep_min_images(luma_blocks) == 6
-        assert codec.transform_chunk_images(h, w) == 4
+    if (h, w) in TRANSFORM_CHUNKS:
+        assert codec.transform_chunk_images(h, w) == TRANSFORM_CHUNKS[(h, w)]
     for blob, ref in zip(blobs, refs):
         assert np.array_equal(codec.decode(blob), ref)
     order = [i % 3 for i in range(batch)]

@@ -194,10 +194,15 @@ def _lockstep_decode(blobs):
         frames[0].subsample, frames[0].h, frames[0].w
     )
     blocks = jpeg_codec._entropy_decode_group(frames, geometry)
-    return [
-        jpeg_codec._decode_group([frame], geometry, [image_blocks])[0]
-        for frame, image_blocks in zip(frames, blocks)
-    ]
+    images = []
+    for frame, image_blocks in zip(frames, blocks):
+        image = np.empty((frame.h, frame.w, 3), dtype=np.uint8)
+        jpeg_codec._transform(
+            [frame], geometry, [image_blocks],
+            [jpeg_codec._full_window(frame)], [image],
+        )
+        images.append(image)
+    return images
 
 
 def test_decode_planes_batch_matches_decode_plane():

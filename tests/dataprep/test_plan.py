@@ -231,11 +231,13 @@ def test_plan_compile_reports_span_and_metrics():
 def test_describe_names_fusions_hoists_and_arena():
     pipe = image_pipeline(out_height=32, out_width=32)
     text = try_plan(pipe, _jpeg_blobs(4)).describe()
-    assert "random_crop+mirror" in text
+    assert "[0] decode_jpeg+random_crop+mirror " in text
+    assert "decoded:uint8[4, 32, 32, 3]" in text
     assert "gaussian_noise+cast" in text
     assert "huffman_luts" in text
     assert "noise_table" in text
     assert "lockstep_min" in text
+    assert "transform_chunk=28" in text
     assert "arena:" in text
     atext = try_plan(
         audio_pipeline(),
@@ -337,3 +339,27 @@ def test_array_input_plan_matches_reference():
     )
     batch = np.stack(_images(5, 20, 20, seed=17))
     _assert_matches_reference(pipe, batch, 5)
+
+
+@pytest.mark.parametrize(
+    "ops",
+    [
+        lambda: [GaussianNoise(sigma=2.0), CastToFloat(scale=np.float64(1 / 255))],
+        lambda: [CastToFloat(scale=np.float64(1 / 255))],
+    ],
+    ids=["noise+cast", "cast"],
+)
+def test_numpy_scalar_cast_scale_matches_reference(ops):
+    """A NumPy float64 ``scale`` is stored as a Python float, so the
+    oracle stays float32 like the plan stages, and the plan fingerprint
+    is the one a Python-float scale gives."""
+    pipe = PrepPipeline(ops(), name="cast-scale")
+    batch = np.stack(_images(3, 8, 8, seed=21))
+    plan = _assert_matches_reference(pipe, batch, 3)
+    out = plan.execute(batch, spawn_rngs(np.random.default_rng(0), 3))
+    assert out.dtype == np.float32
+    assert type(pipe.ops[-1].scale) is float
+    plain = PrepPipeline(
+        ops()[:-1] + [CastToFloat(scale=1 / 255)], name="cast-scale"
+    )
+    assert plan.fingerprint == plan_fingerprint(plain, plan.geometry)

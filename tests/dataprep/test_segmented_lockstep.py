@@ -135,3 +135,6 @@ def test_plan_routes_batch_32_to_the_lockstep_walk():
     recorded = int(text.split("lockstep_min=")[1].split()[0])
     assert recorded <= 32
     assert codec.lockstep_min_images(32 * 32) == recorded
+    chunk = int(text.split("transform_chunk=")[1].split()[0])
+    assert chunk == codec.transform_chunk_images(256, 256) == 1
+    assert "[0] decode_jpeg+random_crop+mirror " in text
