@@ -496,6 +496,8 @@ def test_cold_sweep_kernel_speedup_over_scalar_engine():
         clear_memo()
         run_sweep(spec, n_jobs=1, batch=batch)
 
-    speedup = best_of(lambda: cold(False), 3) / best_of(lambda: cold(True), 3)
+    # Interleaved over 30 rounds: three best-of samples per side once
+    # read 4.92x on a noisy 2-core host while reruns read 5.9-7.1x.
+    speedup = _interleaved_ratio(lambda: cold(True), lambda: cold(False), 30)
     print(f"cold grid batch kernel vs scalar engine: {speedup:.2f}x")
     assert speedup >= MIN_COLD_KERNEL_SPEEDUP

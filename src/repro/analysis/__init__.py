@@ -1,48 +1,26 @@
 """Reporting helpers: hardware trend data (Figure 2a) and table formatting."""
 
-from repro.analysis.power import (
-    PowerBudget,
-    PowerRatings,
-    prep_power_comparison,
-    server_power,
-)
-from repro.analysis.static_prep import (
-    AugmentationSpace,
-    paper_imagenet_example,
-    static_prep_storage,
-)
-from repro.analysis.tables import format_series, format_table, geometric_mean
-from repro.analysis.tco import (
-    ComponentPrices,
-    host_amortization_ratio,
-    scaleout_bom,
-    trainbox_bom,
-)
-from repro.analysis.timeline import busy_fraction, render_timeline
-from repro.analysis.trends import (
-    asic_trend,
-    interconnect_trend,
-    trend_growth,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AugmentationSpace",
-    "ComponentPrices",
-    "PowerBudget",
-    "PowerRatings",
-    "prep_power_comparison",
-    "server_power",
-    "asic_trend",
-    "busy_fraction",
-    "format_series",
-    "format_table",
-    "geometric_mean",
-    "host_amortization_ratio",
-    "interconnect_trend",
-    "paper_imagenet_example",
-    "render_timeline",
-    "scaleout_bom",
-    "static_prep_storage",
-    "trainbox_bom",
-    "trend_growth",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "power": (
+        "PowerBudget",
+        "PowerRatings",
+        "prep_power_comparison",
+        "server_power",
+    ),
+    "static_prep": (
+        "AugmentationSpace",
+        "paper_imagenet_example",
+        "static_prep_storage",
+    ),
+    "tables": ("format_series", "format_table", "geometric_mean"),
+    "tco": (
+        "ComponentPrices",
+        "host_amortization_ratio",
+        "scaleout_bom",
+        "trainbox_bom",
+    ),
+    "timeline": ("busy_fraction", "render_timeline"),
+    "trends": ("asic_trend", "interconnect_trend", "trend_growth"),
+})

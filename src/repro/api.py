@@ -46,6 +46,7 @@ from repro.cache import ResultCache, fingerprint as _fingerprint
 from repro.core.config import ArchitectureConfig, HardwareConfig, PrepDevice
 # Unused here; perfbench/shims.py (install_core) patches api.simulate_des.
 from repro.core.des import simulate_des  # noqa: F401
+from repro.core.faults import FaultEvent, FaultSchedule, price_schedule
 from repro.core.results import SimulationOutcome
 from repro.core.server import build_server_cached
 from repro.core.sweeps import (
@@ -421,8 +422,6 @@ class FaultScheduleRequest(_RequestBase):
 
     def resolve(self):
         """The :class:`~repro.core.faults.FaultSchedule` this denotes."""
-        from repro.core.faults import FaultEvent, FaultSchedule
-
         return FaultSchedule(
             tuple(
                 FaultEvent(
@@ -636,8 +635,6 @@ def price_fault_schedule(
     pool, SSD loss halving the box's read bandwidth after resharding,
     accelerator loss shrinking the job for its window.
     """
-    from repro.core.faults import price_schedule
-
     if isinstance(workload, FaultScheduleRequest):
         if (
             arch is not None

@@ -439,13 +439,17 @@ class ResultCache:
             path.parent.mkdir(parents=True, exist_ok=True)
             guard = self.lock(key) if self.locked else contextlib.nullcontext()
             with guard:
-                entry = {"version": self.version, "key": key, "result": result}
+                # One ``dumps`` call runs the C encoder; ``json.dump``
+                # streams through the pure-Python one.
+                text = json.dumps(
+                    {"version": self.version, "key": key, "result": result}
+                )
                 fd, tmp = tempfile.mkstemp(
                     prefix=".tmp-", suffix=".json", dir=path.parent
                 )
                 try:
                     with os.fdopen(fd, "w") as handle:
-                        json.dump(entry, handle)
+                        handle.write(text)
                     os.replace(tmp, path)
                 except OSError:
                     try:

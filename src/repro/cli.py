@@ -43,7 +43,6 @@ from typing import List, Optional
 
 from repro import api, obs, units
 from repro.analysis.tables import format_table
-from repro.core.initializer import TrainInitializer
 from repro.core.server import build_server
 from repro.errors import ConfigError
 from repro.workloads.registry import TABLE_I, get_workload
@@ -265,6 +264,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
+    from repro.core.initializer import TrainInitializer
+
     if args.workload == "describe":
         return _cmd_plan_describe(args)
     workload = get_workload(args.workload)

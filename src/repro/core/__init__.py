@@ -22,65 +22,30 @@ The package stacks the substrates into the evaluation the paper runs:
   Figures 9, 10, 11 and 22.
 """
 
-from repro.core.config import (
-    Architecture,
-    ArchitectureConfig,
-    HardwareConfig,
-    PrepDevice,
-    SyncStrategy,
-)
-from repro.core.server import ServerModel, build_server
-from repro.core.dataflow import DataflowDemand, build_demand
-from repro.core.analytical import TrainingScenario, simulate
-from repro.core.des import simulate_des
-from repro.core.autotune import AutotuneResult, autotune
-from repro.core.faults import FaultSet, drain_box, inject_faults
-from repro.core.inference import InferenceScenario, simulate_inference
-from repro.core.initializer import TrainInitializer, TrainPlan
-from repro.core.rack import JobPlacement, JobRequest, TrainBoxRack
-from repro.core.scaleout import ScaleOutConfig, simulate_scaleout
-from repro.core.resources import (
-    host_requirements,
-    latency_decomposition,
-    resource_breakdown,
-)
-from repro.core.results import (
-    HostRequirements,
-    LatencyDecomposition,
-    SimulationResult,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Architecture",
-    "ArchitectureConfig",
-    "AutotuneResult",
-    "DataflowDemand",
-    "FaultSet",
-    "HardwareConfig",
-    "HostRequirements",
-    "InferenceScenario",
-    "JobPlacement",
-    "JobRequest",
-    "LatencyDecomposition",
-    "PrepDevice",
-    "ServerModel",
-    "ScaleOutConfig",
-    "SimulationResult",
-    "SyncStrategy",
-    "TrainBoxRack",
-    "TrainInitializer",
-    "TrainPlan",
-    "TrainingScenario",
-    "autotune",
-    "build_demand",
-    "build_server",
-    "drain_box",
-    "host_requirements",
-    "inject_faults",
-    "latency_decomposition",
-    "resource_breakdown",
-    "simulate",
-    "simulate_des",
-    "simulate_inference",
-    "simulate_scaleout",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "config": (
+        "Architecture",
+        "ArchitectureConfig",
+        "HardwareConfig",
+        "PrepDevice",
+        "SyncStrategy",
+    ),
+    "server": ("ServerModel", "build_server"),
+    "dataflow": ("DataflowDemand", "build_demand"),
+    "analytical": ("TrainingScenario", "simulate"),
+    "des": ("simulate_des",),
+    "autotune": ("AutotuneResult", "autotune"),
+    "faults": ("FaultSet", "drain_box", "inject_faults"),
+    "inference": ("InferenceScenario", "simulate_inference"),
+    "initializer": ("TrainInitializer", "TrainPlan"),
+    "rack": ("JobPlacement", "JobRequest", "TrainBoxRack"),
+    "scaleout": ("ScaleOutConfig", "simulate_scaleout"),
+    "resources": (
+        "host_requirements",
+        "latency_decomposition",
+        "resource_breakdown",
+    ),
+    "results": ("HostRequirements", "LatencyDecomposition", "SimulationResult"),
+})

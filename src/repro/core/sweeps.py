@@ -47,8 +47,9 @@ from typing import (
 from repro import obs
 from repro.errors import ConfigError
 from repro.cache import ResultCache, fingerprint
+from repro.core import analytical_batch, des, flowengine
 from repro.core.analytical import TrainingScenario, simulate
-from repro.core.config import ArchitectureConfig, HardwareConfig
+from repro.core.config import ArchitectureConfig, HardwareConfig, PrepDevice
 from repro.core.results import FlowResult, SimulationResult
 from repro.core.scaleout import (
     ScaleOutConfig,
@@ -56,7 +57,7 @@ from repro.core.scaleout import (
     simulate_scaleout,
 )
 from repro.core.server import ServerModel, build_server_cached
-from repro.workloads.registry import Workload
+from repro.workloads.registry import Workload, get_workload
 
 #: The accelerator counts the scalability figures sweep.
 SCALE_LADDER = (1, 2, 4, 8, 16, 32, 64, 128, 256)
@@ -214,9 +215,7 @@ def evaluate_point(
         pool_size=point.pool_size,
     )
     if point.engine == "des":
-        from repro.core.des import simulate_des
-
-        return simulate_des(
+        return des.simulate_des(
             scenario,
             server=server,
             iterations=point.des_iterations,
@@ -224,9 +223,7 @@ def evaluate_point(
             record_trace=obs.current_tracer() is not None,
         )
     if point.engine == "flow":
-        from repro.core.flowengine import simulate_flow
-
-        return simulate_flow(scenario, server=server)
+        return flowengine.simulate_flow(scenario, server=server)
     return simulate(scenario, server=server)
 
 
@@ -249,9 +246,7 @@ def _result_from_dict(engine: str, data: dict):
     if engine == "analytical":
         return SimulationResult.from_dict(data)
     if engine == "des":
-        from repro.core.des import DesResult
-
-        return DesResult.from_dict(data)
+        return des.DesResult.from_dict(data)
     if engine == "flow":
         return FlowResult.from_dict(data)
     return ScaleOutResult.from_dict(data)
@@ -384,9 +379,7 @@ def run_sweep(
 
             scalar_pending = pending
             if pending and batch:
-                from repro.core.analytical_batch import evaluate_grid
-
-                batched, reasons = evaluate_grid(
+                batched, reasons = analytical_batch.evaluate_grid(
                     [points[i] for i in pending]
                 )
                 scalar_pending = []
@@ -504,9 +497,6 @@ def parallel_map(
 def figure21_spec(hw: Optional[HardwareConfig] = None) -> SweepSpec:
     """The Figure 21 grid: five strategies × two workloads × the scale
     ladder — the benchmark suite's canonical end-to-end sweep."""
-    from repro.core.config import PrepDevice
-    from repro.workloads.registry import get_workload
-
     return SweepSpec(
         workloads=(
             get_workload("Inception-v4"),

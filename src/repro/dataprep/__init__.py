@@ -24,106 +24,61 @@ the batched path (``apply_batch`` / ``run_batch``) driven by per-sample
 spawned RNG streams.  :mod:`repro.dataprep.engine` scales the batched
 path across worker processes with shared-memory handoff — still
 bit-identical to serial execution.
+
+The names below load their submodule on first use, so the simulator,
+which imports only the cost model and the op descriptions, never loads
+the codecs or the engine.
 """
 
-from repro.dataprep.cost import (
-    CPU_PROFILE,
-    FPGA_PROFILE,
-    GPU_PROFILE,
-    DeviceProfile,
-    OpCost,
-    PipelineCost,
-    profile_by_name,
-)
-from repro.dataprep.chaos import ChaosSpec, corrupt_payload, wrap_loader
-from repro.dataprep.engine import (
-    PreparedBatch,
-    PrepEngine,
-    ResilienceConfig,
-    ResilienceReport,
-    ShardSpec,
-    make_shards,
-    prepare_shard,
-    prepare_shard_salvaging,
-    run_engine,
-)
-from repro.dataprep.pipeline import (
-    PrepPipeline,
-    SampleSpec,
-    sample_rng,
-    spawn_rngs,
-)
-from repro.dataprep.ops_image import (
-    CastToFloat,
-    DecodeJpeg,
-    DecodePng,
-    GaussianNoise,
-    Mirror,
-    RandomCrop,
-    image_pipeline,
-)
-from repro.dataprep.ops_audio import (
-    MelFilterBank,
-    Mfcc,
-    Normalize,
-    SpecMasking,
-    Spectrogram,
-    TimeWarp,
-    audio_pipeline,
-)
-from repro.dataprep.ops_batch import BatchOp, Ricap, apply_batch_op
-from repro.dataprep.ops_video import (
-    ClipCast,
-    ClipCrop,
-    DecodeVideo,
-    TemporalSubsample,
-    video_pipeline,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BatchOp",
-    "CPU_PROFILE",
-    "CastToFloat",
-    "ChaosSpec",
-    "ClipCast",
-    "ClipCrop",
-    "DecodeJpeg",
-    "DecodePng",
-    "DecodeVideo",
-    "DeviceProfile",
-    "FPGA_PROFILE",
-    "GPU_PROFILE",
-    "GaussianNoise",
-    "MelFilterBank",
-    "Mfcc",
-    "Mirror",
-    "Normalize",
-    "OpCost",
-    "PipelineCost",
-    "PrepEngine",
-    "PrepPipeline",
-    "PreparedBatch",
-    "RandomCrop",
-    "ResilienceConfig",
-    "ResilienceReport",
-    "Ricap",
-    "SampleSpec",
-    "ShardSpec",
-    "SpecMasking",
-    "Spectrogram",
-    "TemporalSubsample",
-    "TimeWarp",
-    "apply_batch_op",
-    "audio_pipeline",
-    "corrupt_payload",
-    "image_pipeline",
-    "make_shards",
-    "prepare_shard",
-    "prepare_shard_salvaging",
-    "profile_by_name",
-    "run_engine",
-    "wrap_loader",
-    "sample_rng",
-    "spawn_rngs",
-    "video_pipeline",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "cost": (
+        "CPU_PROFILE",
+        "FPGA_PROFILE",
+        "GPU_PROFILE",
+        "DeviceProfile",
+        "OpCost",
+        "PipelineCost",
+        "profile_by_name",
+    ),
+    "chaos": ("ChaosSpec", "corrupt_payload", "wrap_loader"),
+    "engine": (
+        "PreparedBatch",
+        "PrepEngine",
+        "ResilienceConfig",
+        "ResilienceReport",
+        "ShardSpec",
+        "make_shards",
+        "prepare_shard",
+        "prepare_shard_salvaging",
+        "run_engine",
+    ),
+    "pipeline": ("PrepPipeline", "SampleSpec", "sample_rng", "spawn_rngs"),
+    "ops_image": (
+        "CastToFloat",
+        "DecodeJpeg",
+        "DecodePng",
+        "GaussianNoise",
+        "Mirror",
+        "RandomCrop",
+        "image_pipeline",
+    ),
+    "ops_audio": (
+        "MelFilterBank",
+        "Mfcc",
+        "Normalize",
+        "SpecMasking",
+        "Spectrogram",
+        "TimeWarp",
+        "audio_pipeline",
+    ),
+    "ops_batch": ("BatchOp", "Ricap", "apply_batch_op"),
+    "ops_video": (
+        "ClipCast",
+        "ClipCrop",
+        "DecodeVideo",
+        "TemporalSubsample",
+        "video_pipeline",
+    ),
+})

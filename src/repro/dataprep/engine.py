@@ -102,6 +102,10 @@ from repro.errors import (
 from repro.dataprep.chaos import ChaosSpec, wrap_loader
 from repro.dataprep.pipeline import PrepPipeline, sample_rng
 
+# Shards run through the compiled plan, which imports the codecs: load
+# them with the engine, not inside its first batch.
+from repro.dataprep import plan  # noqa: F401
+
 #: Raw-shard loader: ``loader(start, count)`` returns the raw payloads
 #: (bytes blobs or an ndarray stack) for global samples
 #: ``start .. start+count``.  Must be picklable for worker mode.

@@ -4,6 +4,9 @@ Pipeline order follows Figure 17: the *formatting engine* (JPEG decode,
 crop) feeds the *augmentation engine* (mirror, Gaussian noise, cast).
 Each op executes on real numpy payloads and prices itself with the
 calibrated constants from :mod:`repro.dataprep.cost`.
+
+The simulator builds these ops only to price them, so the decoders
+import their codec inside the code that runs it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import numpy as np
 from repro.errors import DataprepError
 from repro.dataprep import cost as costmod
 from repro.dataprep.cost import OpCost, cpu_mem_traffic
-from repro.dataprep.jpeg import codec as jpeg_codec
 from repro.dataprep.pipeline import PrepOp, SampleSpec, stack_samples
 
 
@@ -59,6 +61,8 @@ class DecodeJpeg(PrepOp):
     kind = "decode"
 
     def apply(self, data: Any, rng: np.random.Generator) -> np.ndarray:
+        from repro.dataprep.jpeg import codec as jpeg_codec
+
         if not isinstance(data, (bytes, bytearray)):
             raise DataprepError("decode_jpeg expects compressed bytes")
         return jpeg_codec.decode(bytes(data))
@@ -69,6 +73,8 @@ class DecodeJpeg(PrepOp):
         """Batched decode: the entropy stage (lock-step above the
         crossover) feeds shared dequantize/IDCT/color passes over the
         stack (see :func:`repro.dataprep.jpeg.codec.decode_batch`)."""
+        from repro.dataprep.jpeg import codec as jpeg_codec
+
         for blob in batch:
             if not isinstance(blob, (bytes, bytearray)):
                 raise DataprepError("decode_jpeg expects compressed bytes")

@@ -26,7 +26,6 @@ import numpy as np
 from repro.errors import CodecError, DataprepError
 from repro.dataprep import cost as costmod
 from repro.dataprep.cost import OpCost, cpu_mem_traffic
-from repro.dataprep.jpeg import codec as jpeg_codec
 from repro.dataprep.pipeline import PrepOp, PrepPipeline, SampleSpec, stack_samples
 from repro.devices.fpga import EngineResources
 
@@ -35,6 +34,8 @@ _CLIP_MAGIC = b"RMJP"
 
 def encode_clip(frames: List[np.ndarray], quality: int = 75) -> bytes:
     """Pack frames into a motion-JPEG-style clip container."""
+    from repro.dataprep.jpeg import codec as jpeg_codec
+
     if not frames:
         raise CodecError("a clip needs at least one frame")
     shapes = {f.shape for f in frames}
@@ -70,6 +71,8 @@ def decode_clip(data: bytes) -> List[np.ndarray]:
 
 
 def _decode_clip_checked(data: bytes) -> List[np.ndarray]:
+    from repro.dataprep.jpeg import codec as jpeg_codec
+
     return [jpeg_codec.decode(payload) for payload in _clip_payloads(data)]
 
 
@@ -105,6 +108,8 @@ class DecodeVideo(PrepOp):
         """Flatten every clip's frames into one ``decode_batch`` call so
         the whole batch shares a single batched JPEG transform stage,
         then regroup frames per clip."""
+        from repro.dataprep.jpeg import codec as jpeg_codec
+
         for blob in batch:
             if not isinstance(blob, (bytes, bytearray)):
                 raise DataprepError("decode_video expects clip bytes")

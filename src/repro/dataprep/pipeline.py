@@ -260,6 +260,7 @@ class PrepPipeline:
         if _batch_len(batch) == 0:
             return []
         if plan:
+            # Late: plan imports this module.
             from repro.dataprep.plan import PlanInapplicable, try_plan
 
             compiled = try_plan(self, batch)

@@ -12,9 +12,9 @@ speed into pipeline-level speed (the FFCV insight):
   the slot; after any other source they become one strided per-sample
   copy; ``gaussian_noise``+``cast`` share one int16 buffer and never
   round-trip through uint8);
-* **invariant hoisting** — per-batch constants (Huffman/quant LUTs via
-  their caches, the noise table, mel banks, Hann windows, crop index
-  layouts) are bound at compile time, outside the batch loop;
+* **invariant hoisting** — per-batch constants (the noise table, mel
+  banks, Hann windows, crop index layouts) are bound at compile time,
+  outside the batch loop;
 * **pooled arenas** — every intermediate is a pre-sized slot allocated
   at compile time, so steady-state ``execute()`` calls allocate nothing
   beyond codec-internal temporaries that are freed within the call
@@ -40,6 +40,7 @@ next ``execute`` on the same plan.  Callers that need an owned array
 
 from __future__ import annotations
 
+import struct
 import time
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
@@ -48,8 +49,12 @@ import numpy as np
 
 from repro import cache, obs
 from repro.errors import DataprepError
+from repro.dataprep import ops_audio, ops_image
+from repro.dataprep.audio import mel as melmod, stft as stftmod
+from repro.dataprep.jpeg import codec as jpeg_codec
 from repro.dataprep.ops_image import add_table_noise, noise_table
 from repro.dataprep.pipeline import PrepPipeline, SampleSpec
+from repro.dataprep.png import codec as png_codec
 
 __all__ = [
     "PlanGeometry",
@@ -91,8 +96,6 @@ def geometry_for_batch(pipeline: PrepPipeline, batch: Any) -> PlanGeometry:
     Raises :class:`PlanInapplicable` for batches a plan cannot be
     specialized to (empty, ragged shapes, unrecognized payloads).
     """
-    from repro.dataprep import ops_image
-
     n = len(batch)
     if n == 0:
         raise PlanInapplicable("cannot plan an empty batch")
@@ -121,10 +124,6 @@ def geometry_for_batch(pipeline: PrepPipeline, batch: Any) -> PlanGeometry:
 
 
 def _jpeg_decoded_shape(blob: Any) -> Tuple[int, int, int]:
-    import struct
-
-    from repro.dataprep.jpeg import codec as jpeg_codec
-
     if not isinstance(blob, (bytes, bytearray)):
         raise PlanInapplicable("decode_jpeg expects compressed bytes")
     blob = bytes(blob)
@@ -138,10 +137,6 @@ def _jpeg_decoded_shape(blob: Any) -> Tuple[int, int, int]:
 
 
 def _png_decoded_shape(blob: Any) -> Tuple[int, int, int]:
-    import struct
-
-    from repro.dataprep.png import codec as png_codec
-
     if not isinstance(blob, (bytes, bytearray)):
         raise PlanInapplicable("decode_png expects compressed bytes")
     blob = bytes(blob)
@@ -225,14 +220,14 @@ class DecodeJpegStage(PlanStage):
     flip uniform first — decode draws nothing, so every stream's draw
     order is the per-sample path's — and ``decode_batch`` transforms
     only each crop window, writing it (reversed when the sample mirrors)
-    into the slot."""
+    into the slot.
 
-    invariants = ("huffman_luts", "quant_tables")
+    Nothing is hoisted: every RJPG blob carries its own Huffman tables
+    (looked up per blob in the entropy decoder's caches), and the
+    dequantization tables come from their memo at decode time."""
 
     def __init__(self, op: Any, geometry: PlanGeometry,
                  crop: Any = None, mirror: Any = None) -> None:
-        from repro.dataprep.jpeg import codec as jpeg_codec
-
         self.fuses = tuple(o.name for o in (op, crop, mirror) if o is not None)
         self._crop = crop
         self._mirror = mirror
@@ -266,8 +261,6 @@ class DecodeJpegStage(PlanStage):
         ]
 
     def run(self, data: Any, rngs: Sequence[np.random.Generator]) -> Any:
-        from repro.dataprep.jpeg import codec as jpeg_codec
-
         for blob in data:
             if not isinstance(blob, (bytes, bytearray)):
                 raise DataprepError("decode_jpeg expects compressed bytes")
@@ -299,8 +292,6 @@ class DecodePngStage(PlanStage):
         )
 
     def run(self, data: Any, rngs: Sequence[np.random.Generator]) -> Any:
-        from repro.dataprep.png import codec as png_codec
-
         for blob in data:
             if not isinstance(blob, (bytes, bytearray)):
                 raise DataprepError("decode_png expects compressed bytes")
@@ -490,8 +481,6 @@ class SpectrogramStage(PlanStage):
     invariants = ("hann_window", "frame_layout")
 
     def __init__(self, op: Any, geometry: PlanGeometry) -> None:
-        from repro.dataprep.audio import stft as stftmod
-
         self.fuses = (op.name,)
         self._op = op
         self._window = stftmod.cached_hann_window(op.win_length)
@@ -552,8 +541,6 @@ class MelStage(PlanStage):
 
     def __init__(self, op: Any, geometry: PlanGeometry,
                  in_shape: Tuple[int, ...]) -> None:
-        import repro.dataprep.audio.mel as melmod
-
         self.fuses = (op.name,)
         self._op = op
         frames, bins = in_shape
@@ -759,8 +746,6 @@ def compile_plan(
 def _compile(
     pipeline: PrepPipeline, geometry: PlanGeometry, fp: str
 ) -> PrepPlan:
-    from repro.dataprep import ops_audio, ops_image
-
     start = time.perf_counter()
     with obs.span(
         "prep.plan_compile",
@@ -881,8 +866,6 @@ def _crop_and_mirror_after(
     decode at ``ops[i]`` can fold in, each ``None`` when absent.  A crop
     larger than the decoded ``shape`` stays a stage of its own, which
     raises the per-sample path's error."""
-    from repro.dataprep import ops_image
-
     crop = ops[i + 1] if i + 1 < len(ops) else None
     if not (
         isinstance(crop, ops_image.RandomCrop)

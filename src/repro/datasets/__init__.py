@@ -8,26 +8,12 @@ depends on (the decode/augment work is a function of geometry, not of
 picture content).  The substitution is recorded in DESIGN.md.
 """
 
-from repro.datasets.imagenet import SyntheticImageDataset, IMAGENET_LIKE
-from repro.datasets.librispeech import SyntheticSpeechDataset, LIBRISPEECH_LIKE
-from repro.datasets.sampling import (
-    ShuffleBuffer,
-    WeightedSampler,
-    epoch_permutation,
-)
-from repro.datasets.storage import DataShard, shard_dataset
-from repro.datasets.video import KINETICS_LIKE, SyntheticVideoDataset
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DataShard",
-    "IMAGENET_LIKE",
-    "KINETICS_LIKE",
-    "LIBRISPEECH_LIKE",
-    "ShuffleBuffer",
-    "SyntheticImageDataset",
-    "SyntheticSpeechDataset",
-    "SyntheticVideoDataset",
-    "WeightedSampler",
-    "epoch_permutation",
-    "shard_dataset",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "imagenet": ("SyntheticImageDataset", "IMAGENET_LIKE"),
+    "librispeech": ("SyntheticSpeechDataset", "LIBRISPEECH_LIKE"),
+    "sampling": ("ShuffleBuffer", "WeightedSampler", "epoch_permutation"),
+    "storage": ("DataShard", "shard_dataset"),
+    "video": ("KINETICS_LIKE", "SyntheticVideoDataset"),
+})

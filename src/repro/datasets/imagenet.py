@@ -14,7 +14,6 @@ from typing import Iterator, List, Tuple
 import numpy as np
 
 from repro.errors import DataprepError
-from repro.dataprep.jpeg import encode, encode_batch
 from repro.dataprep.pipeline import SampleSpec
 
 
@@ -127,6 +126,8 @@ class SyntheticImageDataset:
         return synthesize_image(rng, self.height, self.width, label), label
 
     def __getitem__(self, index: int) -> Tuple[bytes, int]:
+        from repro.dataprep.jpeg import encode
+
         image, label = self.raw_item(index)
         return encode(image, quality=self.quality), label
 
@@ -144,6 +145,8 @@ class SyntheticImageDataset:
             raise DataprepError("batch count must be positive")
         if not 0 <= start <= self.num_items - count:
             raise IndexError(f"batch [{start}, {start + count}) out of range")
+        from repro.dataprep.jpeg import encode_batch
+
         pairs = [self.raw_item(start + i) for i in range(count)]
         blobs = encode_batch([img for img, _ in pairs], quality=self.quality)
         return [(blob, label) for blob, (_, label) in zip(blobs, pairs)]

@@ -14,7 +14,6 @@ from typing import Iterator, List, Tuple
 import numpy as np
 
 from repro.errors import DataprepError
-from repro.dataprep.jpeg import encode_batch
 from repro.dataprep.ops_video import encode_clip, pack_clip
 from repro.dataprep.pipeline import SampleSpec
 from repro.datasets.imagenet import synthesize_image
@@ -124,6 +123,8 @@ class SyntheticVideoDataset:
             raise DataprepError("batch count must be positive")
         if not 0 <= start <= self.num_items - count:
             raise IndexError(f"batch [{start}, {start + count}) out of range")
+        from repro.dataprep.jpeg import encode_batch
+
         pairs = [self.raw_item(start + i) for i in range(count)]
         flat = encode_batch(
             [frame for clip, _ in pairs for frame in clip],

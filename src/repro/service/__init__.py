@@ -19,66 +19,34 @@ policy (:mod:`~repro.service.client`) rides along; ``repro serve`` /
 See ``docs/service.md`` for the protocol and operational semantics.
 """
 
-from repro.service.batch import BatchScheduler, KernelBreaker, work_items
-from repro.service.bench import ChaosReport, mixed_trace, run_chaos_drill
-from repro.service.chaos import (
-    ChaosError,
-    ChaosInjector,
-    ChaosResultCache,
-    ServiceChaosSpec,
-)
-from repro.service.client import (
-    ConnectionLost,
-    RetryPolicy,
-    ServiceClient,
-    ServiceError,
-)
-from repro.service.protocol import (
-    MAX_FRAME_BYTES,
-    PROTOCOL,
-    DeadlineExceeded,
-    ProtocolError,
-    decode_frame,
-    encode_frame,
-)
-from repro.service.server import (
-    ServerThread,
-    ServiceConfig,
-    SimulationServer,
-    SimulationService,
-    TokenBucket,
-    default_workers,
-    execute_request,
-    serve,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MAX_FRAME_BYTES",
-    "PROTOCOL",
-    "BatchScheduler",
-    "ChaosError",
-    "ChaosInjector",
-    "ChaosReport",
-    "ChaosResultCache",
-    "ConnectionLost",
-    "DeadlineExceeded",
-    "KernelBreaker",
-    "ProtocolError",
-    "RetryPolicy",
-    "ServerThread",
-    "ServiceChaosSpec",
-    "ServiceClient",
-    "ServiceConfig",
-    "ServiceError",
-    "SimulationServer",
-    "SimulationService",
-    "TokenBucket",
-    "decode_frame",
-    "default_workers",
-    "encode_frame",
-    "execute_request",
-    "mixed_trace",
-    "run_chaos_drill",
-    "serve",
-    "work_items",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "batch": ("BatchScheduler", "KernelBreaker", "work_items"),
+    "bench": ("ChaosReport", "mixed_trace", "run_chaos_drill"),
+    "chaos": (
+        "ChaosError",
+        "ChaosInjector",
+        "ChaosResultCache",
+        "ServiceChaosSpec",
+    ),
+    "client": ("ConnectionLost", "RetryPolicy", "ServiceClient", "ServiceError"),
+    "protocol": (
+        "MAX_FRAME_BYTES",
+        "PROTOCOL",
+        "DeadlineExceeded",
+        "ProtocolError",
+        "decode_frame",
+        "encode_frame",
+    ),
+    "server": (
+        "ServerThread",
+        "ServiceConfig",
+        "SimulationServer",
+        "SimulationService",
+        "TokenBucket",
+        "default_workers",
+        "execute_request",
+        "serve",
+    ),
+})

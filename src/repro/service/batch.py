@@ -62,6 +62,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro import api, obs
 from repro.cache import ResultCache, fingerprint
+from repro.core import analytical_batch
 from repro.core.sweeps import SweepPoint, cache_key, evaluate_point
 from repro.errors import ConfigError
 from repro.service.protocol import DeadlineExceeded
@@ -483,8 +484,6 @@ class BatchScheduler:
         counter tally, span summary of a profiled item)`` — pure data;
         all bookkeeping happens back on the loop.
         """
-        from repro.core.analytical_batch import evaluate_points
-
         chaos = self.service._chaos
         if chaos is not None and kernel:
             # A dispatch-level chaos fault kills the whole kernel pass
@@ -507,7 +506,7 @@ class BatchScheduler:
                         out[item.key] = found
                         tally["service.batch_point_disk"] += 1
                 if kernel and todo:
-                    results, _reasons, errors = evaluate_points(
+                    results, _reasons, errors = analytical_batch.evaluate_points(
                         [item.work for item in todo],
                         keys=[item.key for item in todo],
                     )
