@@ -594,9 +594,9 @@ def sweep(
     :func:`repro.core.sweeps.run_sweep` with the facade's cache and
     metrics conveniences).  Accepts a :class:`SweepRequest` (the wire
     form), a :class:`~repro.core.sweeps.SweepSpec`, or an explicit point
-    list.  ``batch=True`` (default) evaluates every expressible
-    analytical point through the vectorized kernel in
-    structure-of-arrays passes, ``False`` forces per-point evaluation."""
+    list.  ``batch=True`` (default) evaluates every analytical point
+    through the vectorized kernel in structure-of-arrays passes,
+    ``False`` forces per-point evaluation."""
     if isinstance(spec, SweepRequest):
         spec = spec.resolve()
     return run_sweep(

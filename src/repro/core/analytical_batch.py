@@ -23,11 +23,11 @@ left fold the scalar dict uses; sync forms keep the scalar grouping;
 min/argmin reductions preserve the scalar first-minimal tie-breaks), and
 the golden-grid tests assert fingerprint equality before any timing.
 
-Points the kernel cannot express fall back to the scalar engine through
-:class:`BatchInapplicable` (mirroring ``PlanInapplicable`` from the
-compiled prep plans): non-analytical engines, sync strategies without a
-registered closed form, or an active tracer (which wants the scalar
-engine's per-point spans).
+Every analytical point a sweep or a service dispatch has to compute
+takes this kernel; the scalar engine stays the reference oracle
+(``run_sweep(batch=False)``).  Under an active tracer the kernel still
+prices every point and emits each result's model-time iteration spans,
+exactly as the scalar engine does.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from repro import obs
 from repro.core.analytical import (
     RESOURCE_ORDER,
     TrainingScenario,
+    emit_iteration_trace,
     resource_rate_table,
 )
 from repro.core.config import HardwareConfig, SyncStrategy
@@ -53,21 +54,12 @@ from repro.pcie.link import LinkDirection
 from repro.sync.model import DEFAULT_STEP_LATENCY
 
 
-class BatchInapplicable(SimulationError):
-    """A sweep point the vectorized kernel cannot express.
-
-    Never escapes :func:`evaluate_grid` for points it merely cannot
-    batch — those are reported as fallback reasons so the sweep engine
-    can route them through the scalar solver instead.
-    """
-
-
 # -- closed-form sync library (vectorized over the scale axis) ---------------
 #
 # Each form receives float64 arrays (n, model_bytes, fabric bandwidth)
 # already filtered to n > 1 and model_bytes != 0, and must keep the exact
 # operation order of the matching SyncModel.time() so results stay
-# bit-identical.  Tests monkeypatch this table to force fallbacks.
+# bit-identical.  Every SyncStrategy has one (a test pins it).
 
 
 def _ring_form(n: np.ndarray, m: np.ndarray, bw: np.ndarray) -> np.ndarray:
@@ -294,8 +286,8 @@ def flow_incidence(
     The endpoint sequence is verified against the server's shared hop
     arrays with whole-list comparisons (the ids are per-server interned
     strings, so these are effectively pointer checks); a mismatch means
-    the endpoint-invariant above no longer holds and the pair is demoted
-    to the scalar engine rather than priced wrong.
+    the endpoint invariant above no longer holds, and the pair raises
+    ``SimulationError`` rather than price against the wrong incidence.
     """
     key = ("flow_incidence", workload.name)
     memo = server.derived
@@ -307,7 +299,7 @@ def flow_incidence(
         dsts = [spec[1] for spec in specs]
         ends = _endpoint_incidence(server, table, srcs, dsts)
         if srcs != ends.srcs or dsts != ends.dsts:
-            raise BatchInapplicable(
+            raise SimulationError(
                 "pcie flow endpoints vary across workloads on this server"
             )
         volumes = np.fromiter(
@@ -407,228 +399,111 @@ def prep_rates_batch(
 
 # -- the grid kernel ---------------------------------------------------------
 
-_BATCHABLE_ACCELERATORS = ("tpu", "legacy-gpu")
 
+def evaluate_grid(points: Sequence) -> List[SimulationResult]:
+    """Price every point of a grid of analytical points in SoA passes.
 
-def inapplicable_reason(point) -> Optional[str]:
-    """Why a point cannot take the batch kernel, or ``None`` if it can."""
-    if point.engine != "analytical":
-        return f"engine {point.engine!r} has no vectorized form"
-    if point.arch is None:
-        return "no architecture"
-    if point.arch.sync not in _SYNC_FORMS:
-        return f"no closed form for sync strategy {point.arch.sync!r}"
-    if point.accelerator not in _BATCHABLE_ACCELERATORS:
-        return f"unknown accelerator {point.accelerator!r}"
-    return None
-
-
-def evaluate_grid(
-    points: Sequence,
-) -> Tuple[List[Optional[SimulationResult]], List[str]]:
-    """Evaluate every batchable point of a grid in SoA passes.
-
-    Returns ``(results, reasons)`` aligned with ``points``: a
-    :class:`SimulationResult` (bit-identical to the scalar engine) where
-    the kernel applied, ``None`` plus the fallback reason where it did
-    not.  Raises the same error types the scalar engine would for
-    invalid scenarios (``ConfigError``) or degenerate rates
+    Returns one :class:`SimulationResult` per point, bit-identical to
+    the scalar engine's.  Raises the same error types the scalar engine
+    would for invalid scenarios (``ConfigError``) or degenerate rates
     (``SimulationError``).
     """
-    results, reasons, _ = _evaluate(points, isolate=False)
-    return results, reasons
+    results, _ = _evaluate(points, isolate=False)
+    return results  # type: ignore[return-value]
 
 
 def evaluate_points(
     points: Sequence,
-    keys: Sequence[str],
-) -> Tuple[
-    List[Optional[SimulationResult]],
-    List[str],
-    List[Optional[Exception]],
-]:
-    """Evaluate a ragged point-list: dedup, batch, isolate errors.
+) -> Tuple[List[Optional[SimulationResult]], List[Optional[Exception]]]:
+    """Price a ragged point list, isolating each point's errors.
 
     The grid entry (:func:`evaluate_grid`) serves sweeps, where the
     caller controls the point set; this entry serves the service's
     cross-request batch scheduler (:mod:`repro.service.batch`), where
-    the set is stitched together from *whatever distinct tenants asked
-    for*.  Two differences follow:
+    the set is stitched together from whatever distinct tenants asked
+    for (its single-flight table hands each work-item key to one
+    dispatch, so no point repeats).  A poisoned point (invalid scenario,
+    degenerate rates) must not fail its batch-mates, so the errors the
+    grid entry would raise are returned instead, as the very objects
+    the scalar engine would raise.
 
-    * **canonicalization** — points are deduplicated on ``keys``, the
-      caller's result cache key of each point
-      (:func:`repro.core.sweeps.cache_key`, aligned with ``points``),
-      before the SoA passes, so requests that spell the same scenario
-      twice cost one evaluation; duplicates share the result object.
-    * **per-point error isolation** — a poisoned point (invalid
-      scenario, degenerate rates) must not fail its batch-mates, so
-      errors the grid entry would raise are instead returned in the
-      third, point-aligned list.  The captured exceptions are the very
-      objects the scalar engine would raise.
-
-    Returns ``(results, reasons, errors)``, all aligned with
-    ``points``.  A point has exactly one of ``results[i]`` (kernel
-    applied), ``errors[i]`` (its evaluation failed), or neither
-    (``reasons[i]`` says why the kernel declined it and the caller
-    should fall back to the scalar engine).
+    Returns ``(results, errors)``, aligned with ``points``; each point
+    has exactly one of ``results[i]`` and ``errors[i]``.
     """
-    unique_of: Dict[str, int] = {}
-    unique_idx: List[int] = []
-    slot: List[int] = []
-    for idx, key in enumerate(keys):
-        j = unique_of.get(key)
-        if j is None:
-            j = unique_of[key] = len(unique_idx)
-            unique_idx.append(idx)
-        slot.append(j)
-    u_results, u_reasons, u_errors = _evaluate(
-        [points[i] for i in unique_idx], isolate=True
-    )
-    return (
-        [u_results[j] for j in slot],
-        [u_reasons[j] for j in slot],
-        [u_errors[j] for j in slot],
-    )
+    return _evaluate(points, isolate=True)
 
 
 def _evaluate(
     points: Sequence, isolate: bool
-) -> Tuple[
-    List[Optional[SimulationResult]],
-    List[str],
-    List[Optional[Exception]],
-]:
-    """The shared kernel body behind both public entries.
+) -> Tuple[List[Optional[SimulationResult]], List[Optional[Exception]]]:
+    """The kernel body behind both public entries.
 
-    ``isolate=False`` preserves the grid contract exactly: scenario
-    validation and degenerate-rate errors raise.  ``isolate=True``
-    converts both into per-point entries of the returned ``errors``
-    list instead, demoting only the offending rows.
+    ``isolate=False`` raises the first failing point's error (the grid
+    contract); ``isolate=True`` records it in the returned ``errors``
+    list and prices the other points.
     """
     results: List[Optional[SimulationResult]] = [None] * len(points)
-    reasons: List[str] = [""] * len(points)
     errors: List[Optional[Exception]] = [None] * len(points)
 
-    tracer_active = obs.current_tracer() is not None
-    eligible: List[int] = []
-    scenarios: List[TrainingScenario] = []
-    for i, point in enumerate(points):
-        if tracer_active:
-            reasons[i] = "tracing active (scalar engine emits per-point spans)"
-            continue
-        reason = inapplicable_reason(point)
-        if reason is not None:
-            reasons[i] = reason
-            continue
-        # Scenario construction runs the scalar engine's validation
-        # (positive batch size, known accelerator) with identical errors.
-        try:
-            scenario = TrainingScenario(
-                workload=point.workload,
-                arch=point.arch,
-                n_accelerators=point.scale,
-                batch_size=point.batch_size,
-                hw=point.hw,
-                accelerator=point.accelerator,
-                fabric_bandwidth=point.fabric_bandwidth,
-                pool_size=point.pool_size,
-            )
-        except (ConfigError, SimulationError) as exc:
-            if not isolate:
-                raise
-            errors[i] = exc
-            reasons[i] = f"error: {exc}"
-            continue
-        scenarios.append(scenario)
-        eligible.append(i)
-        reasons[i] = "batch"
-    if not eligible:
-        return results, reasons, errors
-
-    n_points = len(eligible)
-    n_resources = len(RESOURCE_ORDER)
-
     # ---- prep side: stack per-pair rate rows into a P × R matrix -----
-    with obs.span("sweep.batch_compile", cat="sweep", points=n_points):
+    priced: List[int] = []
+    scenarios: List[TrainingScenario] = []
+    rates_dicts: List[Dict[str, float]] = []
+    pcie_links: List[str] = []
+    with obs.span("sweep.batch_compile", cat="sweep", points=len(points)):
         servers: Dict[tuple, ServerModel] = {}
         pairs_priced = set()
-        rate_matrix = np.empty((n_points, n_resources), dtype=np.float64)
-        rates_dicts: List[Dict[str, float]] = [None] * n_points  # type: ignore
-        pcie_links: List[str] = [""] * n_points
-        demoted: List[int] = []
-        for j, i in enumerate(eligible):
-            point, scenario = points[i], scenarios[j]
-            server_key = (
-                point.arch, point.scale, point.hw, point.pool_size,
-            )
-            server = servers.get(server_key)
-            if server is None:
-                server = build_server_cached(
-                    point.arch, point.scale,
-                    hw=point.hw, pool_size=point.pool_size,
-                )
-                servers[server_key] = server
+        for i, point in enumerate(points):
+            server_key = (point.arch, point.scale, point.hw, point.pool_size)
             try:
+                # Scenario construction runs the scalar engine's
+                # validation (positive batch size, known accelerator)
+                # with identical errors.
+                scenario = TrainingScenario(
+                    workload=point.workload,
+                    arch=point.arch,
+                    n_accelerators=point.scale,
+                    batch_size=point.batch_size,
+                    hw=point.hw,
+                    accelerator=point.accelerator,
+                    fabric_bandwidth=point.fabric_bandwidth,
+                    pool_size=point.pool_size,
+                )
+                server = servers.get(server_key)
+                if server is None:
+                    server = servers[server_key] = build_server_cached(
+                        point.arch, point.scale,
+                        hw=point.hw, pool_size=point.pool_size,
+                    )
                 rates, link_name = prep_rates_batch(server, point.workload)
-            except BatchInapplicable as exc:
-                reasons[i] = str(exc) or "batch prep pricing inapplicable"
-                demoted.append(j)
-                continue
+                if min(rates.values()) <= 0:  # the scalar prep_capacity check
+                    raise SimulationError(f"non-positive prep rate: {rates}")
             except (ConfigError, SimulationError) as exc:
-                # The pair itself is unpriceable — the scalar engine
-                # would raise the same error for this point.
                 if not isolate:
                     raise
                 errors[i] = exc
-                reasons[i] = f"error: {exc}"
-                demoted.append(j)
                 continue
             pairs_priced.add((server_key, point.workload.name))
-            rates_dicts[j] = rates
-            pcie_links[j] = link_name
-            for c, name in enumerate(RESOURCE_ORDER):
-                rate_matrix[j, c] = rates[name]
+            priced.append(i)
+            scenarios.append(scenario)
+            rates_dicts.append(rates)
+            pcie_links.append(link_name)
+        if not priced:
+            return results, errors
         # Distinct (server, workload) pricing rows this grid used — a
         # per-run count (unlike memo misses, which would depend on what
         # earlier sweeps in the process already compiled and so break
         # the parallel == serial manifest guarantee).
         obs.inc("sweep.batch_compile", len(pairs_priced))
-        if demoted:
-            keep = [j for j in range(n_points) if j not in set(demoted)]
-            eligible = [eligible[j] for j in keep]
-            scenarios = [scenarios[j] for j in keep]
-            rates_dicts = [rates_dicts[j] for j in keep]
-            pcie_links = [pcie_links[j] for j in keep]
-            rate_matrix = rate_matrix[keep]
-            n_points = len(eligible)
-            if not n_points:
-                return results, reasons, errors
+        rate_matrix = np.array(
+            [[row[name] for name in RESOURCE_ORDER] for row in rates_dicts],
+            dtype=np.float64,
+        )
 
     # min-reduce per row; first-minimal argmin matches the scalar
     # min(rates, key=rates.get) because columns follow RESOURCE_ORDER.
+    n_points = len(priced)
     prep_rate = rate_matrix.min(axis=1)
-    bad = np.flatnonzero(prep_rate <= 0.0)
-    if bad.size:
-        if not isolate:
-            raise SimulationError(
-                f"non-positive prep rate: {rates_dicts[int(bad[0])]}"
-            )
-        bad_set = set(int(j) for j in bad)
-        for j in bad_set:
-            i = eligible[j]
-            exc = SimulationError(f"non-positive prep rate: {rates_dicts[j]}")
-            errors[i] = exc
-            reasons[i] = f"error: {exc}"
-        keep = [j for j in range(n_points) if j not in bad_set]
-        eligible = [eligible[j] for j in keep]
-        scenarios = [scenarios[j] for j in keep]
-        rates_dicts = [rates_dicts[j] for j in keep]
-        pcie_links = [pcie_links[j] for j in keep]
-        rate_matrix = rate_matrix[keep]
-        prep_rate = rate_matrix.min(axis=1)
-        n_points = len(eligible)
-        if not n_points:
-            return results, reasons, errors
     bottleneck_col = rate_matrix.argmin(axis=1)
 
     # ---- consume side: closed forms broadcast over the scale axis ----
@@ -679,7 +554,8 @@ def _evaluate(
     prep_bound = prep_rate < consume_rate
 
     # ---- assembly ----------------------------------------------------
-    for j, i in enumerate(eligible):
+    tracer = obs.current_tracer()
+    for j, i in enumerate(priced):
         scenario = scenarios[j]
         if prep_bound[j]:
             bottleneck = RESOURCE_ORDER[int(bottleneck_col[j])]
@@ -687,7 +563,7 @@ def _evaluate(
                 bottleneck = f"pcie ({pcie_links[j]})"
         else:
             bottleneck = "accelerator"
-        results[i] = SimulationResult(
+        result = results[i] = SimulationResult(
             workload_name=scenario.workload.name,
             arch_name=scenario.arch.name,
             n_accelerators=scenario.n_accelerators,
@@ -701,5 +577,7 @@ def _evaluate(
             resource_rates=dict(rates_dicts[j]),
         )
         obs.observe("engine.analytical.throughput", float(throughput[j]))
+        if tracer is not None:
+            emit_iteration_trace(tracer, result)
     obs.inc("engine.analytical.runs", n_points)
-    return results, reasons, errors
+    return results, errors

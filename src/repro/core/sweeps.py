@@ -16,10 +16,11 @@ nested loops and recomputed every point on every run.  Here the grid is
   content-hash key (:func:`cache_key`) covering everything that
   determines the answer — hardware config, architecture config, workload
   row, scale, engine and engine parameters.  Only misses are computed:
-  serially for ``n_jobs=1``, otherwise on a ``ProcessPoolExecutor`` in
-  contiguous chunks.  Freshly computed results are written back to the
-  cache in the parent process (workers never touch the cache directory,
-  so there is nothing to coordinate).
+  analytical ones in one vectorized kernel pass, the rest point by
+  point, serially for ``n_jobs=1``, otherwise on a
+  ``ProcessPoolExecutor`` in contiguous chunks.  Freshly computed
+  results are written back to the cache in the parent process (workers
+  never touch the cache directory, so there is nothing to coordinate).
 * Results are identical whichever path produced them: the engines are
   deterministic, workers inherit the same code, and cached entries
   round-trip through JSON bit-for-bit (tests pin all three ways).
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import contextlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
@@ -193,38 +194,43 @@ def evaluate_point(
 
     ``server`` defaults to the memoized model of the point's
     architecture and scale; fault-schedule pricing passes a degraded
-    copy instead.  An active tracer makes the DES record its event
-    stream, so the trace shows every station's busy intervals.
+    copy instead.  An active tracer gets one ``sweep.point`` wall span
+    per call and makes the DES record its event stream, so the trace
+    shows every station's busy intervals.
     """
-    if point.engine == "scaleout":
-        return simulate_scaleout(
-            point.workload, point.scale, config=point.scaleout_config
+    with obs.span(
+        "sweep.point", cat="sweep",
+        workload=point.workload.name, scale=point.scale, engine=point.engine,
+    ):
+        if point.engine == "scaleout":
+            return simulate_scaleout(
+                point.workload, point.scale, config=point.scaleout_config
+            )
+        if server is None:
+            server = build_server_cached(
+                point.arch, point.scale, hw=point.hw, pool_size=point.pool_size
+            )
+        scenario = TrainingScenario(
+            workload=point.workload,
+            arch=point.arch,
+            n_accelerators=point.scale,
+            batch_size=point.batch_size,
+            hw=point.hw,
+            accelerator=point.accelerator,
+            fabric_bandwidth=point.fabric_bandwidth,
+            pool_size=point.pool_size,
         )
-    if server is None:
-        server = build_server_cached(
-            point.arch, point.scale, hw=point.hw, pool_size=point.pool_size
-        )
-    scenario = TrainingScenario(
-        workload=point.workload,
-        arch=point.arch,
-        n_accelerators=point.scale,
-        batch_size=point.batch_size,
-        hw=point.hw,
-        accelerator=point.accelerator,
-        fabric_bandwidth=point.fabric_bandwidth,
-        pool_size=point.pool_size,
-    )
-    if point.engine == "des":
-        return des.simulate_des(
-            scenario,
-            server=server,
-            iterations=point.des_iterations,
-            buffer_batches=point.des_buffer_batches,
-            record_trace=obs.current_tracer() is not None,
-        )
-    if point.engine == "flow":
-        return flowengine.simulate_flow(scenario, server=server)
-    return simulate(scenario, server=server)
+        if point.engine == "des":
+            return des.simulate_des(
+                scenario,
+                server=server,
+                iterations=point.des_iterations,
+                buffer_batches=point.des_buffer_batches,
+                record_trace=obs.current_tracer() is not None,
+            )
+        if point.engine == "flow":
+            return flowengine.simulate_flow(scenario, server=server)
+        return simulate(scenario, server=server)
 
 
 def evaluate_point_metered(point: SweepPoint) -> Tuple[object, Dict]:
@@ -262,9 +268,10 @@ class SweepOutcome:
 
     ``dispatch`` records, per point, which execution path produced the
     result: ``"cache"``, ``"batch"`` (the vectorized kernel), or
-    ``"scalar (<reason>)"`` for per-point evaluation, with the reason
-    the batch kernel gave for not taking the point.
-    ``batch_points``/``batch_fallbacks`` summarize the same split.
+    ``"scalar (<why>)"`` for per-point evaluation — a non-analytical
+    engine, or ``batch=False``.  ``batch_points`` counts the points the
+    kernel priced and ``batch_fallbacks`` the points priced outside it;
+    an active tracer changes neither.
     """
 
     points: Tuple[SweepPoint, ...]
@@ -307,28 +314,27 @@ def run_sweep(
     spec: Union[SweepSpec, Sequence[SweepPoint]],
     n_jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    chunksize: Optional[int] = None,
     metrics: Union[None, bool, "obs.MetricsRegistry"] = None,
     batch: bool = True,
 ) -> SweepOutcome:
     """Evaluate a grid, serving cached points and computing the rest.
 
-    Cache misses first go through the vectorized batch kernel
-    (:func:`repro.core.analytical_batch.evaluate_grid`), which evaluates
-    every analytical point it can express in structure-of-arrays passes
-    with bit-identical results; only the points it declines (other
-    engines, unregistered sync strategies, an active tracer) reach the
-    per-point path.  ``batch=False`` forces everything scalar.
+    Every analytical cache miss goes through the vectorized batch kernel
+    (:func:`repro.core.analytical_batch.evaluate_grid`), which prices
+    them in structure-of-arrays passes with bit-identical results,
+    tracer or not.  Points of the other engines go through
+    :func:`evaluate_point`; ``batch=False`` sends every point there (the
+    scalar reference oracle).
 
-    ``n_jobs=1`` runs the scalar remainder serially in-process; higher
-    values fan it out over a process pool in contiguous chunks.  The
-    point order of the outcome never depends on ``n_jobs``, ``batch``,
-    or the cache state.
+    The per-point remainder runs through :func:`parallel_map`: serially
+    in-process for ``n_jobs=1``, otherwise on a process pool, one
+    contiguous chunk per worker.  The point order of the outcome never
+    depends on ``n_jobs``, ``batch``, or the cache state.
 
     ``metrics`` turns on observability aggregation: pass ``True`` (a
     fresh registry) or an existing :class:`~repro.obs.MetricsRegistry`.
     The batch kernel emits into the parent registry directly; every
-    scalar point is evaluated under a hermetic child registry —
+    per-point evaluation runs under a hermetic child registry —
     in-process or in a pool worker alike — and the children are merged
     into the parent in point-index order, so the outcome's ``manifest``
     is identical whichever execution path ran (parallel == serial, a
@@ -347,8 +353,6 @@ def run_sweep(
         registry = metrics
     results: List[object] = [None] * len(points)
     dispatch: List[str] = ["cache"] * len(points)
-    batch_points = 0
-    batch_fallbacks = 0
 
     parent_session = (
         obs.session(metrics=registry) if registry is not None else None
@@ -377,91 +381,45 @@ def run_sweep(
             obs.inc("sweep.cache_hits", hits)
             obs.inc("sweep.cache_misses", len(pending))
 
-            scalar_pending = pending
-            if pending and batch:
-                batched, reasons = analytical_batch.evaluate_grid(
-                    [points[i] for i in pending]
-                )
-                scalar_pending = []
-                for k, idx in enumerate(pending):
-                    if batched[k] is not None:
-                        results[idx] = batched[k]
-                        dispatch[idx] = "batch"
-                        batch_points += 1
-                        if cache is not None:
-                            cache.put(keys[idx], batched[k].to_dict())
-                    else:
-                        scalar_pending.append(idx)
-                        dispatch[idx] = f"scalar ({reasons[k]})"
-                batch_fallbacks = len(scalar_pending)
-            elif pending:
-                for idx in pending:
+            kernel: List[int] = []
+            scalar: List[int] = []
+            for idx in pending:
+                engine = points[idx].engine
+                if not batch:
                     dispatch[idx] = "scalar (batch disabled)"
-            obs.inc("sweep.batch_points", batch_points)
-            obs.inc("sweep.batch_fallbacks", batch_fallbacks)
-
-            if scalar_pending:
-                todo = [points[i] for i in scalar_pending]
-                manifests: List[Dict] = []
-                if n_jobs == 1 or len(todo) == 1:
-                    computed = []
-                    for p in todo:
-                        with obs.span(
-                            "sweep.point", cat="sweep",
-                            workload=p.workload.name, scale=p.scale,
-                            engine=p.engine,
-                        ):
-                            if registry is not None:
-                                result, manifest = evaluate_point_metered(p)
-                                manifests.append(manifest)
-                            else:
-                                result = evaluate_point(p)
-                        computed.append(result)
+                elif engine != "analytical":
+                    dispatch[idx] = (
+                        f"scalar (engine {engine!r} has no vectorized form)"
+                    )
                 else:
-                    # Workers are capped by the actual work: never more
-                    # than one per remaining point, and with an explicit
-                    # chunksize never more than the number of chunks
-                    # (an all-hits grid would otherwise spin up a pool
-                    # of workers with nothing to map).
-                    workers = min(n_jobs, len(todo))
-                    if chunksize is None:
-                        chunksize = max(1, -(-len(todo) // workers))
-                    else:
-                        workers = min(
-                            workers, max(1, -(-len(todo) // chunksize))
-                        )
-                    with obs.span(
-                        "sweep.pool", cat="sweep",
-                        workers=workers, chunksize=chunksize,
-                    ):
-                        with ProcessPoolExecutor(max_workers=workers) as pool:
-                            if registry is not None:
-                                metered = list(
-                                    pool.map(
-                                        evaluate_point_metered,
-                                        todo,
-                                        chunksize=chunksize,
-                                    )
-                                )
-                                computed = [r for r, _ in metered]
-                                manifests = [m for _, m in metered]
-                            else:
-                                computed = list(
-                                    pool.map(
-                                        evaluate_point,
-                                        todo,
-                                        chunksize=chunksize,
-                                    )
-                                )
-                if registry is not None:
+                    dispatch[idx] = "batch"
+                    kernel.append(idx)
+                    continue
+                scalar.append(idx)
+            obs.inc("sweep.batch_points", len(kernel))
+            obs.inc("sweep.batch_fallbacks", len(scalar))
+
+            computed: List[object] = []
+            if kernel:
+                computed = analytical_batch.evaluate_grid(
+                    [points[i] for i in kernel]
+                )
+            if scalar:
+                todo = [points[i] for i in scalar]
+                if registry is None:
+                    computed += parallel_map(evaluate_point, todo, n_jobs)
+                else:
                     # Point-index order: the merge is deterministic and
                     # independent of which worker computed what.
-                    for manifest in manifests:
+                    for result, manifest in parallel_map(
+                        evaluate_point_metered, todo, n_jobs
+                    ):
                         registry.merge_manifest(manifest)
-                for idx, result in zip(scalar_pending, computed):
-                    results[idx] = result
-                    if cache is not None:
-                        cache.put(keys[idx], result.to_dict())
+                        computed.append(result)
+            for idx, result in zip(kernel + scalar, computed):
+                results[idx] = result
+                if cache is not None:
+                    cache.put(keys[idx], result.to_dict())
 
     return SweepOutcome(
         points=tuple(points),
@@ -469,8 +427,8 @@ def run_sweep(
         cache_hits=hits,
         cache_misses=len(pending),
         manifest=registry.to_manifest() if registry is not None else None,
-        batch_points=batch_points,
-        batch_fallbacks=batch_fallbacks,
+        batch_points=len(kernel),
+        batch_fallbacks=len(scalar),
         dispatch=tuple(dispatch),
     )
 
@@ -482,7 +440,9 @@ def parallel_map(
 
     ``fn`` must be a module-level callable (pool workers import it by
     qualified name); order follows ``items``; ``n_jobs=1`` is a plain
-    serial loop, so callers need no special casing.
+    serial loop, so callers need no special casing.  Otherwise the pool
+    never has more workers than items, and each worker gets one
+    contiguous chunk.
     """
     items = list(items)
     if n_jobs < 1:
@@ -490,8 +450,12 @@ def parallel_map(
     if n_jobs == 1 or len(items) <= 1:
         return [fn(item) for item in items]
     workers = min(n_jobs, len(items))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    chunksize = -(-len(items) // workers)
+    with obs.span(
+        "sweep.pool", cat="sweep", workers=workers, chunksize=chunksize
+    ):
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items, chunksize=chunksize))
 
 
 def figure21_spec(hw: Optional[HardwareConfig] = None) -> SweepSpec:

@@ -25,10 +25,10 @@ by :func:`~repro.service.server.execute_request`.
   nobody pays for it;
 * **dispatch** — analytical points wait up to ``batch_window_ms`` (or
   until ``max_batch_points`` are queued) and are priced in one
-  :func:`~repro.core.analytical_batch.evaluate_points` pass, with
-  :func:`~repro.core.sweeps.evaluate_point` for the points the kernel
-  declines.  Every other item dispatches at once as its own executor
-  task, so a DES run never holds kernel batch-mates;
+  :func:`~repro.core.analytical_batch.evaluate_points` pass.  Every
+  other item dispatches at once as its own executor task, priced by
+  :func:`~repro.core.sweeps.evaluate_point`, so a DES run never holds
+  kernel batch-mates;
 * **the cache tiers** — a dispatch scans the private disk tier, then the
   shared tier (backfilling shared hits to disk), and writes what it
   priced to the disk tier and, deferred off the request path, to the
@@ -506,9 +506,10 @@ class BatchScheduler:
                         out[item.key] = found
                         tally["service.batch_point_disk"] += 1
                 if kernel and todo:
-                    results, _reasons, errors = analytical_batch.evaluate_points(
-                        [item.work for item in todo],
-                        keys=[item.key for item in todo],
+                    # Single-flight gives every key one item, so no
+                    # point repeats within a dispatch.
+                    results, errors = analytical_batch.evaluate_points(
+                        [item.work for item in todo]
                     )
                     for item, result, error in zip(todo, results, errors):
                         if error is None and chaos is not None:
@@ -516,27 +517,26 @@ class BatchScheduler:
                         if error is not None:
                             out[item.key] = error
                             tally["service.batch_point_errors"] += 1
-                        elif result is not None:
+                        else:
                             out[item.key] = self._store(
                                 item.key, result.to_dict(), tally
                             )
                             tally["service.batch_point_kernel"] += 1
-                for item in todo:
-                    if item.key in out:
-                        continue
-                    # Priced alone: a non-analytical item, a point the
-                    # kernel declined, or any point while the breaker is
-                    # open.  Errors stay isolated to this item.
-                    try:
-                        if chaos is not None:
-                            chaos.before_compute(item.key)
-                        payload = self._price(item.work)
-                    except Exception as exc:
-                        out[item.key] = exc
-                        tally["service.batch_point_errors"] += 1
-                        continue
-                    out[item.key] = self._store(item.key, payload, tally)
-                    tally["service.batch_point_scalar"] += 1
+                elif not kernel:
+                    # Priced alone: a non-analytical item, or any point
+                    # while the breaker is open.  Errors stay isolated
+                    # to this item.
+                    for item in todo:
+                        try:
+                            if chaos is not None:
+                                chaos.before_compute(item.key)
+                            payload = self._price(item.work)
+                        except Exception as exc:
+                            out[item.key] = exc
+                            tally["service.batch_point_errors"] += 1
+                            continue
+                        out[item.key] = self._store(item.key, payload, tally)
+                        tally["service.batch_point_scalar"] += 1
         spans = None
         if tracer is not None:
             spans = [

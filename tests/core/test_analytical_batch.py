@@ -1,23 +1,28 @@
-"""The vectorized sweep kernel: bit-identity, fallbacks, dispatch.
+"""The vectorized sweep kernel: bit-identity, dispatch, tracing.
 
 The golden grid spans every Table I workload × every architecture
 family × every sync strategy × scales from 1 to 256 — the batch kernel
-must reproduce the scalar engine bit for bit over all of it, and every
-inapplicable point must demote to the scalar engine rather than price
-wrong.
+must reproduce the scalar engine bit for bit over all of it.  It is the
+one route for analytical points: every alias, accelerator and sync
+strategy takes it, with or without an active tracer.
 """
 
 import dataclasses
 
 import pytest
 
-from repro import obs
+from repro import api, obs
 from repro.cache import ResultCache, fingerprint
 from repro.core import analytical_batch as ab
 from repro.core import sweeps as sweeps_mod
 from repro.core.config import ArchitectureConfig, SyncStrategy
 from repro.core.sweeps import SweepPoint, SweepSpec, evaluate_point, run_sweep
-from repro.workloads.registry import TABLE_I, get_workload
+from repro.errors import SimulationError
+from repro.workloads.registry import (
+    EXTENSION_WORKLOADS,
+    TABLE_I,
+    get_workload,
+)
 
 RESNET = get_workload("Resnet-50")
 TF_AA = get_workload("Transformer-AA")
@@ -44,8 +49,8 @@ def _golden_points():
 
 def test_golden_grid_is_bit_identical_to_the_scalar_engine():
     points = _golden_points()
-    results, reasons = ab.evaluate_grid(points)
-    assert reasons == ["batch"] * len(points)
+    results = ab.evaluate_grid(points)
+    assert len(results) == len(points)
     for point, batched in zip(points, results):
         scalar = evaluate_point(point)
         where = (point.workload.name, point.arch.name, point.scale)
@@ -53,6 +58,35 @@ def test_golden_grid_is_bit_identical_to_the_scalar_engine():
         assert fingerprint(batched.to_dict()) == fingerprint(
             scalar.to_dict()
         ), where
+
+
+def test_every_sync_strategy_has_a_closed_form():
+    assert set(ab._SYNC_FORMS) == set(SyncStrategy)
+
+
+def test_every_alias_and_accelerator_takes_the_kernel():
+    """Table I and extension workloads × every facade alias × both
+    accelerators: every point is kernel-priced and matches the scalar
+    oracle bit for bit."""
+    workloads = tuple(TABLE_I.values()) + tuple(EXTENSION_WORKLOADS.values())
+    points = [
+        dataclasses.replace(point, accelerator=accelerator)
+        for accelerator in ("tpu", "legacy-gpu")
+        for point in SweepSpec(
+            workloads=workloads,
+            archs=tuple(api.ARCHS.values()),
+            scales=(1, 8, 64),
+        ).points()
+    ]
+    batched = run_sweep(points)
+    scalar = run_sweep(points, batch=False)
+    assert batched.dispatch == ("batch",) * len(points)
+    assert batched.batch_points == len(points)
+    assert batched.batch_fallbacks == 0
+    assert batched.results == scalar.results
+    assert [fingerprint(r.to_dict()) for r in batched.results] == [
+        fingerprint(r.to_dict()) for r in scalar.results
+    ]
 
 
 def test_run_sweep_batch_matches_scalar_and_labels_dispatch():
@@ -87,62 +121,41 @@ def test_mixed_engines_demote_per_point():
     assert outcome.results == run_sweep(points, batch=False).results
 
 
-def test_missing_sync_form_demotes_to_scalar(monkeypatch):
-    monkeypatch.delitem(ab._SYNC_FORMS, SyncStrategy.RING)
-    spec = SweepSpec(
-        workloads=(RESNET,),
-        archs=(ArchitectureConfig.trainbox(),),  # sync defaults to RING
-        scales=(1, 4),
-    )
-    outcome = run_sweep(spec, batch=True)
-    assert outcome.batch_points == 0
-    assert outcome.batch_fallbacks == len(spec.points())
-    assert all(d.startswith("scalar (no closed form") for d in outcome.dispatch)
-    assert outcome.results == run_sweep(spec, batch=False).results
-
-
-def test_prep_pricing_demotion_falls_back_not_wrong(monkeypatch):
-    def refuse(server, workload):
-        raise ab.BatchInapplicable("forced demotion")
-
-    monkeypatch.setattr(ab, "prep_rates_batch", refuse)
-    spec = SweepSpec(
-        workloads=(RESNET,),
-        archs=(ArchitectureConfig.trainbox(),),
-        scales=(1, 4),
-    )
-    results, reasons = ab.evaluate_grid(spec.points())
-    assert results == [None, None]
-    assert reasons == ["forced demotion"] * 2
-    outcome = run_sweep(spec, batch=True)
-    assert outcome.batch_fallbacks == 2
-    assert outcome.results == run_sweep(spec, batch=False).results
-
-
-def test_endpoint_invariant_violation_raises_batch_inapplicable(monkeypatch):
+def test_endpoint_invariant_violation_raises_simulation_error(monkeypatch):
     """A workload whose flow endpoints differ from the server's shared
-    sequence must demote, not price against the wrong incidence."""
-    from repro.core.server import build_server
+    sequence must raise, not price against the wrong incidence; the
+    service's entry isolates it as that point's error."""
+    from repro.core.server import build_server_cached
 
-    server = build_server(ArchitectureConfig.trainbox(), 8)
+    arch = ArchitectureConfig.trainbox()
+    server = build_server_cached(arch, 8)
     ab.flow_incidence(server, RESNET)  # prime the shared endpoint arrays
 
     demand, specs = ab.build_demand_lite(server, TF_AA)
     tampered = [(dst, src, vol, label) for src, dst, vol, label in specs]
-    monkeypatch.setattr(
-        ab, "_lite_demand", lambda srv, wl: (demand, tampered)
-    )
-    server.derived.pop(("flow_incidence", TF_AA.name), None)
-    with pytest.raises(ab.BatchInapplicable):
+    real_lite = ab._lite_demand
+
+    def lite(srv, wl):
+        if srv is server and wl is TF_AA:
+            return demand, tampered
+        return real_lite(srv, wl)
+
+    monkeypatch.setattr(ab, "_lite_demand", lite)
+    for key in (("flow_incidence", TF_AA.name), ("batch_prep", TF_AA.name)):
+        monkeypatch.delitem(server.derived, key, raising=False)
+    with pytest.raises(SimulationError, match="flow endpoints vary"):
         ab.flow_incidence(server, TF_AA)
 
-
-def test_tracing_forces_full_scalar_fallback():
-    points = [SweepPoint(RESNET, ArchitectureConfig.trainbox(), 4)]
-    with obs.session(tracer=obs.Tracer()):
-        results, reasons = ab.evaluate_grid(points)
-    assert results == [None]
-    assert reasons[0].startswith("tracing active")
+    bad = SweepPoint(TF_AA, arch, 8)
+    good = SweepPoint(RESNET, arch, 8)
+    with pytest.raises(SimulationError, match="flow endpoints vary"):
+        ab.evaluate_grid([good, bad])
+    results, errors = ab.evaluate_points([bad, good])
+    assert results[0] is None
+    assert isinstance(errors[0], SimulationError)
+    assert "flow endpoints vary" in str(errors[0])
+    assert errors[1] is None
+    assert results[1] == evaluate_point(good)
 
 
 def test_batch_results_land_in_the_persistent_cache(tmp_path):
@@ -195,70 +208,55 @@ def test_all_cache_hit_grid_never_spawns_the_pool(monkeypatch, tmp_path):
     assert outcome.dispatch == ("cache",) * len(spec.points())
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor; runs the map serially and
-    records the worker count it was offered."""
 
-    calls = []
-
-    def __init__(self, max_workers=None):
-        _RecordingPool.calls.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items, chunksize=1):
-        return [fn(item) for item in items]
+# -- tracing never changes the route --------------------------------------
 
 
-def test_workers_capped_by_chunk_count(monkeypatch):
-    monkeypatch.setattr(sweeps_mod, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "calls", [])
-    spec = SweepSpec(
-        workloads=(RESNET,),
+def _traced_grid():
+    analytical = SweepSpec(
+        workloads=(RESNET, TF_AA),
         archs=(ArchitectureConfig.baseline(), ArchitectureConfig.trainbox()),
-        scales=(1, 2, 4),
-    )
-    # 6 points in chunks of 3 → only 2 workers are worth spawning.
-    run_sweep(spec, n_jobs=8, chunksize=3, batch=False)
-    assert _RecordingPool.calls == [2]
+        scales=(1, 4, 64),
+    ).points()
+    flow = [
+        SweepPoint(RESNET, ArchitectureConfig.trainbox(), scale, engine="flow")
+        for scale in (2, 4)
+    ]
+    return analytical + flow, len(analytical)
 
 
-# -- evaluate_points: the ragged, deduplicating, error-isolating entry --------
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_traced_sweep_equals_untraced(n_jobs):
+    points, n_analytical = _traced_grid()
+    untraced = run_sweep(points, n_jobs=n_jobs, metrics=True)
+    tracer = obs.Tracer()
+    with obs.session(tracer=tracer):
+        traced = run_sweep(points, n_jobs=n_jobs, metrics=True)
+    assert traced.results == untraced.results
+    assert traced.dispatch == untraced.dispatch
+    assert traced.dispatch[:n_analytical] == ("batch",) * n_analytical
+    assert traced.batch_points == untraced.batch_points == n_analytical
+    assert traced.batch_fallbacks == untraced.batch_fallbacks == 2
+    assert traced.manifest == untraced.manifest
+    # One iteration span per kernel-priced point, plus one per flow
+    # point the parent priced itself (pool workers run untraced).
+    in_process = len(points) - n_analytical if n_jobs == 1 else 0
+    iterations = tracer.model_spans(cat=obs.ITERATION_CATEGORY)
+    assert len(iterations) == n_analytical + in_process
+    throughputs = sorted(span.args["throughput"] for span in iterations)
+    expected = [r.throughput for r in traced.results[:n_analytical]]
+    if n_jobs == 1:
+        expected += [r.throughput for r in traced.results[n_analytical:]]
+    assert throughputs == sorted(expected)
 
 
-def _evaluate_points(points):
-    """``evaluate_points`` with each point's result cache key, as the
-    service's batch dispatch passes them."""
-    return ab.evaluate_points(points, [sweeps_mod.cache_key(p) for p in points])
-
-
-def test_evaluate_points_dedups_on_cache_key():
-    point = SweepPoint(RESNET, ArchitectureConfig.trainbox(), 64)
-    other = SweepPoint(RESNET, ArchitectureConfig.baseline(), 4)
-    # The same scenario spelled twice via distinct point objects.
-    twin = SweepPoint(RESNET, ArchitectureConfig.trainbox(), 64)
-    results, reasons, errors = _evaluate_points([point, other, twin])
-    assert errors == [None, None, None]
-    assert reasons == ["batch"] * 3
-    assert results[0] is results[2]  # duplicates share the result object
-    for p, r in zip((point, other), results):
-        scalar = evaluate_point(p)
-        assert r == scalar
-        assert fingerprint(r.to_dict()) == fingerprint(scalar.to_dict())
-    # The dedup trusts the supplied keys: points given one key share
-    # one result.
-    shared, _, _ = ab.evaluate_points([point, other], ["k", "k"])
-    assert shared[0] is shared[1]
+# -- evaluate_points: the ragged, error-isolating entry ----------------------
 
 
 def test_evaluate_points_isolates_invalid_scenarios():
     good = SweepPoint(RESNET, ArchitectureConfig.trainbox(), 64)
     bad = SweepPoint(RESNET, ArchitectureConfig.trainbox(), 4, batch_size=-1)
-    results, reasons, errors = _evaluate_points([good, bad])
+    results, errors = ab.evaluate_points([good, bad])
     assert errors[0] is None
     assert results[0] == evaluate_point(good)
     assert results[1] is None
@@ -267,7 +265,6 @@ def test_evaluate_points_isolates_invalid_scenarios():
     with pytest.raises(ab.ConfigError) as scalar_exc:
         evaluate_point(bad)
     assert str(errors[1]) == str(scalar_exc.value)
-    assert reasons[1].startswith("error:")
 
 
 def test_evaluate_points_isolates_degenerate_rates(monkeypatch):
@@ -282,7 +279,7 @@ def test_evaluate_points_isolates_degenerate_rates(monkeypatch):
     monkeypatch.setattr(ab, "prep_rates_batch", zeroed)
     good = SweepPoint(RESNET, ArchitectureConfig.trainbox(), 64)
     bad = SweepPoint(TF_AA, ArchitectureConfig.trainbox(), 64)
-    results, reasons, errors = _evaluate_points([bad, good])
+    results, errors = ab.evaluate_points([bad, good])
     assert isinstance(errors[0], ab.SimulationError)
     assert "non-positive prep rate" in str(errors[0])
     assert results[0] is None
@@ -293,18 +290,6 @@ def test_evaluate_points_isolates_degenerate_rates(monkeypatch):
     # The grid entry keeps its raising contract for the same input.
     with pytest.raises(ab.SimulationError):
         ab.evaluate_grid([bad, good])
-
-
-def test_evaluate_points_reports_fallback_reasons_without_errors():
-    des = SweepPoint(
-        RESNET, ArchitectureConfig.trainbox(), 4,
-        engine="des", des_iterations=10,
-    )
-    good = SweepPoint(RESNET, ArchitectureConfig.trainbox(), 4)
-    results, reasons, errors = _evaluate_points([des, good])
-    assert results[0] is None and errors[0] is None
-    assert reasons[0].startswith("engine 'des'")
-    assert results[1] == evaluate_point(good)
 
 
 def test_evaluate_grid_raises_on_invalid_scenarios():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cache import ResultCache
+from repro.core import sweeps as sweeps_mod
 from repro.core.config import ArchitectureConfig
 from repro.core.results import SimulationResult
 from repro.core.scaleout import ScaleOutResult
@@ -156,3 +157,41 @@ def test_parallel_map_matches_serial():
     assert parallel_map(_double, items, n_jobs=3) == [2 * i for i in items]
     with pytest.raises(ConfigError):
         parallel_map(_double, items, n_jobs=0)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor; runs the map serially and
+    records the worker count and chunk size it was offered."""
+
+    calls = []
+
+    def __init__(self, max_workers=None):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        _RecordingPool.calls.append((self.max_workers, chunksize))
+        return [fn(item) for item in items]
+
+
+@pytest.mark.parametrize(
+    "n_items, n_jobs, expected",
+    [(6, 8, (6, 1)), (7, 2, (2, 4)), (6, 3, (3, 2)), (2, 2, (2, 1))],
+)
+def test_parallel_map_gives_each_worker_one_chunk(
+    monkeypatch, n_items, n_jobs, expected
+):
+    # Workers never outnumber items, and the items split into one
+    # contiguous chunk per worker.
+    monkeypatch.setattr(sweeps_mod, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "calls", [])
+    items = list(range(n_items))
+    assert parallel_map(_double, items, n_jobs=n_jobs) == [2 * i for i in items]
+    assert _RecordingPool.calls == [expected]
+    workers, chunksize = expected
+    assert -(-n_items // chunksize) == workers

@@ -133,3 +133,97 @@ def test_batched_service_is_bit_identical(requests, max_points):
         for name in ("computed", "coalesced", "memo_hits")
     )
     assert served == len(requests)
+
+
+# -- one item per key per dispatch ----------------------------------------
+
+#: A small request pool, so drawn mixes repeat requests and overlap:
+#: the sweeps share their points with the simulates.
+DUP_REQUESTS = [
+    api.SimulationRequest(workload, arch, scale)
+    for workload in ("Resnet-50", "VGG-19")
+    for arch in ("baseline", "trainbox")
+    for scale in SMALL_SCALES
+] + [
+    api.SweepRequest(
+        workloads=("Resnet-50", "VGG-19"), archs=("trainbox",),
+        scales=tuple(SMALL_SCALES),
+    ),
+    api.SweepRequest(
+        workloads=("Resnet-50",), archs=("baseline", "trainbox"),
+        scales=tuple(SMALL_SCALES),
+    ),
+]
+
+wave_strategy = st.lists(
+    st.tuples(st.sampled_from(DUP_REQUESTS), st.booleans()),
+    min_size=1,
+    max_size=10,
+)
+
+
+@given(
+    first=wave_strategy,
+    second=wave_strategy,
+    max_points=st.sampled_from([2, 7, 256]),
+)
+@settings(max_examples=15, deadline=None)
+def test_no_dispatch_repeats_a_work_item_key(first, second, max_points):
+    """Single-flight hands each key to one item, so the kernel never
+    sees a key twice in one dispatch — with duplicate-heavy and
+    overlapping mixes, and with requests cancelled while their items
+    sit in the window, then asked for again."""
+    from repro.core import analytical_batch
+    from repro.core.sweeps import cache_key
+
+    dispatched = []
+    real = analytical_batch.evaluate_points
+
+    def recording(points):
+        dispatched.append([cache_key(point) for point in points])
+        return real(points)
+
+    service = SimulationService(
+        ServiceConfig(
+            max_workers=2, batch_window_ms=5.0, max_batch_points=max_points
+        )
+    )
+
+    async def main():
+        tasks = []
+        try:
+            for wave in (first, second):
+                started = []
+                for i, (request, cancel) in enumerate(wave):
+                    envelope = {
+                        "id": len(tasks), "tenant": f"t{i % 3}",
+                        "request": request.to_dict(),
+                    }
+                    task = asyncio.ensure_future(service.handle(envelope))
+                    tasks.append((request, cancel, task))
+                    started.append((cancel, task))
+                await asyncio.sleep(0)  # let the wave queue its items
+                for cancel, task in started:
+                    if cancel:
+                        task.cancel()
+            await asyncio.gather(
+                *(task for _r, _c, task in tasks), return_exceptions=True
+            )
+        finally:
+            await service.aclose()
+        return tasks
+
+    analytical_batch.evaluate_points = recording
+    try:
+        tasks = asyncio.run(main())
+    finally:
+        analytical_batch.evaluate_points = real
+
+    assert dispatched or all(cancel for _r, cancel, _t in tasks)
+    for keys in dispatched:
+        assert len(keys) == len(set(keys)), keys
+    for request, cancel, task in tasks:
+        if not task.cancelled():
+            response = task.result()
+            assert response["status"] == "ok"
+            assert response["payload"] == execute_request(request)

@@ -1,13 +1,12 @@
 """Property: the vectorized sweep kernel equals the scalar engine
-bit for bit over random grids — including grids where some points are
-forced to demote to per-point evaluation."""
+bit for bit over random grids — including grids that mix in DES points,
+which the sweep prices one by one beside the kernel's pass."""
 
 import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
 from repro.cache import fingerprint
-from repro.core import analytical_batch as ab
 from repro.core.config import ArchitectureConfig, SyncStrategy
 from repro.core.sweeps import SweepPoint, run_sweep
 from repro.workloads.registry import EXTENSION_WORKLOADS, TABLE_I
@@ -66,19 +65,39 @@ def test_batch_equals_scalar_bit_for_bit(points):
     assert batched.points == scalar.points
 
 
-@given(points=points_strategy)
+des_points_strategy = st.lists(
+    st.builds(
+        SweepPoint,
+        workload=st.sampled_from(WORKLOADS),
+        arch=st.sampled_from(FAMILIES),
+        scale=st.integers(min_value=1, max_value=16),
+        engine=st.just("des"),
+        des_iterations=st.just(8),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@given(
+    analytical=points_strategy,
+    des=des_points_strategy,
+    order=st.randoms(use_true_random=False),
+)
 @settings(max_examples=10, deadline=None)
-def test_forced_fallbacks_preserve_identity(points):
-    """With the ring closed form removed, ring points demote to the
-    scalar engine — and the mixed grid still matches it bit for bit."""
-    removed = ab._SYNC_FORMS.pop(SyncStrategy.RING)
-    try:
-        batched = run_sweep(points, batch=True)
-    finally:
-        ab._SYNC_FORMS[SyncStrategy.RING] = removed
+def test_mixed_engine_grids_preserve_identity(analytical, des, order):
+    """DES points interleaved with analytical ones go through the
+    per-point path; the kernel prices every analytical point, and the
+    mixed grid still matches the scalar oracle bit for bit."""
+    points = analytical + des
+    order.shuffle(points)
+    batched = run_sweep(points, batch=True)
     scalar = run_sweep(points, batch=False)
     assert batched.results == scalar.results
     assert _fingerprints(batched) == _fingerprints(scalar)
-    ring = sum(1 for p in points if p.arch.sync is SyncStrategy.RING)
-    assert batched.batch_fallbacks == ring
-    assert batched.batch_points == len(points) - ring
+    assert batched.batch_points == len(analytical)
+    assert batched.batch_fallbacks == len(des)
+    assert all(
+        (how == "batch") == (p.engine == "analytical")
+        for p, how in zip(points, batched.dispatch)
+    )

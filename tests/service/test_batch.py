@@ -296,14 +296,14 @@ POISON_SCALE = 16
 
 
 def _poisoning(real):
-    def evaluate_points(points, keys):
-        results, reasons, errors = real(points, keys)
+    def evaluate_points(points):
+        results, errors = real(points)
         results, errors = list(results), list(errors)
         for i, point in enumerate(points):
             if point.scale == POISON_SCALE:
                 results[i] = None
                 errors[i] = SimulationError("poisoned point")
-        return results, reasons, errors
+        return results, errors
 
     return evaluate_points
 
@@ -345,9 +345,9 @@ def test_poisoned_point_fails_only_its_requests(monkeypatch):
 
 
 def test_error_envelope_matches_unbatched_path(monkeypatch):
-    # The same poisoned point priced alone (the kernel declines it and
-    # evaluate_point raises) must produce the kernel path's error code
-    # and message.
+    # The same poisoned point priced alone (the breaker is open, so the
+    # window dispatch skips the kernel and evaluate_point raises) must
+    # produce the kernel path's error code and message.
     poisoned = api.SimulationRequest("Resnet-50", "trainbox", POISON_SCALE)
     monkeypatch.setattr(
         analytical_batch,
@@ -359,19 +359,18 @@ def test_error_envelope_matches_unbatched_path(monkeypatch):
     )
     [kernel] = _gather(via_kernel, [_envelope(poisoned)])
 
-    def declining(points, keys):
-        nothing = [None] * len(points)
-        return nothing, ["declined"] * len(points), nothing
-
     def failing_point(point):
         raise SimulationError("poisoned point")
 
-    monkeypatch.setattr(analytical_batch, "evaluate_points", declining)
     monkeypatch.setattr(batch_mod, "evaluate_point", failing_point)
     alone = SimulationService(
-        ServiceConfig(max_workers=2, batch_window_ms=1.0)
+        ServiceConfig(
+            max_workers=2, batch_window_ms=1.0, breaker_probe_after=1000
+        )
     )
+    alone._batch.breaker.open = True
     [scalar] = _gather(alone, [_envelope(poisoned)])
+    assert _counters(alone)["service.breaker_bypassed"] == 1
     assert _counters(alone)["service.batch_point_errors"] == 1
     assert kernel["status"] == scalar["status"] == "error"
     assert kernel["error"] == scalar["error"]
