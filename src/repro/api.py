@@ -527,8 +527,9 @@ def simulate(
     ``trace``/``metrics`` install the given instruments for the duration
     of the call; ``cache`` (a :class:`~repro.cache.ResultCache` or a
     directory path) serves the point content-addressed when possible.
-    Traced runs always recompute — a cached payload has no event stream
-    to replay — but still refresh the cache with what they computed.
+    Traced runs always recompute — a cached payload has no spans to
+    replay — and store what they computed: a tracer never changes an
+    engine's result, so the entry is the one an untraced run would write.
     """
     if isinstance(workload, SimulationRequest):
         if arch is not None or scale is not None or hw is not None:

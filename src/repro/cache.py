@@ -53,7 +53,11 @@ from repro.errors import ConfigError
 #: v3: the deprecated ``station_utilization`` alias is gone from
 #: DesResult payloads, and the service layer stores whole-response
 #: payloads keyed by request fingerprint in the same store.
-CACHE_VERSION = 3
+#: v4: a traced DES run no longer switches to the reference solver, so
+#: a ``sweep-point`` entry holds the same bits traced or not (v3 stores
+#: may hold traced DES entries with the reference solver's bits); only
+#: fault schedules still store whole-response payloads.
+CACHE_VERSION = 4
 
 
 # -- canonical fingerprinting ------------------------------------------------

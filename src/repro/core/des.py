@@ -21,8 +21,8 @@ which is an exact event-driven solution for FIFO deterministic networks.
 Two solvers implement the recursion:
 
 * :func:`run_pipeline_reference` — the batch-at-a-time scalar loop, the
-  executable spec.  It handles jitter and trace recording.
-* a **vectorized** solver used automatically for deterministic runs —
+  executable spec.  It handles jitter and station-trace recording.
+* a **vectorized** solver used for every other run, traced or not —
   numpy over the whole batch axis, one station at a time.  Each
   station's recursion ``F[k] = max(A[k], F[k - s]) + S`` is a max-plus
   prefix scan solved in ``O(log)`` doubling passes
@@ -37,13 +37,20 @@ Two solvers implement the recursion:
   ago — is already known.  A golden test pins the vectorized solver to
   the scalar reference across bottleneck positions, multi-server
   stations, buffer depths and scales.
+
+Under an active tracer both solvers emit one ``iteration`` model span
+per simulated iteration on the ``des`` track, from their own
+``iter_start``/``iter_finish``, so a tracer never changes which solver
+runs or what it returns.  Station busy spans need the per-batch event
+stream only the reference solver records: they come from an explicit
+``simulate_des(record_trace=True)``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -365,6 +372,7 @@ def run_pipeline_reference(
                     )
                 )
 
+    _emit_iterations(iter_start, iter_finish)
     makespan = iter_finish[-1]
     throughput = _throughput_from_finish(
         iter_finish, iterations, n_accelerators, batch_size
@@ -381,6 +389,26 @@ def run_pipeline_reference(
         trace=tuple(trace) if trace is not None else None,
         **_normalized_fields(stations, n_accelerators, batch_size, iteration_time),
     )
+
+
+def _emit_iterations(
+    iter_start: Sequence[float], iter_finish: Sequence[float]
+) -> None:
+    """One ``iteration`` model span per simulated iteration on the
+    active tracer's ``des`` track — the spans ``repro trace`` reconciles
+    against (no-op without a tracer)."""
+    tracer = obs.current_tracer()
+    if tracer is None:
+        return
+    for j, (start, end) in enumerate(zip(iter_start, iter_finish)):
+        tracer.add_model_span(
+            "iteration",
+            float(start),
+            float(end),
+            cat=obs.ITERATION_CATEGORY,
+            track="des",
+            index=j,
+        )
 
 
 def _maxplus_scan(init: np.ndarray, shift: int, step: float) -> np.ndarray:
@@ -460,6 +488,7 @@ def _run_pipeline_vectorized(
         iter_start[j] = max(work[-1], prev_finish)
         prev_finish = iter_finish[j] = iter_start[j] + iteration_time
 
+    _emit_iterations(iter_start, iter_finish)
     makespan = float(iter_finish[-1])
     throughput = _throughput_from_finish(
         iter_finish, iterations, n, batch_size
@@ -501,9 +530,10 @@ def run_pipeline(
     ``jitter`` multiplies every service time by a lognormal factor with
     the given coefficient of variation.
 
-    Deterministic runs without trace recording dispatch to the
-    vectorized solver; jitter (whose RNG draw order is defined by the
-    scalar loop) and tracing use :func:`run_pipeline_reference`.
+    Deterministic runs dispatch to the vectorized solver, tracer or
+    not; jitter (whose RNG draw order is defined by the scalar loop) and
+    ``record_trace`` (the per-batch station event stream) use
+    :func:`run_pipeline_reference`.
     """
     obs.inc("engine.des.runs")
     obs.inc("engine.des.batches", iterations * n_accelerators)
@@ -545,7 +575,13 @@ def simulate_des(
     seed: int = 0,
     record_trace: bool = False,
 ) -> DesResult:
-    """Build the scenario's server and run the batch-level DES."""
+    """Build the scenario's server and run the batch-level DES.
+
+    ``record_trace=True`` runs the reference solver, keeps its event
+    stream on ``DesResult.trace`` and replays each station busy interval
+    onto an active tracer's ``des`` track; the default run records no
+    stream and emits only the ``iteration`` spans.
+    """
     hw = scenario.hw or HardwareConfig()
     if server is None:
         with obs.span("des.build_server", cat="engine"):
@@ -599,30 +635,14 @@ def simulate_des(
     )
     tracer = obs.current_tracer()
     if tracer is not None and result.trace is not None:
-        _emit_model_trace(tracer, result)
+        for event in result.trace:
+            if event.kind == "station":
+                tracer.add_model_span(
+                    event.name,
+                    event.start,
+                    event.end,
+                    cat="station",
+                    track="des",
+                    batch=event.index,
+                )
     return result
-
-
-def _emit_model_trace(tracer, result: DesResult) -> None:
-    """Replay a recorded DES trace onto the active tracer's ``des``
-    track: one span per station busy interval, plus the iteration
-    barrier spans ``repro trace`` reconciles against."""
-    for event in result.trace:
-        if event.kind == "iteration":
-            tracer.add_model_span(
-                "iteration",
-                event.start,
-                event.end,
-                cat=obs.ITERATION_CATEGORY,
-                track="des",
-                index=event.index,
-            )
-        else:
-            tracer.add_model_span(
-                event.name,
-                event.start,
-                event.end,
-                cat="station",
-                track="des",
-                batch=event.index,
-            )

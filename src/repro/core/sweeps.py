@@ -195,8 +195,9 @@ def evaluate_point(
     ``server`` defaults to the memoized model of the point's
     architecture and scale; fault-schedule pricing passes a degraded
     copy instead.  An active tracer gets one ``sweep.point`` wall span
-    per call and makes the DES record its event stream, so the trace
-    shows every station's busy intervals.
+    per call plus the engine's own model spans (for the DES, one
+    ``iteration`` span per simulated iteration); it never changes which
+    solver runs or what it returns.
     """
     with obs.span(
         "sweep.point", cat="sweep",
@@ -226,7 +227,6 @@ def evaluate_point(
                 server=server,
                 iterations=point.des_iterations,
                 buffer_batches=point.des_buffer_batches,
-                record_trace=obs.current_tracer() is not None,
             )
         if point.engine == "flow":
             return flowengine.simulate_flow(scenario, server=server)
@@ -329,7 +329,10 @@ def run_sweep(
     The per-point remainder runs through :func:`parallel_map`: serially
     in-process for ``n_jobs=1``, otherwise on a process pool, one
     contiguous chunk per worker.  The point order of the outcome never
-    depends on ``n_jobs``, ``batch``, or the cache state.
+    depends on ``n_jobs``, ``batch``, or the cache state.  Points
+    computed in pool workers emit no per-point spans into the caller's
+    tracer; their results and the manifest are identical to a serial or
+    untraced run.
 
     ``metrics`` turns on observability aggregation: pass ``True`` (a
     fresh registry) or an existing :class:`~repro.obs.MetricsRegistry`.

@@ -9,10 +9,11 @@ Every request decomposes into keyed work items, and one scheduler
 disk → shared cache tiers, dispatch and write-back, stitching distinct
 analytical points into shared vectorized kernel dispatches.  The
 resilience layer adds per-request deadlines, cancellation through
-waiter refcounts, graceful drain on SIGTERM, a kernel circuit breaker
-that switches dispatches to per-point pricing, and a deterministic chaos
+waiter refcounts, graceful drain on SIGTERM, and a deterministic chaos
 drill (:mod:`~repro.service.chaos`, driven by
-:mod:`~repro.service.bench`).  A small synchronous client with a retry
+:mod:`~repro.service.bench`).  A profiled request is priced through the
+same items, engines and kernel as any other, so its payload is the
+unprofiled one, byte for byte.  A small synchronous client with a retry
 policy (:mod:`~repro.service.client`) rides along; ``repro serve`` /
 ``repro client`` / ``repro chaos --service`` are the CLI entries.
 
@@ -22,7 +23,7 @@ See ``docs/service.md`` for the protocol and operational semantics.
 from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "batch": ("BatchScheduler", "KernelBreaker", "work_items"),
+    "batch": ("BatchScheduler", "work_items"),
     "bench": ("ChaosReport", "mixed_trace", "run_chaos_drill"),
     "chaos": (
         "ChaosError",

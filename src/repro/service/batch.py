@@ -7,9 +7,12 @@ requests of every engine become their evaluation points
 :meth:`~repro.api.SweepRequest.points`), keyed by
 :func:`repro.core.sweeps.cache_key` — the ``sweep-point`` key space
 :func:`~repro.core.sweeps.run_sweep` reads and writes, so sweeps and the
-service share warm cache entries.  Fault-schedule requests and profiled
-requests are one item keyed by the request fingerprint and priced whole
-by :func:`~repro.service.server.execute_request`.
+service share warm cache entries.  A fault-schedule request is one item
+keyed by the request fingerprint and priced whole by
+:func:`~repro.service.server.execute_request`.  A profiled request
+decomposes exactly like an unprofiled one: its items share the memo,
+single-flight, the tiers and the kernel window, and a dispatch runs
+under a tracer when any of its items was started by a profiled request.
 
 :class:`BatchScheduler` owns, for every item alike:
 
@@ -34,14 +37,13 @@ by :func:`~repro.service.server.execute_request`.
   priced to the disk tier and, deferred off the request path, to the
   shared tier under its cross-process lock;
 * **error isolation** — a failing item fails only the requests that
-  contain it, with the very exception its engine raised.
+  contain it, with the very exception its engine raised; a dispatch that
+  dies wholesale fails each of its items with an ``internal error: ...``
+  ``compute`` error.
 
-The :class:`KernelBreaker` is a dispatch-mode switch: repeated
-dispatch-level kernel failures open it, and window dispatches then price
-their points with ``evaluate_point`` until a probe dispatch comes back
-clean.  Items, tiers and futures are the same in both modes
-(``service.batch_point_kernel`` / ``service.batch_point_scalar`` show
-which one priced a point).
+An item's engine alone decides how it is priced: an analytical point by
+the kernel, anything else on its own (``service.batch_point_kernel`` /
+``service.batch_point_scalar`` count each).
 
 A request is served by the costliest source among its items, in the
 order of :data:`SOURCES`; responses are bit-identical to a direct
@@ -71,7 +73,6 @@ __all__ = [
     "SOURCES",
     "Backpressure",
     "BatchScheduler",
-    "KernelBreaker",
     "work_items",
 ]
 
@@ -79,21 +80,16 @@ __all__ = [
 SOURCES = ("memo", "coalesced", "disk", "shared", "computed")
 
 
-def work_items(
-    request, profile: bool = False
-) -> Tuple[str, List[Tuple[str, Any]]]:
+def work_items(request) -> Tuple[str, List[Tuple[str, Any]]]:
     """``(fingerprint, items)`` for one request; an item is ``(key, work)``.
 
     ``simulate``/``sweep`` requests become ``(cache_key(point), point)``
     pairs, and the fingerprint is derived from those keys exactly as the
     request's own ``fingerprint()`` derives it, so every key is hashed
-    once.  Fault schedules and profiled requests are one
-    ``(fingerprint, request)`` item.  Raises what ``fingerprint()``
-    raises for a malformed request.
+    once.  A fault schedule is one ``(fingerprint, request)`` item.
+    Raises what ``fingerprint()`` raises for a malformed request.
     """
-    if profile or not isinstance(
-        request, (api.SimulationRequest, api.SweepRequest)
-    ):
+    if not isinstance(request, (api.SimulationRequest, api.SweepRequest)):
         fp = request.fingerprint()
         return fp, [(fp, request)]
     points = request.points()
@@ -118,73 +114,6 @@ class _ShuttingDown(ConfigError):
     """Queued items abandoned because the service is closing."""
 
 
-class KernelBreaker:
-    """A counter-gated circuit breaker over one batch kernel.
-
-    ``record_failure`` counts *consecutive* kernel-dispatch failures; at
-    ``threshold`` the breaker opens and :meth:`allow` starts answering
-    False, so window dispatches price their points without the kernel.
-    Every ``probe_after``-th bypassed dispatch is let through as a probe;
-    a successful kernel dispatch (``record_success``) closes the breaker
-    and zeroes the failure count.  Purely counter-driven — no clocks — so
-    breaker behaviour is deterministic under test and chaos drills.
-    """
-
-    __slots__ = ("threshold", "probe_after", "failures", "open", "bypassed")
-
-    def __init__(self, threshold: int = 3, probe_after: int = 16) -> None:
-        if threshold < 1:
-            raise ConfigError("breaker threshold must be >= 1")
-        if probe_after < 1:
-            raise ConfigError("breaker probe_after must be >= 1")
-        self.threshold = threshold
-        self.probe_after = probe_after
-        self.failures = 0
-        self.open = False
-        self.bypassed = 0
-
-    def allow(self) -> bool:
-        """Whether the next window dispatch may use the kernel.
-
-        While open, counts bypassed dispatches and admits one probe per
-        ``probe_after`` bypasses (the probe's outcome decides whether the
-        breaker closes or stays open)."""
-        if not self.open:
-            return True
-        self.bypassed += 1
-        if self.bypassed >= self.probe_after:
-            self.bypassed = 0
-            return True
-        return False
-
-    def record_success(self) -> bool:
-        """A kernel dispatch completed; returns True when this *reset* an
-        open breaker (the caller counts resets)."""
-        reset = self.open
-        self.failures = 0
-        self.open = False
-        self.bypassed = 0
-        return reset
-
-    def record_failure(self) -> bool:
-        """A kernel dispatch died wholesale; returns True when this
-        *tripped* the breaker open."""
-        self.failures += 1
-        if self.failures >= self.threshold and not self.open:
-            self.open = True
-            self.bypassed = 0
-            return True
-        return False
-
-    def state(self) -> Dict:
-        return {
-            "open": self.open,
-            "consecutive_failures": self.failures,
-            "threshold": self.threshold,
-            "probe_after": self.probe_after,
-        }
-
-
 class _Item:
     """One keyed unit of work, shared by every request that needs it."""
 
@@ -198,12 +127,28 @@ class _Item:
         self.waiters = 0
         # A lone item's executor job: cancellable until a thread picks it up.
         self.job = None
-        self.spans = None  # the profiled dispatch's span summary
+        self.spans = None  # its dispatch's span summary, when traced
 
 
 def _windowed(work) -> bool:
     """Analytical points wait for kernel batch-mates; nothing else does."""
     return isinstance(work, SweepPoint) and work.engine == "analytical"
+
+
+def _merge_spans(summaries: List[list], top: int = 10) -> list:
+    """``meta.spans``: the dispatch summaries a profiled request started,
+    merged by span name — ``[name, count, total ms]`` rows, widest
+    total first."""
+    table: Dict[str, list] = {}
+    for summary in summaries:
+        for name, count, total in summary:
+            row = table.setdefault(name, [name, 0, 0.0])
+            row[1] += count
+            row[2] += total
+    rows = sorted(table.values(), key=lambda row: (-row[2], row[0]))
+    return [
+        [name, count, round(total * 1e3, 6)] for name, count, total in rows[:top]
+    ]
 
 
 class BatchScheduler:
@@ -221,9 +166,6 @@ class BatchScheduler:
         config = service.config
         self.window = config.batch_window_ms / 1000.0
         self.max_points = config.max_batch_points
-        self.breaker = KernelBreaker(
-            config.breaker_threshold, config.breaker_probe_after
-        )
         self.pending = 0  # requests holding at least one item they started
         self._executor = ThreadPoolExecutor(
             max_workers=config.workers, thread_name_prefix="repro-engine"
@@ -288,6 +230,11 @@ class BatchScheduler:
         """Serve one request's items; returns ``(payloads, served_by,
         spans)``.
 
+        ``profile`` traces the dispatches of the items this request
+        starts; ``spans`` merges their summaries (see
+        :func:`_merge_spans`), and is None for an unprofiled request or
+        one that started nothing.
+
         Raises :class:`Backpressure` or
         :class:`~repro.service.protocol.DeadlineExceeded` before starting
         anything when the request needs new work it may not start; the
@@ -351,14 +298,17 @@ class BatchScheduler:
             if fresh:
                 self.pending -= 1
         sources = []
-        spans = None
+        summaries: List[list] = []
         for i, item, started in held:
             if item.future.exception() is not None:
                 raise item.future.exception()
             payloads[i], tier = item.future.result()
             sources.append(tier if started else "coalesced")
-            if started and item.spans is not None:
-                spans = item.spans
+            if (
+                profile and started and item.spans is not None
+                and not any(item.spans is seen for seen in summaries)
+            ):
+                summaries.append(item.spans)  # once per dispatch
         if deadline is not None and time.monotonic() >= deadline:
             # The work finished and feeds the memo and every other
             # waiter, but past the budget the honest answer to THIS
@@ -366,6 +316,7 @@ class BatchScheduler:
             raise DeadlineExceeded(
                 "deadline_ms expired before the result scattered"
             )
+        spans = _merge_spans(summaries) if summaries else None
         return payloads, max(sources, key=SOURCES.index), spans
 
     def _start(self, key: str, work, profile: bool) -> _Item:
@@ -377,7 +328,7 @@ class BatchScheduler:
             # dispatch — an oversize request flushes in chunks.
             self._arm()
         else:
-            item.job = self._launch([item], kernel=False)
+            item.job = self._launch([item])
         return item
 
     def _release(self, item: _Item) -> None:
@@ -416,27 +367,17 @@ class BatchScheduler:
         svc._inc("service.batch_dispatches")
         svc._inc("service.batch_points", len(items))
         svc.registry.observe("service.batch_occupancy", float(len(items)))
-        self._launch(items, kernel=self._kernel_mode())
+        self._launch(items)
 
-    def _kernel_mode(self) -> bool:
-        """The breaker's mode switch for one window dispatch."""
-        if not self.breaker.open:
-            return True
-        if self.breaker.allow():
-            self.service._inc("service.breaker_probes")
-            return True
-        self.service._inc("service.breaker_bypassed")
-        return False
-
-    def _launch(self, items: List[_Item], kernel: bool):
+    def _launch(self, items: List[_Item]):
         """Submit one dispatch to the engine pool; returns its job."""
-        job = self._executor.submit(self._compute_batch, items, kernel)
-        task = self._loop.create_task(self._dispatch(items, kernel, job))
+        job = self._executor.submit(self._compute_batch, items)
+        task = self._loop.create_task(self._dispatch(items, job))
         self._dispatches.add(task)
         task.add_done_callback(self._dispatches.discard)
         return job
 
-    async def _dispatch(self, items: List[_Item], kernel: bool, job) -> None:
+    async def _dispatch(self, items: List[_Item], job) -> None:
         """Await one executor job, then scatter its results on the loop."""
         svc = self.service
         try:
@@ -452,11 +393,6 @@ class BatchScheduler:
             out = dict.fromkeys((item.key for item in items), failure)
             manifest, tally, spans = None, {}, None
             svc._inc("service.batch_dispatch_errors")
-            if kernel and self.breaker.record_failure():
-                svc._inc("service.breaker_tripped")
-        else:
-            if kernel and self.breaker.record_success():
-                svc._inc("service.breaker_reset")
         for name, value in tally.items():
             svc._inc(name, value)
         if manifest is not None:
@@ -476,23 +412,26 @@ class BatchScheduler:
                 item.future.set_result(value)
 
     def _compute_batch(
-        self, items: List[_Item], kernel: bool
+        self, items: List[_Item]
     ) -> Tuple[Dict[str, Any], Dict, Dict[str, int], Optional[list]]:
         """Executor-thread body of one dispatch: tiers, then pricing.
 
-        Returns ``(per-key (payload, tier) or exception, engine manifest,
-        counter tally, span summary of a profiled item)`` — pure data;
-        all bookkeeping happens back on the loop.
+        A window dispatch prices its analytical points in one kernel
+        pass; a lone item is priced on its own.  Returns ``(per-key
+        (payload, tier) or exception, engine manifest, counter tally,
+        span summary when any item is profiled)`` — pure data; all
+        bookkeeping happens back on the loop.
         """
+        kernel = _windowed(items[0].work)
         chaos = self.service._chaos
         if chaos is not None and kernel:
-            # A dispatch-level chaos fault kills the whole kernel pass
-            # (the breaker's food); per-item faults are injected below.
+            # A dispatch-level chaos fault kills the whole kernel pass;
+            # per-item faults are injected below.
             chaos.before_dispatch()
         tally: Dict[str, int] = collections.defaultdict(int)
         out: Dict[str, Any] = {}
         registry = obs.MetricsRegistry()
-        tracer = obs.Tracer() if items[0].profile else None
+        tracer = obs.Tracer() if any(i.profile for i in items) else None
         with obs.session(tracer=tracer, metrics=registry):
             with obs.span(
                 "service.batch_dispatch", cat="service", points=len(items)
@@ -522,10 +461,8 @@ class BatchScheduler:
                                 item.key, result.to_dict(), tally
                             )
                             tally["service.batch_point_kernel"] += 1
-                elif not kernel:
-                    # Priced alone: a non-analytical item, or any point
-                    # while the breaker is open.  Errors stay isolated
-                    # to this item.
+                else:
+                    # A lone non-analytical item, priced on its own.
                     for item in todo:
                         try:
                             if chaos is not None:
@@ -539,10 +476,7 @@ class BatchScheduler:
                         tally["service.batch_point_scalar"] += 1
         spans = None
         if tracer is not None:
-            spans = [
-                [s.name, s.count, round(s.total * 1e3, 6)]
-                for s in tracer.summarize(top=10)
-            ]
+            spans = [[s.name, s.count, s.total] for s in tracer.summarize()]
         return out, registry.to_manifest(), dict(tally), spans
 
     @staticmethod

@@ -21,10 +21,10 @@ Fault kinds and where they bite:
 * ``point_error`` — one kernel-priced point inside a batch dispatch
   fails; per-item error isolation means only requests containing that
   point see an error.
-* ``dispatch_error`` — a whole kernel dispatch dies before computing
-  (the breaker's food).  Driven by an explicit ordinal list, not a
-  rate, so a drill trips the :class:`~repro.service.batch.KernelBreaker`
-  deterministically.
+* ``dispatch_error`` — a whole kernel dispatch dies before computing,
+  failing each of its items with an ``internal error``.  Driven by an
+  explicit ordinal list, not a rate, so a drill knows exactly how many
+  dispatches die (``service.batch_dispatch_errors`` must equal it).
 * ``disk_error`` — :class:`ChaosResultCache` raises ``OSError`` from a
   cache tier operation; tiers degrade (``service.cache_errors``), the
   request is still answered bit-identically.
@@ -83,6 +83,9 @@ def _rates_valid(*rates: float) -> bool:
 @dataclass(frozen=True)
 class ServiceChaosSpec:
     """The frozen fault plan: seed + per-kind rates.
+
+    ``dispatch_fault_ordinals`` lists the kernel dispatches (counted
+    from 0 in the order engine threads start them) that die wholesale.
 
     ``decide(kind, token)`` maps into ``[0, 1)`` via a keyed hash; a
     fault fires when that value falls under the kind's rate.  Content
@@ -170,8 +173,8 @@ class ChaosInjector:
 
     def before_dispatch(self) -> None:
         """Kernel dispatch, executor thread: ordinal-listed dispatches die
-        wholesale.  Ordinals, not hashes: a drill lists consecutive
-        ordinals to trip the kernel breaker deterministically."""
+        wholesale.  Ordinals, not hashes: a drill knows how many
+        dispatches it kills, whatever points they hold."""
         with self._lock:
             ordinal = next(self._dispatch_ordinals)
         if ordinal in self.spec.dispatch_fault_ordinals:

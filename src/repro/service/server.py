@@ -8,8 +8,8 @@ module is the broker in front of the work scheduler
 
 * every request decomposes into keyed work items
   (:func:`~repro.service.batch.work_items`) — evaluation points for
-  ``simulate``/``sweep``, one whole-request item for fault schedules and
-  profiled requests — and the scheduler owns the memo, single-flight
+  ``simulate``/``sweep``, profiled or not, one whole-request item for
+  fault schedules — and the scheduler owns the memo, single-flight
   coalescing, the disk → shared cache tiers, dispatch and write-back for
   all of them; the broker only admits requests and assembles responses,
   bit-identical to :func:`execute_request`;
@@ -199,8 +199,6 @@ class ServiceConfig:
     batch_window_ms: float = 2.0  # micro-batch accumulation window
     max_batch_points: int = 256  # size trigger: flush at this many points
     drain_timeout: float = 10.0  # graceful-drain budget (seconds)
-    breaker_threshold: int = 3   # consecutive dispatch failures to trip
-    breaker_probe_after: int = 16  # bypassed dispatches per breaker probe
 
     def __post_init__(self) -> None:
         if self.max_workers is not None and self.max_workers < 1:
@@ -231,10 +229,6 @@ class ServiceConfig:
             and self.drain_timeout >= 0
         ):
             raise ConfigError("drain_timeout must be >= 0 and finite")
-        if self.breaker_threshold < 1:
-            raise ConfigError("breaker_threshold must be >= 1")
-        if self.breaker_probe_after < 1:
-            raise ConfigError("breaker_probe_after must be >= 1")
 
     @property
     def workers(self) -> int:
@@ -319,7 +313,6 @@ class SimulationService:
             "tenants": len(self._buckets),
             "draining": self._draining,
             "writeback_queued": len(batch._writeback),
-            "breaker": batch.breaker.state(),
             "config": {
                 "max_workers": self.config.workers,
                 "max_pending": self.config.max_pending,
@@ -328,8 +321,6 @@ class SimulationService:
                 "batch_window_ms": self.config.batch_window_ms,
                 "max_batch_points": self.config.max_batch_points,
                 "drain_timeout": self.config.drain_timeout,
-                "breaker_threshold": self.config.breaker_threshold,
-                "breaker_probe_after": self.config.breaker_probe_after,
                 "quota_rate": (
                     None
                     if math.isinf(self.config.quota_rate)
@@ -373,7 +364,7 @@ class SimulationService:
             # Keying fully resolves the request, so malformed field
             # values that slipped past construction surface here —
             # still inside the bad-request envelope, never as a raise.
-            fp, items = work_items(request, profile)
+            fp, items = work_items(request)
         except ConfigError as exc:
             self._inc("service.bad_requests")
             return protocol.error_response(rid, "bad-request", str(exc))

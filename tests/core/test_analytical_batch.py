@@ -212,22 +212,34 @@ def test_all_cache_hit_grid_never_spawns_the_pool(monkeypatch, tmp_path):
 # -- tracing never changes the route --------------------------------------
 
 
+#: DES iterations per traced DES point (one ``iteration`` span each).
+DES_ITERATIONS = 20
+
+
 def _traced_grid():
     analytical = SweepSpec(
         workloads=(RESNET, TF_AA),
         archs=(ArchitectureConfig.baseline(), ArchitectureConfig.trainbox()),
         scales=(1, 4, 64),
     ).points()
+    trainbox = ArchitectureConfig.trainbox()
     flow = [
-        SweepPoint(RESNET, ArchitectureConfig.trainbox(), scale, engine="flow")
-        for scale in (2, 4)
+        SweepPoint(RESNET, trainbox, scale, engine="flow") for scale in (2, 4)
     ]
-    return analytical + flow, len(analytical)
+    des = [
+        SweepPoint(
+            RESNET, trainbox, scale, engine="des",
+            des_iterations=DES_ITERATIONS,
+        )
+        for scale in (8, 16)
+    ]
+    return analytical + flow + des, len(analytical), len(des)
 
 
 @pytest.mark.parametrize("n_jobs", [1, 2])
 def test_traced_sweep_equals_untraced(n_jobs):
-    points, n_analytical = _traced_grid()
+    points, n_analytical, n_des = _traced_grid()
+    n_scalar = len(points) - n_analytical
     untraced = run_sweep(points, n_jobs=n_jobs, metrics=True)
     tracer = obs.Tracer()
     with obs.session(tracer=tracer):
@@ -236,18 +248,24 @@ def test_traced_sweep_equals_untraced(n_jobs):
     assert traced.dispatch == untraced.dispatch
     assert traced.dispatch[:n_analytical] == ("batch",) * n_analytical
     assert traced.batch_points == untraced.batch_points == n_analytical
-    assert traced.batch_fallbacks == untraced.batch_fallbacks == 2
+    assert traced.batch_fallbacks == untraced.batch_fallbacks == n_scalar
     assert traced.manifest == untraced.manifest
-    # One iteration span per kernel-priced point, plus one per flow
-    # point the parent priced itself (pool workers run untraced).
-    in_process = len(points) - n_analytical if n_jobs == 1 else 0
-    iterations = tracer.model_spans(cat=obs.ITERATION_CATEGORY)
-    assert len(iterations) == n_analytical + in_process
-    throughputs = sorted(span.args["throughput"] for span in iterations)
-    expected = [r.throughput for r in traced.results[:n_analytical]]
-    if n_jobs == 1:
-        expected += [r.throughput for r in traced.results[n_analytical:]]
-    assert throughputs == sorted(expected)
+    # One steady-state iteration span per kernel-priced point and per
+    # flow point, and one per simulated iteration of each DES point —
+    # for the per-point remainder only when the parent priced it itself
+    # (spans recorded in pool workers never reach the caller's tracer).
+    in_process = n_jobs == 1
+    steady = tracer.model_spans(
+        cat=obs.ITERATION_CATEGORY, track=obs.MODEL_TRACK
+    )
+    steady_results = traced.results[:n_analytical]
+    if in_process:
+        steady_results += traced.results[n_analytical:-n_des]
+    throughputs = sorted(span.args["throughput"] for span in steady)
+    assert throughputs == sorted(r.throughput for r in steady_results)
+    des_spans = tracer.model_spans(cat=obs.ITERATION_CATEGORY, track="des")
+    assert len(des_spans) == (n_des * DES_ITERATIONS if in_process else 0)
+    assert not tracer.model_spans(cat="station")
 
 
 # -- evaluate_points: the ragged, error-isolating entry ----------------------

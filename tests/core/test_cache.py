@@ -171,7 +171,7 @@ def _golden_inputs():
 
 
 def test_cache_key_golden_digests():
-    assert CACHE_VERSION == 3
+    assert CACHE_VERSION == 4
     inputs = _golden_inputs()
     assert sorted(inputs) == sorted(GOLDEN_DIGESTS)
     for _ in range(2):  # cold, then served from the fragment memo

@@ -11,6 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.analytical import TrainingScenario
 from repro.core.config import ArchitectureConfig
 from repro.core.des import (
@@ -80,6 +81,31 @@ def test_simulate_des_uses_vectorized_path_consistently():
         assert traced.trace is not None  # record_trace forces the reference
         assert fast.throughput == pytest.approx(traced.throughput, rel=1e-9)
         assert fast.makespan == pytest.approx(traced.makespan, rel=1e-9)
+
+
+def test_tracer_keeps_the_vectorized_solver():
+    """A tracer adds one iteration span per simulated iteration and
+    changes nothing else; station spans need an explicit record_trace."""
+    scenario = TrainingScenario(
+        get_workload("Resnet-50"), ArchitectureConfig.trainbox(), 8
+    )
+    plain = simulate_des(scenario, iterations=20)
+    tracer = obs.Tracer()
+    with obs.session(tracer=tracer):
+        traced = simulate_des(scenario, iterations=20)
+    assert traced == plain  # bit-identical, no event stream
+    spans = tracer.model_spans(track="des")
+    assert [s.name for s in spans] == ["iteration"] * 20
+    assert [s.args["index"] for s in spans] == list(range(20))
+    assert spans[-1].end == plain.makespan
+
+    recorded = obs.Tracer()
+    with obs.session(tracer=recorded):
+        reference = simulate_des(scenario, iterations=20, record_trace=True)
+    iterations = recorded.model_spans(cat=obs.ITERATION_CATEGORY)
+    stations = recorded.model_spans(cat="station")
+    assert len(iterations) == 20
+    assert len(stations) == sum(e.kind == "station" for e in reference.trace)
 
 
 def test_jitter_dispatches_to_reference():

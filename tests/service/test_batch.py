@@ -9,6 +9,8 @@ Tests drive :meth:`SimulationService.handle` directly under
 import asyncio
 import json
 
+import pytest
+
 from repro import api
 from repro.cache import ResultCache
 from repro.core import analytical_batch
@@ -58,7 +60,7 @@ def test_work_items_split_points_from_whole_requests():
     )
     # Simulate and sweep requests of every engine are their points,
     # keyed by the sweep-point cache key; the fingerprint derived from
-    # those keys is the request's own.
+    # those keys is the request's own.  Profiling is not an input.
     flow = api.SimulationRequest("Resnet-50", "trainbox", 64, engine="flow")
     for request in (REQ, sweep, flow):
         fp, items = work_items(request)
@@ -66,11 +68,10 @@ def test_work_items_split_points_from_whole_requests():
         assert [key for key, _point in items] == [
             cache_key(point) for point in request.points()
         ]
-    # Fault schedules and profiled requests are priced whole.
-    for request, profile in ((fault, False), (REQ, True)):
-        fp, items = work_items(request, profile)
-        assert fp == request.fingerprint()
-        assert items == [(fp, request)]
+    # Only a fault schedule is priced whole.
+    fp, items = work_items(fault)
+    assert fp == fault.fingerprint()
+    assert items == [(fp, fault)]
 
 
 # -- flush triggers -----------------------------------------------------------
@@ -262,7 +263,15 @@ def test_mixed_kinds_split_between_batched_and_compute_paths():
     assert counters["service.batch_point_scalar"] == 2
 
 
-def test_profiled_request_is_priced_whole_with_spans():
+def _canonical(payload):
+    return json.dumps(payload, sort_keys=True)
+
+
+def _span_counts(response):
+    return {name: count for name, count, _ms in response["meta"]["spans"]}
+
+
+def test_profiled_request_takes_the_point_route_with_spans():
     service = SimulationService(
         ServiceConfig(max_workers=2, batch_window_ms=1.0)
     )
@@ -277,16 +286,76 @@ def test_profiled_request_is_priced_whole_with_spans():
 
     profiled, plain = asyncio.run(main())
     assert profiled["meta"]["served_by"] == "computed"
-    assert profiled["meta"]["spans"]  # the traced engine run's summary
-    assert profiled["payload"] == execute_request(REQ)
-    # The profiled item is keyed by the request fingerprint, so the plain
-    # request still prices its point (in the kernel window).
-    assert plain["meta"]["served_by"] == "computed"
+    spans = _span_counts(profiled)  # the traced kernel dispatch's summary
+    assert spans["service.batch_dispatch"] == 1
+    assert spans["iteration"] == 1
+    assert _canonical(profiled["payload"]) == _canonical(execute_request(REQ))
+    # The profiled request priced the point under its cache key, so the
+    # plain request is a memo hit.
+    assert plain["meta"]["served_by"] == "memo"
     assert "spans" not in plain["meta"]
-    assert plain["payload"] == profiled["payload"]
+    assert _canonical(plain["payload"]) == _canonical(profiled["payload"])
     counters = _counters(service)
-    assert counters["service.batch_point_scalar"] == 1
     assert counters["service.batch_point_kernel"] == 1
+    assert counters.get("service.batch_point_scalar", 0) == 0
+    assert counters["service.memo_hits"] == 1
+
+
+@pytest.mark.parametrize("engine", ["analytical", "des", "flow"])
+def test_profiled_payload_is_the_unprofiled_payload(engine):
+    simulate = api.SimulationRequest("Resnet-50", "trainbox", 16, engine=engine)
+    sweep = api.SweepRequest(
+        workloads=("Resnet-50",), archs=("trainbox",), scales=(4, 8),
+        engine=engine,
+    )
+    for request in (simulate, sweep):
+        responses = {}
+        for profile in (True, False):
+            service = SimulationService(
+                ServiceConfig(max_workers=2, batch_window_ms=1.0)
+            )
+            [responses[profile]] = _gather(
+                service, [_envelope(request, profile=profile)]
+            )
+            assert responses[profile]["meta"]["served_by"] == "computed"
+        want = _canonical(execute_request(request))
+        assert _canonical(responses[True]["payload"]) == want
+        assert _canonical(responses[False]["payload"]) == want
+        assert responses[True]["meta"]["spans"]
+        assert "spans" not in responses[False]["meta"]
+
+
+def test_profiled_spans_count_each_started_dispatch_once():
+    analytical = api.SweepRequest(
+        workloads=("Resnet-50",), archs=("trainbox",), scales=(4, 8)
+    )
+    des = api.SweepRequest(
+        workloads=("Resnet-50",), archs=("trainbox",), scales=(4, 8),
+        engine="des",
+    )
+    service = SimulationService(
+        ServiceConfig(max_workers=2, batch_window_ms=1.0)
+    )
+    window, lone, plain, coalesced = _gather(
+        service,
+        [
+            _envelope(analytical, rid=1, profile=True),
+            _envelope(des, rid=2, profile=True),
+            _envelope(REQ, rid=3),
+            # Attaches to rid 3's in-flight item: it started nothing.
+            _envelope(REQ, rid=4, profile=True),
+        ],
+    )
+    # Both analytical points share one window dispatch (with REQ's
+    # point); each DES point is its own dispatch.
+    assert _span_counts(window)["service.batch_dispatch"] == 1
+    assert _span_counts(window)["iteration"] == 3
+    assert _span_counts(lone)["service.batch_dispatch"] == 2
+    assert _span_counts(lone)["iteration"] == 2 * 60  # one per DES iteration
+    assert "spans" not in plain["meta"]
+    assert coalesced["meta"]["served_by"] == "coalesced"
+    assert "spans" not in coalesced["meta"]
+    assert _counters(service)["service.batch_dispatches"] == 1
 
 
 # -- per-point error isolation ------------------------------------------------
@@ -345,9 +414,8 @@ def test_poisoned_point_fails_only_its_requests(monkeypatch):
 
 
 def test_error_envelope_matches_unbatched_path(monkeypatch):
-    # The same poisoned point priced alone (the breaker is open, so the
-    # window dispatch skips the kernel and evaluate_point raises) must
-    # produce the kernel path's error code and message.
+    # A lone DES item whose evaluate_point raises the same exception
+    # must produce the kernel path's error code and message.
     poisoned = api.SimulationRequest("Resnet-50", "trainbox", POISON_SCALE)
     monkeypatch.setattr(
         analytical_batch,
@@ -364,14 +432,15 @@ def test_error_envelope_matches_unbatched_path(monkeypatch):
 
     monkeypatch.setattr(batch_mod, "evaluate_point", failing_point)
     alone = SimulationService(
-        ServiceConfig(
-            max_workers=2, batch_window_ms=1.0, breaker_probe_after=1000
-        )
+        ServiceConfig(max_workers=2, batch_window_ms=1.0)
     )
-    alone._batch.breaker.open = True
-    [scalar] = _gather(alone, [_envelope(poisoned)])
-    assert _counters(alone)["service.breaker_bypassed"] == 1
-    assert _counters(alone)["service.batch_point_errors"] == 1
+    des = api.SimulationRequest(
+        "Resnet-50", "trainbox", POISON_SCALE, engine="des"
+    )
+    [scalar] = _gather(alone, [_envelope(des)])
+    counters = _counters(alone)
+    assert counters["service.batch_point_errors"] == 1
+    assert counters.get("service.batch_dispatches", 0) == 0  # no window
     assert kernel["status"] == scalar["status"] == "error"
     assert kernel["error"] == scalar["error"]
 

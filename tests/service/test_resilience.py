@@ -1,5 +1,5 @@
 """The resilience layer: deadlines, disconnect cancellation, graceful
-drain, the kernel breaker's mode switch, and client retry.
+drain, and client retry.
 
 Broker-level tests drive :meth:`SimulationService.handle` under
 ``asyncio.run`` with the engine monkeypatched slow where a test needs
@@ -17,7 +17,6 @@ import pytest
 from repro import api
 from repro.errors import ConfigError
 from repro.service import (
-    KernelBreaker,
     RetryPolicy,
     ConnectionLost,
     ServerThread,
@@ -211,127 +210,60 @@ def test_batch_deadline_abandons_sole_waiter_point():
     assert counters.get("service.batch_dispatches", 0) == 0
 
 
-# -- kernel breaker -----------------------------------------------------------
+# -- a dead kernel dispatch ---------------------------------------------------
 
 
-def test_kernel_breaker_trip_probe_reset():
-    breaker = KernelBreaker(threshold=2, probe_after=3)
-    assert breaker.allow()  # closed: everything admitted
-    assert not breaker.record_failure()
-    assert breaker.record_failure()  # second consecutive failure trips
-    assert breaker.open
-    # Open: two bypasses, then the third is the probe.
-    assert not breaker.allow()
-    assert not breaker.allow()
-    assert breaker.allow()
-    assert breaker.record_success()  # the probe's clean dispatch resets
-    assert not breaker.open
-    assert breaker.failures == 0
-    # A success mid-count zeroes the consecutive-failure counter.
-    breaker.record_failure()
-    assert not breaker.record_success()  # closed already: not a "reset"
-    assert breaker.failures == 0
-
-
-def _poison_kernel(monkeypatch):
-    """Make every kernel pass die wholesale until ``poisoned[0]`` is
-    cleared; returns that flag."""
+def test_dead_dispatch_fails_its_items_and_the_kernel_stays_the_route(
+    monkeypatch,
+):
+    # A kernel pass that dies wholesale fails every item of its dispatch
+    # with an "internal error" message; the points never move to another pricing path,
+    # and the next dispatch (the kernel healed) prices them normally.
     from repro.core import analytical_batch
 
     real = analytical_batch.evaluate_points
     poisoned = [True]
 
-    def evaluate_points(points, *args, **kwargs):
+    def evaluate_points(points):
         if poisoned[0]:
             raise RuntimeError("kernel poisoned")
-        return real(points, *args, **kwargs)
+        return real(points)
 
     monkeypatch.setattr(analytical_batch, "evaluate_points", evaluate_points)
-    return poisoned
-
-
-def test_breaker_degrades_batch_path_to_scalar(monkeypatch):
-    # Poison the kernel pass wholesale: after `threshold` failed
-    # dispatches the breaker opens and window dispatches price their
-    # points without the kernel; a later clean probe closes it again.
-    poisoned = _poison_kernel(monkeypatch)
     service = SimulationService(
-        ServiceConfig(
-            max_workers=2,
-            batch_window_ms=0.0,
-            breaker_threshold=2,
-            breaker_probe_after=2,
-        )
+        ServiceConfig(max_workers=2, batch_window_ms=0.0)
     )
     requests = [
         api.SimulationRequest("Resnet-50", "trainbox", scale)
-        for scale in (4, 8, 16, 32, 64, 128)
+        for scale in (4, 8)
     ]
 
     async def main():
         try:
-            return [
-                await service.handle(_envelope(r, rid=i))
-                for i, r in enumerate(requests)
-            ]
+            dead = await asyncio.gather(
+                *(service.handle(_envelope(r, rid=i))
+                  for i, r in enumerate(requests))
+            )
+            poisoned[0] = False
+            healed = await service.handle(_envelope(requests[0], rid=2))
+            return dead, healed
         finally:
             service.close()
 
-    responses = asyncio.run(main())
-    # Requests 0-1: poisoned dispatches -> internal errors, breaker trips.
-    assert [r["status"] for r in responses[:2]] == ["error", "error"]
-    # Request 2: breaker open -> its dispatch prices without the kernel.
-    assert responses[2]["status"] == "ok"
-    assert responses[2]["meta"]["served_by"] == "computed"
-    assert responses[2]["payload"] == server_mod.execute_request(requests[2])
-    # Request 3 is the probe (probe_after=2) — but the kernel is still
-    # poisoned mid-run?  No: heal it right before, so the probe's clean
-    # dispatch resets the breaker and request 4 batches again.
-    poisoned[0] = False
-    counters = _counters(service)
-    assert counters["service.breaker_tripped"] == 1
-    assert counters["service.batch_dispatch_errors"] >= 2
-    assert counters["service.breaker_bypassed"] >= 1
-    assert counters["service.batch_point_scalar"] >= 1
-    assert service._batch.breaker.state()["threshold"] == 2
-
-
-def test_breaker_probe_recovers_the_batch_path(monkeypatch):
-    poisoned = _poison_kernel(monkeypatch)
-    service = SimulationService(
-        ServiceConfig(
-            max_workers=2,
-            batch_window_ms=0.0,
-            breaker_threshold=1,
-            breaker_probe_after=1,
+    dead, healed = asyncio.run(main())
+    for response in dead:
+        assert response["status"] == "error"
+        assert response["error"]["code"] == "compute"
+        assert response["error"]["message"] == (
+            "internal error: RuntimeError: kernel poisoned"
         )
-    )
-    requests = [
-        api.SimulationRequest("Resnet-50", "trainbox", scale)
-        for scale in (4, 8, 16)
-    ]
-
-    async def main():
-        try:
-            first = await service.handle(_envelope(requests[0], rid=0))
-            poisoned[0] = False  # the kernel heals
-            # probe_after=1: the very next window dispatch is the probe.
-            probe = await service.handle(_envelope(requests[1], rid=1))
-            after = await service.handle(_envelope(requests[2], rid=2))
-            return first, probe, after
-        finally:
-            service.close()
-
-    first, probe, after = asyncio.run(main())
-    assert first["status"] == "error"  # the trip
-    assert probe["status"] == "ok"
-    assert after["status"] == "ok"
+    assert healed["status"] == "ok"
+    assert healed["payload"] == server_mod.execute_request(requests[0])
     counters = _counters(service)
-    assert counters["service.batch_point_kernel"] == 2  # probe and after
-    assert counters["service.breaker_tripped"] == 1
-    assert counters["service.breaker_probes"] == 1
-    assert counters["service.breaker_reset"] == 1
-    assert not service._batch.breaker.open
+    assert counters["service.batch_dispatches"] == 2
+    assert counters["service.batch_dispatch_errors"] == 1
+    assert counters["service.batch_point_kernel"] == 1
+    assert counters.get("service.batch_point_scalar", 0) == 0
 
 
 # -- disconnect cancellation over real sockets --------------------------------
