@@ -535,7 +535,6 @@ def _service_config(args: argparse.Namespace):
         max_tenants=args.max_tenants,
         cache_dir=args.cache_dir,
         shared_dir=args.shared_dir,
-        batch_window_ms=args.batch_window_ms,
         max_batch_points=args.max_batch_points,
         drain_timeout=args.drain_timeout,
     )
@@ -590,8 +589,8 @@ def _cmd_client(args: argparse.Namespace) -> int:
         ) as client:
             if args.requests_file is not None:
                 # Pipeline mode: write every frame, then collect the
-                # out-of-order responses — the server's batch window
-                # stitches the distinct analytical points together.
+                # out-of-order responses — the server stitches distinct
+                # analytical points that queue together into one dispatch.
                 requests = _pipeline_requests(args.requests_file)
                 start = time.perf_counter()
                 responses = client.request_many(requests)
@@ -657,10 +656,12 @@ def _cmd_client(args: argparse.Namespace) -> int:
             print(f"served by     : {meta.get('served_by')}")
             if args.profile and "spans" in meta:
                 rows = [
-                    [name, count, f"{total_ms:.3f}"]
-                    for name, count, total_ms in meta["spans"]
+                    [name, count, f"{total_ms:.3f}", track]
+                    for name, count, total_ms, track in meta["spans"]
                 ]
-                print(format_table(["span", "count", "total ms"], rows))
+                print(
+                    format_table(["span", "count", "total ms", "track"], rows)
+                )
             return 0
     except ConfigError as exc:
         raise SystemExit(str(exc)) from None
@@ -892,15 +893,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="engine threads (default: sized from the CPU count)",
     )
     p.add_argument(
-        "--batch-window-ms", type=float, default=2.0,
-        help="cross-request batching window: how long the first queued "
-        "point waits for batch-mates before the kernel dispatch fires "
-        "(default 2.0)",
-    )
-    p.add_argument(
         "--max-batch-points", type=int, default=256,
-        help="points per kernel dispatch; a full queue flushes without "
-        "waiting out the window (default 256)",
+        help="points per kernel dispatch; a full queue leaves without "
+        "waiting for a free engine thread (default 256)",
     )
     p.add_argument(
         "--max-pending", type=int, default=64,

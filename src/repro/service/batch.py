@@ -11,7 +11,7 @@ service share warm cache entries.  A fault-schedule request is one item
 keyed by the request fingerprint and priced whole by
 :func:`~repro.service.server.execute_request`.  A profiled request
 decomposes exactly like an unprofiled one: its items share the memo,
-single-flight, the tiers and the kernel window, and a dispatch runs
+single-flight, the tiers and kernel dispatches, and a dispatch runs
 under a tracer when any of its items was started by a profiled request.
 
 :class:`BatchScheduler` owns, for every item alike:
@@ -26,8 +26,11 @@ under a tracer when any of its items was started by a profiled request.
   no waiters before an engine thread picked it up is abandoned
   (``service.batch_point_abandoned``) — nobody wants the answer, so
   nobody pays for it;
-* **dispatch** — analytical points wait up to ``batch_window_ms`` (or
-  until ``max_batch_points`` are queued) and are priced in one
+* **dispatch** — work-conserving: an analytical point queued while an
+  engine thread is free leaves at the end of the current loop iteration,
+  with every point queued in that iteration; while every thread is busy,
+  points queue up and the next dispatch to finish sends them.  A queue
+  of ``max_batch_points`` leaves at once.  One dispatch is one
   :func:`~repro.core.analytical_batch.evaluate_points` pass.  Every
   other item dispatches at once as its own executor task, priced by
   :func:`~repro.core.sweeps.evaluate_point`, so a DES run never holds
@@ -58,7 +61,6 @@ from __future__ import annotations
 
 import asyncio
 import collections
-import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -130,24 +132,29 @@ class _Item:
         self.spans = None  # its dispatch's span summary, when traced
 
 
-def _windowed(work) -> bool:
-    """Analytical points wait for kernel batch-mates; nothing else does."""
+def _kernel_priced(work) -> bool:
+    """Analytical points queue for a shared kernel pass; nothing else does."""
     return isinstance(work, SweepPoint) and work.engine == "analytical"
 
 
 def _merge_spans(summaries: List[list], top: int = 10) -> list:
     """``meta.spans``: the dispatch summaries a profiled request started,
-    merged by span name — ``[name, count, total ms]`` rows, widest
-    total first."""
-    table: Dict[str, list] = {}
+    merged by ``(track, name)`` — ``[name, count, total ms, track]``
+    rows.  Wall-clock rows come first, then model tracks (simulated
+    time, not comparable with wall time), each widest total first."""
+    table: Dict[Tuple[str, str], list] = {}
     for summary in summaries:
-        for name, count, total in summary:
-            row = table.setdefault(name, [name, 0, 0.0])
-            row[1] += count
-            row[2] += total
-    rows = sorted(table.values(), key=lambda row: (-row[2], row[0]))
+        for track, name, count, total in summary:
+            row = table.setdefault((track, name), [track, name, 0, 0.0])
+            row[2] += count
+            row[3] += total
+    rows = sorted(
+        table.values(),
+        key=lambda row: (row[0] != obs.WALL_TRACK, -row[3], row[0], row[1]),
+    )
     return [
-        [name, count, round(total * 1e3, 6)] for name, count, total in rows[:top]
+        [name, count, round(total * 1e3, 6), track]
+        for track, name, count, total in rows[:top]
     ]
 
 
@@ -164,8 +171,8 @@ class BatchScheduler:
     def __init__(self, service) -> None:
         self.service = service
         config = service.config
-        self.window = config.batch_window_ms / 1000.0
         self.max_points = config.max_batch_points
+        self.workers = config.workers
         self.pending = 0  # requests holding at least one item they started
         self._executor = ThreadPoolExecutor(
             max_workers=config.workers, thread_name_prefix="repro-engine"
@@ -190,7 +197,7 @@ class BatchScheduler:
         )
         self._inflight: Dict[str, _Item] = {}
         self._queue: List[_Item] = []
-        self._timer: Optional[asyncio.TimerHandle] = None
+        self._flush_soon = False  # a call_soon flush is pending
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._dispatches: set = set()
         self._writeback: "collections.deque" = collections.deque()
@@ -198,7 +205,7 @@ class BatchScheduler:
         self._closed = False
 
     def __len__(self) -> int:
-        """Items queued for the kernel window (not yet dispatched)."""
+        """Analytical items queued for a kernel dispatch."""
         return len(self._queue)
 
     def busy(self) -> bool:
@@ -244,6 +251,7 @@ class BatchScheduler:
         """
         if self._closed:
             raise _ShuttingDown("service shutting down")
+        self._loop = loop = asyncio.get_running_loop()
         inc = self.service._inc
         payloads = [self._memo_get(key) for key, _work in items]
         if None not in payloads:
@@ -259,10 +267,9 @@ class BatchScheduler:
                 raise Backpressure(
                     self.pending, config.max_pending, config.workers
                 )
-            if deadline is not None and time.monotonic() >= deadline:
+            if deadline is not None and loop.time() >= deadline:
                 raise DeadlineExceeded("deadline_ms expired before dispatch")
             self.pending += 1
-        self._loop = asyncio.get_running_loop()
         held: List[Tuple[int, _Item, bool]] = []
         try:
             for i, (key, work) in enumerate(items):
@@ -283,7 +290,7 @@ class BatchScheduler:
             # and the waiter refcounts decide what happens to them.
             timeout = (
                 None if deadline is None
-                else max(0.0, deadline - time.monotonic())
+                else max(0.0, deadline - loop.time())
             )
             _done, waiting = await asyncio.wait(
                 {item.future for _i, item, _started in held}, timeout=timeout
@@ -309,7 +316,7 @@ class BatchScheduler:
                 and not any(item.spans is seen for seen in summaries)
             ):
                 summaries.append(item.spans)  # once per dispatch
-        if deadline is not None and time.monotonic() >= deadline:
+        if deadline is not None and loop.time() >= deadline:
             # The work finished and feeds the memo and every other
             # waiter, but past the budget the honest answer to THIS
             # request is a rejection.
@@ -322,11 +329,17 @@ class BatchScheduler:
     def _start(self, key: str, work, profile: bool) -> _Item:
         item = _Item(key, work, profile, self._loop.create_future())
         self._inflight[key] = item
-        if _windowed(work):
+        if _kernel_priced(work):
             self._queue.append(item)
-            # Arm per item so ``max_batch_points`` caps the size of every
-            # dispatch — an oversize request flushes in chunks.
-            self._arm()
+            if len(self._queue) >= self.max_points:
+                # A full queue leaves at once, so ``max_batch_points``
+                # caps every dispatch: an oversize request goes in chunks.
+                self._flush()
+            elif not self._flush_soon and len(self._dispatches) < self.workers:
+                # A thread is free: leave at the end of this loop
+                # iteration, with every point queued in it.
+                self._flush_soon = True
+                self._loop.call_soon(self._flush)
         else:
             item.job = self._launch([item])
         return item
@@ -347,23 +360,13 @@ class BatchScheduler:
 
     # -- dispatch ------------------------------------------------------------
 
-    def _arm(self) -> None:
-        if len(self._queue) >= self.max_points:
-            self._flush("size")
-        elif self._timer is None:
-            self._timer = self._loop.call_later(
-                self.window, self._flush, "window"
-            )
-
-    def _flush(self, trigger: str) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+    def _flush(self) -> None:
+        """Send every queued analytical item as one kernel dispatch."""
+        self._flush_soon = False
         if not self._queue:
             return
         items, self._queue = self._queue, []
         svc = self.service
-        svc._inc(f"service.batch_flush_{trigger}")
         svc._inc("service.batch_dispatches")
         svc._inc("service.batch_points", len(items))
         svc.registry.observe("service.batch_occupancy", float(len(items)))
@@ -374,8 +377,14 @@ class BatchScheduler:
         job = self._executor.submit(self._compute_batch, items)
         task = self._loop.create_task(self._dispatch(items, job))
         self._dispatches.add(task)
-        task.add_done_callback(self._dispatches.discard)
+        task.add_done_callback(self._dispatch_done)
         return job
+
+    def _dispatch_done(self, task) -> None:
+        """A dispatch freed its thread: send what queued meanwhile."""
+        self._dispatches.discard(task)
+        if len(self._dispatches) < self.workers:
+            self._flush()
 
     async def _dispatch(self, items: List[_Item], job) -> None:
         """Await one executor job, then scatter its results on the loop."""
@@ -416,13 +425,13 @@ class BatchScheduler:
     ) -> Tuple[Dict[str, Any], Dict, Dict[str, int], Optional[list]]:
         """Executor-thread body of one dispatch: tiers, then pricing.
 
-        A window dispatch prices its analytical points in one kernel
-        pass; a lone item is priced on its own.  Returns ``(per-key
+        A kernel dispatch prices its analytical points in one pass; a
+        lone item is priced on its own.  Returns ``(per-key
         (payload, tier) or exception, engine manifest, counter tally,
         span summary when any item is profiled)`` — pure data; all
         bookkeeping happens back on the loop.
         """
-        kernel = _windowed(items[0].work)
+        kernel = _kernel_priced(items[0].work)
         chaos = self.service._chaos
         if chaos is not None and kernel:
             # A dispatch-level chaos fault kills the whole kernel pass;
@@ -476,7 +485,9 @@ class BatchScheduler:
                         tally["service.batch_point_scalar"] += 1
         spans = None
         if tracer is not None:
-            spans = [[s.name, s.count, s.total] for s in tracer.summarize()]
+            spans = [
+                [s.track, s.name, s.count, s.total] for s in tracer.summarize()
+            ]
         return out, registry.to_manifest(), dict(tally), spans
 
     @staticmethod
@@ -570,19 +581,9 @@ class BatchScheduler:
 
     # -- shutdown ------------------------------------------------------------
 
-    def begin_drain(self) -> None:
-        """Graceful-drain entry: dispatch whatever is queued *now*
-        instead of waiting out the window.  The broker has stopped
-        admitting requests, so no new items arrive."""
-        if self._queue:
-            self._flush("drain")
-
     def _fail_queued(self) -> None:
-        """Stop the timer and fail every still-queued item fast."""
+        """Fail every still-queued item fast."""
         self._closed = True
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
         items, self._queue = self._queue, []
         for item in items:
             self._inflight.pop(item.key, None)

@@ -215,7 +215,6 @@ def run_chaos_drill(
     config = config or ServiceConfig(
         max_workers=2,
         max_pending=4 * len(unique) * dup_factor,
-        batch_window_ms=1.0,
     )
     config = dataclasses.replace(
         config, cache_dir=tmp / "disk", shared_dir=tmp / "shared"

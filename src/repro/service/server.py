@@ -186,7 +186,12 @@ def default_workers() -> int:
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Service policy: concurrency bounds, quotas, cache tiers, batching."""
+    """Service policy: concurrency bounds, quotas, cache tiers, batching.
+
+    Batching has no timer: a kernel dispatch carries what queued while
+    every engine thread was busy (or what queued in one loop iteration
+    on an idle service), at most ``max_batch_points`` points.
+    """
 
     max_workers: Optional[int] = None  # engine threads (None: per host cores)
     max_pending: int = 64        # requests holding work they started
@@ -196,8 +201,7 @@ class ServiceConfig:
     max_tenants: int = 1024      # live token buckets (LRU-evicted beyond)
     cache_dir: Optional[Path] = None    # private on-disk tier
     shared_dir: Optional[Path] = None   # cross-process tier (locked writes)
-    batch_window_ms: float = 2.0  # micro-batch accumulation window
-    max_batch_points: int = 256  # size trigger: flush at this many points
+    max_batch_points: int = 256  # points per kernel dispatch (at most)
     drain_timeout: float = 10.0  # graceful-drain budget (seconds)
 
     def __post_init__(self) -> None:
@@ -213,13 +217,6 @@ class ServiceConfig:
             raise ConfigError("quota_burst must be >= 1")
         if self.max_tenants < 1:
             raise ConfigError("max_tenants must be >= 1")
-        if not (
-            isinstance(self.batch_window_ms, (int, float))
-            and not isinstance(self.batch_window_ms, bool)
-            and math.isfinite(self.batch_window_ms)
-            and self.batch_window_ms >= 0
-        ):
-            raise ConfigError("batch_window_ms must be >= 0 and finite")
         if self.max_batch_points < 1:
             raise ConfigError("max_batch_points must be >= 1")
         if not (
@@ -318,7 +315,6 @@ class SimulationService:
                 "max_pending": self.config.max_pending,
                 "memo_entries": self.config.memo_entries,
                 "max_tenants": self.config.max_tenants,
-                "batch_window_ms": self.config.batch_window_ms,
                 "max_batch_points": self.config.max_batch_points,
                 "drain_timeout": self.config.drain_timeout,
                 "quota_rate": (
@@ -375,7 +371,8 @@ class SimulationService:
             )
 
         deadline = (
-            None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
+            None if budget_ms is None
+            else asyncio.get_running_loop().time() + budget_ms / 1000.0
         )
         try:
             return await self._admit(
@@ -450,7 +447,7 @@ class SimulationService:
     # -- drain & shutdown ----------------------------------------------------
 
     def begin_drain(self) -> None:
-        """Stop admitting work; dispatch the queued items immediately.
+        """Stop admitting work.
 
         New requests get ``rejected`` with code ``draining`` (admin ops
         still answer); everything already admitted runs to completion.
@@ -459,7 +456,6 @@ class SimulationService:
             return
         self._draining = True
         self._inc("service.drain_started")
-        self._batch.begin_drain()
 
     async def drain(self, timeout: Optional[float] = None) -> Dict:
         """Drain in-flight work under a deadline; returns drain stats.
@@ -470,9 +466,10 @@ class SimulationService:
         """
         budget = self.config.drain_timeout if timeout is None else timeout
         self.begin_drain()
-        deadline = time.monotonic() + budget
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + budget
         while self._batch.pending or self._batch.busy():
-            if time.monotonic() >= deadline:
+            if loop.time() >= deadline:
                 break
             await asyncio.sleep(0.005)
         return {

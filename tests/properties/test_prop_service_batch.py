@@ -102,11 +102,7 @@ def _serve(requests, config):
 def test_batched_service_is_bit_identical(requests, max_points):
     responses, service = _serve(
         requests,
-        ServiceConfig(
-            max_workers=2,
-            batch_window_ms=1.0,
-            max_batch_points=max_points,
-        ),
+        ServiceConfig(max_workers=2, max_batch_points=max_points),
     )
     for request, response in zip(requests, responses):
         assert response["status"] == "ok"
@@ -172,7 +168,7 @@ def test_no_dispatch_repeats_a_work_item_key(first, second, max_points):
     """Single-flight hands each key to one item, so the kernel never
     sees a key twice in one dispatch — with duplicate-heavy and
     overlapping mixes, and with requests cancelled while their items
-    sit in the window, then asked for again."""
+    sit in the queue, then asked for again."""
     from repro.core import analytical_batch
     from repro.core.sweeps import cache_key
 
@@ -184,9 +180,7 @@ def test_no_dispatch_repeats_a_work_item_key(first, second, max_points):
         return real(points)
 
     service = SimulationService(
-        ServiceConfig(
-            max_workers=2, batch_window_ms=5.0, max_batch_points=max_points
-        )
+        ServiceConfig(max_workers=2, max_batch_points=max_points)
     )
 
     async def main():

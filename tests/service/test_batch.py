@@ -1,9 +1,11 @@
-"""The work-item scheduler: request decomposition, flush triggers,
-stitching, per-item error isolation, item-level cache tiers.
+"""The work-item scheduler: request decomposition, work-conserving
+dispatch, stitching, per-item error isolation, item-level cache tiers.
 
 Tests drive :meth:`SimulationService.handle` directly under
-``asyncio.run`` with tight batch windows; counter assertions read the
-``service.batch_*`` scope the scheduler threads through the registry.
+``asyncio.run``; a test that needs points to queue holds the engine
+thread busy on a gated fault schedule (the ``engine_gate`` fixture).
+Counter assertions read the ``service.batch_*`` scope the scheduler
+threads through the registry.
 """
 
 import asyncio
@@ -25,6 +27,11 @@ from repro.service import (
 from repro.service import batch as batch_mod
 
 REQ = api.SimulationRequest("Resnet-50", "trainbox", 64)
+#: A fault schedule: one whole-request item on an engine thread of its
+#: own, held there by the ``engine_gate`` fixture.
+FAULT = api.FaultScheduleRequest(
+    "Resnet-50", "trainbox", 16, events=(), horizon=60.0
+)
 
 
 def _envelope(request, rid=1, tenant="t", **extra):
@@ -45,6 +52,22 @@ def _gather(service, envelopes):
 
 def _counters(service):
     return service.registry.to_manifest()["counters"]
+
+
+async def _until(predicate, timeout=5.0):
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while not predicate():
+        assert loop.time() < deadline, "condition not reached"
+        await asyncio.sleep(0.001)
+
+
+async def _hold_engine(service):
+    """Occupy a one-thread service with a gated fault schedule; returns
+    its request task (answered once the gate opens)."""
+    task = asyncio.ensure_future(service.handle(_envelope(FAULT, rid=0)))
+    await _until(lambda: service._batch._dispatches)
+    return task
 
 
 # -- work items ---------------------------------------------------------------
@@ -74,33 +97,99 @@ def test_work_items_split_points_from_whole_requests():
     assert items == [(fp, fault)]
 
 
-# -- flush triggers -----------------------------------------------------------
+# -- work-conserving dispatch ------------------------------------------------
 
 
-def test_window_flush_serves_a_lone_request():
-    service = SimulationService(
-        ServiceConfig(max_workers=2, batch_window_ms=1.0)
-    )
-    [response] = _gather(service, [_envelope(REQ)])
+def test_idle_service_dispatches_a_lone_request_at_once(monkeypatch):
+    # No timer: on an idle service a lone analytical request leaves on
+    # the next loop iteration, in one dispatch.
+    service = SimulationService(ServiceConfig(max_workers=2))
+    timers = []
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        real = loop.call_later
+
+        def spy(delay, callback, *args, **kwargs):
+            timers.append((delay, callback))
+            return real(delay, callback, *args, **kwargs)
+
+        monkeypatch.setattr(loop, "call_later", spy)
+        try:
+            response = await service.handle(_envelope(REQ))
+            return response, list(timers)
+        finally:
+            await service.aclose()
+
+    response, armed = asyncio.run(main())
+    assert armed == []
     assert response["status"] == "ok"
     assert response["meta"]["served_by"] == "computed"
     assert json.dumps(response["payload"], sort_keys=True) == json.dumps(
         execute_request(REQ), sort_keys=True
     )
     counters = _counters(service)
-    assert counters["service.batch_flush_window"] == 1
     assert counters["service.batch_dispatches"] == 1
     assert counters["service.batch_points"] == 1
     assert counters["service.batch_point_kernel"] == 1
 
 
-def test_size_flush_fires_before_the_window():
-    # A 60s window would hang the test if the size trigger were broken;
-    # max_batch_points=2 must flush the 2-point sweep immediately.
+@pytest.mark.parametrize("max_points", [256, 3])
+def test_busy_engine_queues_points_until_a_thread_frees(
+    engine_gate, max_points
+):
+    # While the only engine thread is held, distinct analytical requests
+    # queue up (a full queue still leaves at once); on release they leave
+    # together: one dispatch of N points, or ceil(N / k) dispatches
+    # under max_batch_points=k.
     service = SimulationService(
-        ServiceConfig(
-            max_workers=2, batch_window_ms=60_000.0, max_batch_points=2
-        )
+        ServiceConfig(max_workers=1, max_batch_points=max_points)
+    )
+    requests = [
+        api.SimulationRequest("Resnet-50", "trainbox", scale)
+        for scale in (4, 8, 16, 32, 64, 128, 256)
+    ]
+    n = len(requests)
+
+    async def main():
+        try:
+            holder = await _hold_engine(service)
+            tasks = [
+                asyncio.ensure_future(service.handle(_envelope(r, rid=i)))
+                for i, r in enumerate(requests, 1)
+            ]
+            await _until(  # the holder's item and the n points
+                lambda: _counters(service).get("service.batch_point_queued")
+                == n + 1
+            )
+            await asyncio.sleep(0.01)  # time enough for any timer
+            held = len(service._batch), _counters(service).get(
+                "service.batch_dispatches", 0
+            )
+            engine_gate.set()
+            return held, await holder, await asyncio.gather(*tasks)
+        finally:
+            await service.aclose()
+
+    (queued, sent), holder, responses = asyncio.run(main())
+    assert queued == n % max_points
+    assert sent == n // max_points
+    assert holder["status"] == "ok"
+    for request, response in zip(requests, responses):
+        assert response["status"] == "ok"
+        assert response["payload"] == execute_request(request)
+    counters = _counters(service)
+    assert counters["service.batch_dispatches"] == -(-n // max_points)
+    assert counters["service.batch_points"] == n
+    assert counters["service.batch_point_kernel"] == n
+
+
+def test_full_queue_leaves_while_every_thread_is_busy(engine_gate):
+    # A queue at max_batch_points=2 leaves at once, without waiting for
+    # a free engine thread; the test would hang if the size cap were
+    # broken, since the only thread is held.
+    service = SimulationService(
+        ServiceConfig(max_workers=1, max_batch_points=2)
     )
     sweep = api.SweepRequest(
         workloads=("Resnet-50",), archs=("trainbox",), scales=(4, 16)
@@ -108,42 +197,60 @@ def test_size_flush_fires_before_the_window():
 
     async def main():
         try:
-            return await asyncio.wait_for(
-                service.handle(_envelope(sweep)), timeout=30.0
+            holder = await _hold_engine(service)
+            task = asyncio.ensure_future(service.handle(_envelope(sweep)))
+            await _until(lambda: len(service._batch._dispatches) == 2)
+            held = len(service._batch), _counters(service).get(
+                "service.batch_dispatches", 0
             )
+            engine_gate.set()
+            await holder
+            return held, await asyncio.wait_for(task, timeout=30.0)
         finally:
             await service.aclose()
 
-    response = asyncio.run(main())
+    (queued, sent), response = asyncio.run(main())
+    assert (queued, sent) == (0, 1)  # sent before any thread freed
     assert response["status"] == "ok"
     assert response["payload"] == execute_request(sweep)
     counters = _counters(service)
-    assert counters["service.batch_flush_size"] == 1
-    assert counters.get("service.batch_flush_window", 0) == 0
+    assert counters["service.batch_dispatches"] == 1
     assert counters["service.batch_points"] == 2
 
 
-def test_oversize_request_splits_into_size_flushes():
-    # 8 points through a 3-point queue: two size flushes + one window
-    # flush for the remainder, every point priced exactly once.
+def test_oversize_request_splits_into_size_flushes(engine_gate):
+    # 8 points through a 3-point cap: two full dispatches leave at once,
+    # and the 2-point remainder leaves when the thread frees; every
+    # point priced exactly once.
     service = SimulationService(
-        ServiceConfig(
-            max_workers=2, batch_window_ms=5.0, max_batch_points=3
-        )
+        ServiceConfig(max_workers=1, max_batch_points=3)
     )
     sweep = api.SweepRequest(
         workloads=("Resnet-50", "VGG-19"),
         archs=("trainbox", "baseline"),
         scales=(4, 16),
     )
-    [response] = _gather(service, [_envelope(sweep)])
+
+    async def main():
+        try:
+            holder = await _hold_engine(service)
+            task = asyncio.ensure_future(service.handle(_envelope(sweep)))
+            await _until(lambda: len(service._batch) == 2)
+            sent = _counters(service)["service.batch_dispatches"]
+            engine_gate.set()
+            await holder
+            return sent, await task
+        finally:
+            await service.aclose()
+
+    sent, response = asyncio.run(main())
+    assert sent == 2
     assert response["status"] == "ok"
     assert response["payload"] == execute_request(sweep)
     counters = _counters(service)
-    assert counters["service.batch_flush_size"] == 2
-    assert counters["service.batch_flush_window"] == 1
+    assert counters["service.batch_dispatches"] == 3
     assert counters["service.batch_points"] == 8
-    assert counters["service.batch_point_queued"] == 8
+    assert counters["service.batch_point_queued"] == 8 + 1  # + the holder
 
 
 # -- stitching and the memo ---------------------------------------------------
@@ -152,9 +259,7 @@ def test_oversize_request_splits_into_size_flushes():
 def test_concurrent_requests_stitch_shared_points():
     # A simulate and a sweep overlapping on one point: the shared point
     # is queued once and stitched into the second request's wait set.
-    service = SimulationService(
-        ServiceConfig(max_workers=2, batch_window_ms=5.0)
-    )
+    service = SimulationService(ServiceConfig(max_workers=2))
     sweep = api.SweepRequest(
         workloads=("Resnet-50",), archs=("trainbox",), scales=(64, 16)
     )
@@ -175,9 +280,7 @@ def test_concurrent_requests_stitch_shared_points():
 
 
 def test_point_memo_serves_repeat_points_across_requests():
-    service = SimulationService(
-        ServiceConfig(max_workers=2, batch_window_ms=1.0)
-    )
+    service = SimulationService(ServiceConfig(max_workers=2))
     sweep = api.SweepRequest(
         workloads=("Resnet-50",), archs=("trainbox",), scales=(64, 16)
     )
@@ -202,9 +305,7 @@ def test_point_memo_serves_repeat_points_across_requests():
 
 
 def test_point_memo_can_be_disabled():
-    service = SimulationService(
-        ServiceConfig(max_workers=2, batch_window_ms=1.0, memo_entries=0)
-    )
+    service = SimulationService(ServiceConfig(max_workers=2, memo_entries=0))
 
     async def main():
         try:
@@ -223,11 +324,11 @@ def test_point_memo_can_be_disabled():
     assert _counters(service)["service.batch_point_kernel"] == 2
 
 
-# -- mixed windowed / immediate traffic ---------------------------------------
+# -- mixed kernel / lone traffic --------------------------------------------
 
 
 def test_mixed_kinds_split_between_batched_and_compute_paths():
-    # The analytical point waits for the kernel window; the fault
+    # The analytical point queues for a kernel dispatch; the fault
     # schedule and the DES point dispatch at once, each on its own.
     from repro.core.server import build_server
 
@@ -239,9 +340,7 @@ def test_mixed_kinds_split_between_batched_and_compute_paths():
         events=((fpga, 10.0, 40.0),), horizon=60.0,
     )
     des = api.SimulationRequest("Resnet-50", "trainbox", 16, engine="des")
-    service = SimulationService(
-        ServiceConfig(max_workers=2, batch_window_ms=5.0)
-    )
+    service = SimulationService(ServiceConfig(max_workers=2))
     responses = _gather(
         service,
         [
@@ -257,7 +356,7 @@ def test_mixed_kinds_split_between_batched_and_compute_paths():
         assert response["payload"] == execute_request(request)
     counters = _counters(service)
     assert counters["service.computed"] == 3
-    assert counters["service.batch_points"] == 1  # one window dispatch
+    assert counters["service.batch_points"] == 1  # one kernel dispatch
     assert counters["service.batch_dispatches"] == 1
     assert counters["service.batch_point_kernel"] == 1
     assert counters["service.batch_point_scalar"] == 2
@@ -268,13 +367,13 @@ def _canonical(payload):
 
 
 def _span_counts(response):
-    return {name: count for name, count, _ms in response["meta"]["spans"]}
+    return {
+        name: count for name, count, _ms, _track in response["meta"]["spans"]
+    }
 
 
 def test_profiled_request_takes_the_point_route_with_spans():
-    service = SimulationService(
-        ServiceConfig(max_workers=2, batch_window_ms=1.0)
-    )
+    service = SimulationService(ServiceConfig(max_workers=2))
 
     async def main():
         try:
@@ -311,9 +410,7 @@ def test_profiled_payload_is_the_unprofiled_payload(engine):
     for request in (simulate, sweep):
         responses = {}
         for profile in (True, False):
-            service = SimulationService(
-                ServiceConfig(max_workers=2, batch_window_ms=1.0)
-            )
+            service = SimulationService(ServiceConfig(max_workers=2))
             [responses[profile]] = _gather(
                 service, [_envelope(request, profile=profile)]
             )
@@ -333,10 +430,8 @@ def test_profiled_spans_count_each_started_dispatch_once():
         workloads=("Resnet-50",), archs=("trainbox",), scales=(4, 8),
         engine="des",
     )
-    service = SimulationService(
-        ServiceConfig(max_workers=2, batch_window_ms=1.0)
-    )
-    window, lone, plain, coalesced = _gather(
+    service = SimulationService(ServiceConfig(max_workers=2))
+    kernel, lone, plain, coalesced = _gather(
         service,
         [
             _envelope(analytical, rid=1, profile=True),
@@ -346,16 +441,34 @@ def test_profiled_spans_count_each_started_dispatch_once():
             _envelope(REQ, rid=4, profile=True),
         ],
     )
-    # Both analytical points share one window dispatch (with REQ's
+    # Both analytical points share one kernel dispatch (with REQ's
     # point); each DES point is its own dispatch.
-    assert _span_counts(window)["service.batch_dispatch"] == 1
-    assert _span_counts(window)["iteration"] == 3
+    assert _span_counts(kernel)["service.batch_dispatch"] == 1
+    assert _span_counts(kernel)["iteration"] == 3
     assert _span_counts(lone)["service.batch_dispatch"] == 2
     assert _span_counts(lone)["iteration"] == 2 * 60  # one per DES iteration
     assert "spans" not in plain["meta"]
     assert coalesced["meta"]["served_by"] == "coalesced"
     assert "spans" not in coalesced["meta"]
     assert _counters(service)["service.batch_dispatches"] == 1
+
+
+def test_profiled_spans_rank_wall_time_before_model_time():
+    # A DES run's iterations are simulated time on a model track; they
+    # must not outrank (or merge with) the dispatch's real wall time.
+    des = api.SimulationRequest("Resnet-50", "trainbox", 16, engine="des")
+    service = SimulationService(ServiceConfig(max_workers=2))
+    [response] = _gather(service, [_envelope(des, profile=True)])
+    rows = response["meta"]["spans"]
+    where = {(name, track): i for i, (name, _n, _ms, track) in enumerate(rows)}
+    [iteration_track] = [t for name, t in where if name == "iteration"]
+    assert iteration_track != "wall"
+    assert (
+        where[("service.batch_dispatch", "wall")]
+        < where[("iteration", iteration_track)]
+    )
+    tracks = [track for _name, _n, _ms, track in rows]
+    assert tracks == sorted(tracks, key=lambda track: track != "wall")
 
 
 # -- per-point error isolation ------------------------------------------------
@@ -383,9 +496,7 @@ def test_poisoned_point_fails_only_its_requests(monkeypatch):
         "evaluate_points",
         _poisoning(analytical_batch.evaluate_points),
     )
-    service = SimulationService(
-        ServiceConfig(max_workers=2, batch_window_ms=5.0)
-    )
+    service = SimulationService(ServiceConfig(max_workers=2))
     poisoned = api.SimulationRequest("Resnet-50", "trainbox", POISON_SCALE)
     sweep = api.SweepRequest(  # contains the poisoned point
         workloads=("Resnet-50",), archs=("trainbox",), scales=(4, 16)
@@ -422,25 +533,21 @@ def test_error_envelope_matches_unbatched_path(monkeypatch):
         "evaluate_points",
         _poisoning(analytical_batch.evaluate_points),
     )
-    via_kernel = SimulationService(
-        ServiceConfig(max_workers=2, batch_window_ms=1.0)
-    )
+    via_kernel = SimulationService(ServiceConfig(max_workers=2))
     [kernel] = _gather(via_kernel, [_envelope(poisoned)])
 
     def failing_point(point):
         raise SimulationError("poisoned point")
 
     monkeypatch.setattr(batch_mod, "evaluate_point", failing_point)
-    alone = SimulationService(
-        ServiceConfig(max_workers=2, batch_window_ms=1.0)
-    )
+    alone = SimulationService(ServiceConfig(max_workers=2))
     des = api.SimulationRequest(
         "Resnet-50", "trainbox", POISON_SCALE, engine="des"
     )
     [scalar] = _gather(alone, [_envelope(des)])
     counters = _counters(alone)
     assert counters["service.batch_point_errors"] == 1
-    assert counters.get("service.batch_dispatches", 0) == 0  # no window
+    assert counters.get("service.batch_dispatches", 0) == 0  # no kernel
     assert kernel["status"] == scalar["status"] == "error"
     assert kernel["error"] == scalar["error"]
 
@@ -450,7 +557,7 @@ def test_error_envelope_matches_unbatched_path(monkeypatch):
 
 def test_points_served_from_disk_after_restart(tmp_path):
     config = ServiceConfig(
-        max_workers=2, batch_window_ms=1.0, cache_dir=tmp_path / "cache"
+        max_workers=2, cache_dir=tmp_path / "cache"
     )
     first = SimulationService(config)
     [r1] = _gather(first, [_envelope(REQ)])
@@ -474,7 +581,6 @@ def test_shared_tier_backfills_private_disk(tmp_path):
     seeder = SimulationService(
         ServiceConfig(
             max_workers=2,
-            batch_window_ms=1.0,
             cache_dir=tmp_path / "a",
             shared_dir=shared,
         )
@@ -484,7 +590,6 @@ def test_shared_tier_backfills_private_disk(tmp_path):
     other = SimulationService(
         ServiceConfig(
             max_workers=2,
-            batch_window_ms=1.0,
             cache_dir=tmp_path / "b",
             shared_dir=shared,
         )
@@ -496,7 +601,7 @@ def test_shared_tier_backfills_private_disk(tmp_path):
     # ...and the private tier was backfilled for next time.
     backfilled = SimulationService(
         ServiceConfig(
-            max_workers=2, batch_window_ms=1.0, cache_dir=tmp_path / "b"
+            max_workers=2, cache_dir=tmp_path / "b"
         )
     )
     [r3] = _gather(backfilled, [_envelope(REQ)])
@@ -516,7 +621,7 @@ def test_sweep_cache_interop(tmp_path):
 
     service = SimulationService(
         ServiceConfig(
-            max_workers=2, batch_window_ms=1.0, cache_dir=tmp_path / "cache"
+            max_workers=2, cache_dir=tmp_path / "cache"
         )
     )
     [response] = _gather(service, [_envelope(REQ)])
@@ -558,43 +663,69 @@ def test_des_simulate_served_from_sweep_point_entry(tmp_path):
 # -- shutdown -----------------------------------------------------------------
 
 
-def test_aclose_drains_queued_points():
-    # Graceful shutdown *completes* queued work: the point parked behind
-    # a 60s window flushes immediately on drain and the request is
-    # answered ok, not failed.
-    service = SimulationService(
-        ServiceConfig(max_workers=2, batch_window_ms=60_000.0)
-    )
+def test_aclose_drains_queued_points(engine_gate):
+    # Graceful shutdown *completes* queued work: the point queued behind
+    # the held engine thread is not failed by the drain; it leaves when
+    # the thread frees and the request is answered ok.
+    service = SimulationService(ServiceConfig(max_workers=1))
 
     async def main():
+        holder = await _hold_engine(service)
         task = asyncio.create_task(service.handle(_envelope(REQ)))
-        while len(service._batch) == 0:
-            await asyncio.sleep(0.001)
-        report = await service.aclose()
-        return await asyncio.wait_for(task, timeout=5.0), report
+        await _until(lambda: len(service._batch) == 1)
+        closing = asyncio.create_task(service.aclose())
+        await asyncio.sleep(0.01)
+        still_queued = len(service._batch)
+        engine_gate.set()
+        report = await closing
+        await holder
+        return await asyncio.wait_for(task, timeout=5.0), report, still_queued
 
-    response, report = asyncio.run(main())
+    response, report, still_queued = asyncio.run(main())
+    assert still_queued == 1
     assert response["status"] == "ok"
     assert response["meta"]["served_by"] == "computed"
     assert report["drained"] is True
     assert report["stranded"] == 0
 
 
-def test_close_fails_queued_points_fast():
-    # The abrupt (synchronous) path still fails queued points instead of
-    # hanging their waiters.
-    service = SimulationService(
-        ServiceConfig(max_workers=2, batch_window_ms=60_000.0)
-    )
+def _close_with_a_point_queued(service, engine_gate):
+    """Queue REQ behind the held engine thread, open the gate and close
+    synchronously in the same loop step; returns ``(REQ's response, the
+    holder's response)``."""
 
     async def main():
+        holder = await _hold_engine(service)
         task = asyncio.create_task(service.handle(_envelope(REQ)))
-        while len(service._batch) == 0:
-            await asyncio.sleep(0.001)
+        await _until(lambda: len(service._batch) == 1)
+        engine_gate.set()
         service.close()
-        return await asyncio.wait_for(task, timeout=5.0)
+        return (
+            await asyncio.wait_for(task, timeout=5.0),
+            await asyncio.wait_for(holder, timeout=5.0),
+        )
 
-    response = asyncio.run(main())
+    return asyncio.run(main())
+
+
+def test_close_fails_queued_points_fast(engine_gate):
+    # The abrupt (synchronous) path still fails queued points instead of
+    # hanging their waiters.
+    service = SimulationService(ServiceConfig(max_workers=1))
+    response, _holder = _close_with_a_point_queued(service, engine_gate)
     assert response["status"] == "error"
     assert response["error"]["code"] == "compute"
     assert "shutting down" in response["error"]["message"]
+
+
+def test_dispatch_finishing_after_close_sends_nothing(engine_gate):
+    # The held dispatch completes after close(): its done callback finds
+    # nothing to send, so no kernel dispatch reaches the stopped pool.
+    service = SimulationService(ServiceConfig(max_workers=1))
+    _response, holder = _close_with_a_point_queued(service, engine_gate)
+    assert holder["status"] == "ok"
+    assert len(service._batch) == 0
+    assert not service._batch._dispatches
+    counters = _counters(service)
+    assert counters.get("service.batch_dispatches", 0) == 0
+    assert counters.get("service.batch_point_kernel", 0) == 0

@@ -4,6 +4,8 @@ against a live server."""
 
 import json
 
+import pytest
+
 from repro import api, cli
 from repro.service import ServerThread, ServiceClient
 
@@ -14,20 +16,17 @@ def _parse(argv):
 
 def test_serve_batch_flags_round_trip_into_the_live_config():
     args = _parse(
-        [
-            "serve",
-            "--batch-window-ms", "7.5",
-            "--max-batch-points", "33",
-            "--workers", "3",
-        ]
+        ["serve", "--max-batch-points", "33", "--workers", "3"]
     )
     config = cli._service_config(args)
-    assert config.batch_window_ms == 7.5
     assert config.max_batch_points == 33
     with ServerThread(config) as srv:
         with ServiceClient(*srv.address) as client:
             stats = client.stats()
-    assert stats["config"]["batch_window_ms"] == 7.5
+    # Dispatch is work-conserving: there is no batch window to set.
+    with pytest.raises(SystemExit):
+        _parse(["serve", "--batch-window-ms", "7.5"])
+    assert "batch_window_ms" not in stats["config"]
     assert stats["config"]["max_batch_points"] == 33
     assert stats["config"]["max_workers"] == 3
 

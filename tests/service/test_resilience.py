@@ -188,18 +188,24 @@ def test_deadline_expired_in_executor_queue_skips_the_engine(monkeypatch):
     assert _counters(service)["service.batch_point_abandoned"] == 1
 
 
-def test_batch_deadline_abandons_sole_waiter_point():
-    # A long batching window and a tiny budget: the deadline fires while
-    # the point is still queued, and releasing the last waiter reference
-    # abandons the point before it ever reaches the kernel.
-    service = SimulationService(
-        ServiceConfig(max_workers=1, batch_window_ms=500.0)
-    )
+def test_batch_deadline_abandons_sole_waiter_point(engine_gate):
+    # The only engine thread is held and the budget is tiny: the
+    # deadline fires while the point is still queued, and releasing the
+    # last waiter reference abandons the point before it ever reaches
+    # the kernel.
+    service = SimulationService(ServiceConfig(max_workers=1))
 
     async def main():
         try:
+            holder = asyncio.create_task(
+                service.handle(_envelope(FAULT, rid=0))
+            )
+            while not _inflight(service, FAULT):
+                await asyncio.sleep(0.001)
             return await service.handle(_envelope(REQ, deadline_ms=30))
         finally:
+            engine_gate.set()
+            await holder
             service.close()
 
     response = asyncio.run(main())
@@ -231,7 +237,7 @@ def test_dead_dispatch_fails_its_items_and_the_kernel_stays_the_route(
 
     monkeypatch.setattr(analytical_batch, "evaluate_points", evaluate_points)
     service = SimulationService(
-        ServiceConfig(max_workers=2, batch_window_ms=0.0)
+        ServiceConfig(max_workers=2)
     )
     requests = [
         api.SimulationRequest("Resnet-50", "trainbox", scale)
@@ -307,25 +313,30 @@ def test_disconnect_mid_request_resolves_coalesced_waiter(monkeypatch):
         assert counters.get("service.batch_point_abandoned", 0) == 0
 
 
-def test_disconnect_abandons_sole_waiter_batch_point():
+def test_disconnect_abandons_sole_waiter_batch_point(engine_gate):
     # The only client interested in a queued batch point disconnects
-    # inside the (long) batching window: the point is abandoned before
-    # it ever reaches the kernel.
-    config = ServiceConfig(max_workers=2, batch_window_ms=800.0)
+    # while the only engine thread is held: the point is abandoned
+    # before it ever reaches the kernel.
+    config = ServiceConfig(max_workers=1)
     with ServerThread(config) as srv:
         service = srv.service
-        doomed = ServiceClient(*srv.address)
-        doomed._send(doomed._envelope(REQ, False, None))
-        _poll(lambda: service.stats()["batch_queued"] >= 1)
-        doomed.close()
-        _poll(
-            lambda: _counters(service).get(
-                "service.batch_point_abandoned", 0
-            ) >= 1
-        )
-        counters = _counters(service)
-        assert counters["service.cancelled"] == 1
-        assert counters.get("service.batch_dispatches", 0) == 0
+        with ServiceClient(*srv.address) as holder:
+            holder._send(holder._envelope(FAULT, False, None))
+            _poll(lambda: _inflight(service, FAULT))
+            doomed = ServiceClient(*srv.address)
+            doomed._send(doomed._envelope(REQ, False, None))
+            _poll(lambda: service.stats()["batch_queued"] >= 1)
+            doomed.close()
+            _poll(
+                lambda: _counters(service).get(
+                    "service.batch_point_abandoned", 0
+                ) >= 1
+            )
+            counters = _counters(service)
+            assert counters["service.cancelled"] == 1
+            assert counters.get("service.batch_dispatches", 0) == 0
+            engine_gate.set()
+            assert holder._recv()["status"] == "ok"
 
 
 # -- frame cap ----------------------------------------------------------------

@@ -7,7 +7,7 @@ needs deterministic overlap — and the end-to-end tests run a real
 :class:`ServerThread` with real :class:`ServiceClient` sockets.  Tests
 that need a slow engine use fault-schedule requests (priced whole by
 ``execute_request``) or DES requests (priced by ``evaluate_point``),
-which dispatch at once instead of waiting for the kernel window.
+which dispatch alone instead of sharing a kernel pass.
 """
 
 import asyncio
