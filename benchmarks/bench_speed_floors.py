@@ -21,6 +21,8 @@ host's speed:
   in a fresh process, see :func:`audio_plan_speedup`);
 * windowed JPEG decode (224 of 256, mirrored into the slot) ≥1.05× the
   full decode plus the plan's crop-and-mirror copy, batch 32.
+* the lock-step entropy walk alone ≥3.5× ``decode_plane`` on every plane
+  of the same 32 corpus-like 256×256 frames.
 
 Every path pair is checked bit-identical **before** anything is timed:
 a fast path that is wrong never produces a number.  Plain pytest, no
@@ -54,6 +56,10 @@ MIN_SEGMENTED_LOCKSTEP_SPEEDUP = 1.3
 #: Six fresh-process runs of 30 interleaved rounds on a 2-core VM read
 #: 1.11-1.22x; the shared entropy walk is about half of either side.
 MIN_WINDOWED_DECODE_SPEEDUP = 1.05
+#: The entropy stage alone at batch 32.  Six fresh-process runs of 30
+#: interleaved rounds on a 2-core VM read 4.07-5.17x with two-symbol
+#: rows; the one-symbol walk before them read 3.13-3.31x.
+MIN_LOCKSTEP_WALK_SPEEDUP = 3.5
 
 
 # -- timing helpers -----------------------------------------------------------
@@ -385,6 +391,41 @@ def test_jpeg_segmented_lockstep_speedup_at_batch_32():
     )
     print(f"JPEG segmented lock-step vs per-image walk, batch 32: {speedup:.2f}x")
     assert speedup >= MIN_SEGMENTED_LOCKSTEP_SPEEDUP
+
+
+def test_jpeg_lockstep_walk_speedup_at_batch_32():
+    """The entropy stage alone, 32 corpus-like 256×256 frames: the
+    codec's group walk (``_entropy_decode_group``: one lock-step walk
+    over the luma streams, one over the chroma streams) against
+    ``entropy_fast.decode_plane`` on every plane of every frame, timed
+    interleaved.  Every plane is checked bit-identical first."""
+    from repro.dataprep.jpeg import codec, entropy_fast
+    from repro.datasets.imagenet import synthesize_image
+
+    batch, repeats = 32, 30
+    rng = np.random.default_rng([17, 1])
+    images = [
+        synthesize_image(rng, 256, 256, int(rng.integers(0, 1000)))
+        for _ in range(batch)
+    ]
+    frames = [codec._parse_frame(b) for b in codec.encode_batch(images, quality=80)]
+    geometry = codec._plane_geometry(frames[0].subsample, 256, 256)
+
+    def per_image_walk():
+        return [
+            codec._entropy_decode_planes(f, geometry, entropy_fast.decode_plane)
+            for f in frames
+        ]
+
+    def group_walk():
+        return codec._entropy_decode_group(frames, geometry)
+
+    for i, (got, want) in enumerate(zip(group_walk(), per_image_walk())):
+        for plane, expected in zip(got, want):
+            assert np.array_equal(plane, expected), f"image {i}"
+    speedup = _interleaved_ratio(group_walk, per_image_walk, repeats)
+    print(f"JPEG lock-step entropy walk vs per-image walk, batch 32: {speedup:.2f}x")
+    assert speedup >= MIN_LOCKSTEP_WALK_SPEEDUP
 
 
 def test_jpeg_windowed_decode_speedup():

@@ -21,9 +21,10 @@ one's-complement amplitude convention — exactly mirror
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -343,75 +344,167 @@ def _decode_blocks(
     return out
 
 
-# Sized for batch decode: a 256-image group touches 1024 distinct
-# optimized tables (4 per frame); anything smaller thrashes and
-# rebuilds every LUT on every call.  Entries are ``uint32`` (a packed
-# entry needs 17 bits, the -1 corrupt marker wraps to all-ones): the
-# batch walk gathers from every live LUT each iteration, so halving
-# entry bytes halves its cache-miss working set.
+# Batch LUT entries decode one *or two* symbols per lookup.  Each
+# stream gets three tables of ``2**bits`` packed ``uint32`` entries,
+# indexed by the lane's ``bits``-wide peek:
 #
-# The batch variants fold the coefficient-cursor step into the run
-# field, so the lock-step loop's cursor update is ``k + (entry >> 11)``
-# with no size or table test: every valid DC entry carries run 1 (a DC
-# symbol always moves the cursor 0 -> 1) and every valid AC entry with
-# a nonzero amplitude size carries the "+1 past a decoded nonzero"
-# (markers, whose run field must stay huge, are left alone).  The
-# epilogue recovers the coefficient index of a recorded event as
-# ``kn - 1``.
+# * DC-pair: a DC symbol, plus the block's first AC symbol when its
+#   code and amplitude also fit in the peek;
+# * AC-pair: an AC symbol that is not EOB, plus the next AC symbol when
+#   it fits.  A lane reads it while its coefficient cursor is below
+#   :data:`_PAIR_K`: a run of at most 16 cannot reach 64 from there, so
+#   the first symbol never ends the block and the second is always AC;
+# * AC-single: one AC symbol, for a cursor at :data:`_PAIR_K` or above.
 #
-# An invalid prefix (entry 0) becomes ``_INVALID``: a marker that, like
-# the all-ones corrupt marker, carries amplitude size 31 and a huge run,
-# but advances the cursor by one bit.  Every lane therefore moves at
-# least one bit per symbol — a lane that starts mid-code never stalls —
-# and a marker on a kept row fails the epilogue's coefficient check.
-_INVALID = 0xFFFFFFC1
+# EOB is never the first symbol of a pair, so every block end is a row
+# end and a row holds at most one DC symbol, always its first.  Entry
+# layout, low to high:
+#
+# * bits 0-5: the advance, every bit the row consumes (codes and
+#   amplitudes), so the row's last amplitude ends at the new cursor;
+# * bits 6-10: amplitude size of the row's last symbol (31: a marker);
+# * bits 11-14: amplitude size of a pair's first symbol (0 for a single
+#   symbol, or a first symbol without amplitude);
+# * bits 15-18: code plus amplitude bits of a pair's second symbol, so
+#   the first amplitude ends that far before the row's end bit;
+# * bits 19-23: the cursor step of a pair's second symbol (31 for EOB),
+#   so the first symbol's coefficient index is the row's cursor minus
+#   that step minus one (minus 64 after an EOB);
+# * bits 24-31: the row's coefficient-cursor step, a signed byte that
+#   the walk reads through an ``int8`` view of the entries.
+#
+# The coefficient cursor stops at 64 (block ended, the next symbol is
+# DC): ``k = min(k + step, 64)``.  AC steps are run + 1 past a nonzero,
+# 16 for ZRL and 63 for EOB; the DC step is -63, which takes the cursor
+# from 64 to 1, so a lane needs no separate reset.  The epilogue
+# recovers the coefficient index of a row's last symbol as ``kn - 1``.
+#
+# An invalid prefix, or a symbol that is corrupt in its position,
+# becomes :data:`_MARKER`: amplitude size 31, a step of 127 (the cursor
+# leaves the block, far past any legal value) and a one-bit advance.
+# Every lane therefore moves at least one bit per row (a lane that
+# starts mid-code never stalls), and a marker on a kept row fails the
+# epilogue's coefficient check.
+_PAIR_K = 48
+_MARKER = (127 << 24) | (31 << 6) | 1
+
+# A peek as narrow as the longest code seldom holds two symbols with
+# their amplitudes: chroma codes are 7-9 bits long on corpus-like
+# images.  Widening every stream's peek to 11 bits cut a 32-image
+# group's chroma walk from 320 to 256 iterations (luma from 544 to 512).
+_PAIR_BITS = 11
 
 
-def _batch_entries(lut: List[int], dc: bool) -> np.ndarray:
-    packed = np.asarray(lut, dtype=np.int64)
-    step = packed > 0
-    if not dc:
-        step &= ((packed >> 6) & 31) > 0
-    packed = packed + (step.astype(np.int64) << 11)
-    return np.where(packed == 0, _INVALID, packed).astype(np.uint32)
+def _symbol_fields(
+    spec: TableSpec, bits: int, dc: bool
+) -> Tuple[np.ndarray, ...]:
+    """Per ``bits``-wide peek: code length, amplitude size, cursor step,
+    whether the symbol is legal in this role, and whether it is EOB."""
+    rt = table_runtime(spec)
+    lut = np.asarray(rt.lut, dtype=np.int64)
+    if rt.lut_bits < bits:
+        # The prefix property makes a ``repeat`` expansion exact.
+        lut = np.repeat(lut, 1 << (bits - rt.lut_bits))
+    sym = lut >> 5
+    length = lut & 31
+    if dc:
+        size = sym
+        step = np.full(lut.size, 1 - 64, dtype=np.int64)
+        legal = (length > 0) & (size <= 16)
+        eob = np.zeros(lut.size, dtype=bool)
+    else:
+        size = sym & 15
+        eob = sym == EOB
+        step = np.where(eob, 63, np.where(sym == ZRL, 16, (sym >> 4) + 1))
+        legal = (length > 0) & ((size > 0) | eob | (sym == ZRL))
+    return length, size, step, legal, eob
 
 
-@lru_cache(maxsize=2048)
-def _dc_lut_arr(spec: TableSpec) -> Tuple[np.ndarray, int]:
-    lut, bits = _dc_lut(spec)
-    return _batch_entries(lut, dc=True), bits
+def _pair_table(
+    first: Tuple[np.ndarray, ...], second: Optional[Tuple[np.ndarray, ...]]
+) -> np.ndarray:
+    """The packed entries of one table: each peek's symbol in the
+    ``first`` role, joined by the following AC symbol (``second``) when
+    the first is not EOB and both codes and amplitudes fit the peek."""
+    l1, s1, step1, legal1, eob1 = first
+    bits = l1.size.bit_length() - 1
+    adv1 = l1 + s1
+    entry = ((step1 & 255) << 24) | (s1 << 6) | adv1
+    if second is not None:
+        can = legal1 & ~eob1 & (adv1 < bits)
+        peek = np.arange(l1.size, dtype=np.int64)
+        # The second symbol's peek, zero-filled past the known bits: a
+        # code that fits inside them decodes the same either way.
+        nxt = (peek << np.where(can, adv1, 0)) & (l1.size - 1)
+        l2, s2, step2, legal2, _ = (f[nxt] for f in second)
+        adv2 = l2 + s2
+        pair = can & legal2 & (adv1 + adv2 <= bits)
+        joined = (
+            (((step1 + step2) & 255) << 24)
+            | (np.minimum(step2, 31) << 19)
+            | (adv2 << 15)
+            | (s1 << 11)
+            | (s2 << 6)
+            | (adv1 + adv2)
+        )
+        entry = np.where(pair, joined, entry)
+    return np.where(legal1, entry, _MARKER).astype(np.uint32)
 
 
-@lru_cache(maxsize=2048)
-def _ac_lut_arr(spec: TableSpec) -> Tuple[np.ndarray, int]:
-    lut, bits = _ac_lut(spec)
-    return _batch_entries(lut, dc=False), bits
+# Sized for batch decode: a 256-image group touches 512 distinct
+# optimized table pairs (a luma and a chroma pair per frame); anything
+# smaller thrashes and rebuilds every LUT on every call.  Entries are
+# ``uint32``: the batch walk gathers from every live LUT each
+# iteration, so narrow entries keep its cache-miss working set small.
+@lru_cache(maxsize=1024)
+def _pair_luts(dc_spec: TableSpec, ac_spec: TableSpec) -> Tuple[np.ndarray, int]:
+    """One stream's DC-pair, AC-pair and AC-single tables, concatenated,
+    and their shared peek width: the longer of the two codes' LUTs, but
+    at least :data:`_PAIR_BITS`."""
+    bits = max(
+        table_runtime(dc_spec).lut_bits,
+        table_runtime(ac_spec).lut_bits,
+        _PAIR_BITS,
+    )
+    dc = _symbol_fields(dc_spec, bits, dc=True)
+    ac = _symbol_fields(ac_spec, bits, dc=False)
+    tables = np.concatenate(
+        [_pair_table(dc, ac), _pair_table(ac, ac), _pair_table(ac, None)]
+    )
+    tables.setflags(write=False)
+    return tables, bits
 
 
 # Event rows are recorded into preallocated chunk matrices of this many
 # iterations, so the epilogue's per-chunk working set stays
 # cache-resident and no list-of-rows is ever re-copied through
-# ``np.array``.
-_CHUNK = 512
+# ``np.array``.  With 8-byte cursor rows, 512-row chunks (1 MB matrices
+# at 256 lanes) raised ``prep-image`` peak RSS on the seed-2 corpus
+# from 143 to 158 MB; 256-row chunks walk as fast.
+_CHUNK = 256
 
 # Segmenting: a walk aims for about ``_TARGET_LANES`` lanes, splitting
 # each stream into equal-bit segments of at least
 # ``_MIN_SEGMENT_BLOCKS`` blocks.  The walk's iteration count is the
-# symbol count of its longest lane, and its per-iteration numpy
-# dispatch cost grows only slowly with the lane count, so more, shorter
-# lanes win until the per-lane work and the sync overlap below catch
-# up.  On a 2-core VM, the entropy stage of a 32-image 256x256 group
-# (luma and chroma walks) took ~1.55 ms/image at 128 lanes, ~1.35 at
-# 256, 1.3-1.4 at 512 and ~1.5 at 1024 (best of 15 each).
+# row count of its longest lane, and its per-iteration numpy dispatch
+# cost grows only slowly with the lane count, so more, shorter lanes
+# win until the per-lane work and the sync overlap below catch up.  On
+# a 2-core VM, the one-symbol walk over a 32-image 256x256 group took
+# ~1.55 ms/image at 128 lanes and ~1.35 at 256 (best of 15), and
+# settings up to 1024 lanes moved it only within noise (2048 was
+# slower).  With two-symbol rows, 512 lanes read within 2% of 256 (min
+# of 25 interleaved rounds), so the target stays 256.
 _TARGET_LANES = 256
 _MIN_SEGMENT_BLOCKS = 64
 
 # A segment lane keeps decoding until its cursor is this many bits past
 # its successor's start (or past the end of the stream), and the
 # successor's rows within that window are searched for the sync point.
-# Corpus-like 256x256 planes synced within 117 (luma) and 222 (chroma)
-# bits of an arbitrary start, over 720 starts.  A successor that has
-# not synced inside the window falls back to the sequential walk.
+# With two-symbol rows, lanes of the seed-1 prep corpus synced within
+# 209 (luma) and 268 (chroma) bits of an arbitrary start, median 29,
+# over 6,946 starts (the one-symbol walk: 204 and 268, median 28).  At
+# 256 bits one stream in 128 images falls back to the sequential walk,
+# as before; a 192-bit window took 13-14 of them.
 _SYNC_WINDOW_BITS = 256
 
 # Iterations between the walk's termination checks and trap clamps.
@@ -464,51 +557,55 @@ def decode_planes_batch(
 ) -> List[np.ndarray]:
     """Lock-step Huffman decode of many plane streams at once.
 
-    Every lane advances one symbol per iteration under vectorized numpy
-    ops, so the per-symbol interpreter overhead — the whole cost of
-    :func:`decode_plane` — is amortized over the lanes.  Each lane
-    indexes its stream's packed LUTs through per-lane offsets into one
-    flat buffer, so streams with different Huffman tables (the normal
-    case: tables are optimized per image) batch together.
+    Every lane advances one or two symbols per iteration under
+    vectorized numpy ops, so the per-symbol interpreter overhead — the
+    whole cost of :func:`decode_plane` — is amortized over the lanes.
+    Each lane indexes its stream's packed LUTs through per-lane offsets
+    into one flat buffer, so streams with different Huffman tables (the
+    normal case: tables are optimized per image) batch together.
 
-    **Segments.**  The walk's iteration count is the symbol count of its
+    **Segments.**  The walk's iteration count is the row count of its
     longest lane, so each stream is split into ``k`` segments that start
     at evenly spaced bit offsets (:func:`_segment_counts` picks ``k``),
     and every segment is its own lane.  A segment lane starts as if at a
-    block start (DC table, coefficient cursor 0), so it decodes junk
-    until Huffman self-synchronization puts it on the true symbol
-    boundaries.  The decoder's whole state is (bit cursor, coefficient
-    cursor), so the first state a lane shares with its predecessor's
-    walk is its sync point: from there on both lanes decode the same
-    symbols.  The epilogue finds that point for every lane pair, keeps
+    block start (the DC table), so it decodes junk until Huffman
+    self-synchronization puts it on the true symbol boundaries.  The
+    decoder's whole state is (bit cursor, coefficient cursor), so the
+    first row end a lane shares with its predecessor's walk is its sync
+    point: from there on both lanes decode the same symbols.  Two lanes
+    on the same boundaries can still pair symbols one apart, but every
+    block end is a row end, so they meet at the next block end at the
+    latest.  The epilogue finds that point for every lane pair, keeps
     the predecessor's rows up to it and the successor's rows after it,
     and rebases the successor's block numbers by the predecessor's count
     there (:func:`_stitch`).  A successor that has not synced within
     :data:`_SYNC_WINDOW_BITS` is dropped together with every later lane
     of its stream, and the stream's remaining blocks are decoded
     sequentially (:func:`_decode_blocks`) from the first block the
-    predecessor starts after its own sync point.  DC prediction is the plane-wide prefix
-    sum it always was, and the encoded bytes are untouched.
+    predecessor starts after its own sync point.  DC prediction is the
+    plane-wide prefix sum it always was, and the encoded bytes are
+    untouched.
 
-    **The loop.**  Every iteration is a fixed sequence of ufunc calls on
-    preallocated temporaries: the peek is two shifts (left to drop
-    consumed bits, right by the per-lane ``64 - lut_bits``, no mask),
-    the coefficient-cursor step is pre-folded into the LUT run field
-    (see :func:`_batch_entries`), and symbols are recorded
-    *unconditionally* as four per-iteration rows (block-continues flag,
-    advanced coefficient cursor, raw LUT entry, end bit) written
-    straight into chunked event matrices — the flag row selects the
-    next iteration's table and the end-bit row *is* the lane cursors.
-    Every entry advances its lane by at least one bit (invalid prefixes
-    included), so each lane passes its stop bit within a bounded number
-    of rows; lanes that are done keep decoding junk — reading the next
-    stream's bytes or parked in an all-zero trap region at the end of
-    the buffer (index 0 of a canonical-Huffman LUT is always a valid
-    code) — and junk rows are dropped in the epilogue because they fall
-    outside their lane's kept range or past the stream's last block.
-    Block numbering, stitching, event filtering, the bounds check and
-    the corrupt-coefficient check are all reconstructed vectorized over
-    the recorded chunks, so a corrupt stream raises :class:`CodecError`
+    **The loop.**  Every iteration is twelve ufunc calls on
+    preallocated operands: five for the peek (two shifts drop the
+    consumed bits and keep the per-lane ``bits``, no mask), two to pick
+    the table by coefficient cursor and add the peek, one LUT gather,
+    and four to advance the bit and coefficient cursors.  One entry
+    decodes a symbol pair whenever both symbols fit the peek (see
+    :func:`_pair_table`), so a lane runs about 0.6 rows per symbol.  Rows are recorded *unconditionally* as three matrices
+    (coefficient cursor after the row, raw LUT entry, end bit) written
+    straight into chunked event matrices — the end-bit row *is* the
+    lane cursors.  Every entry advances its lane by at least one bit
+    (invalid prefixes included), so each lane passes its stop bit within
+    a bounded number of rows; lanes that are done keep decoding junk —
+    reading the next stream's bytes or parked in an all-zero trap region
+    at the end of the buffer (index 0 of a canonical-Huffman LUT is
+    always a valid code) — and junk rows are dropped in the epilogue
+    because they fall outside their lane's kept range or past the
+    stream's last block.  Block numbering, stitching, event filtering
+    (one or two nonzeros per row), the bounds check and the
+    corrupt-coefficient check are all reconstructed vectorized over the
+    recorded chunks, so a corrupt stream raises :class:`CodecError`
     exactly when :func:`decode_plane` would.
 
     Output ``i`` is bit-identical to ``decode_plane(*tasks[i])``:
@@ -517,7 +614,7 @@ def decode_planes_batch(
     even trailing peeks past a stream's end see the same bits, and the
     amplitude gather is the same arithmetic on a shared window array.
 
-    Working memory is five narrow matrices of (rows of the longest lane)
+    Working memory is four narrow matrices of (rows of the longest lane)
     × (lanes) — callers should group streams of similar length (e.g.
     luma planes apart from chroma planes) so the matrix is dense.  The
     outputs are views into one coefficient buffer, written in natural
@@ -544,28 +641,23 @@ def decode_planes_batch(
     base_bit = np.zeros(n, dtype=np.int64)
     np.cumsum(total_bits[:-1] + 64, out=base_bit[1:])
     end_bit = base_bit + total_bits
-    # Each stream's DC and AC LUTs are widened to one shared peek width
-    # (the prefix property makes a ``repeat`` expansion exact), so the
-    # peek shift is a per-lane constant in the hot loop and only the
-    # LUT base offset still selects DC vs AC.
+    # Each stream's three tables share one peek width, so the peek
+    # shift is a per-lane constant; streams with the same tables (a
+    # frame's two chroma planes) share one copy in the flat buffer.
     parts = []
-    dc_off = np.empty(n, dtype=np.int64)
-    ac_off = np.empty(n, dtype=np.int64)
+    stream_off = np.empty(n, dtype=np.int64)
     lut_bits = np.empty(n, dtype=np.int64)
+    placed: Dict[Tuple[TableSpec, TableSpec], int] = {}
     lut_off = 0
     for i, (_, dc_t, ac_t, _nb) in enumerate(tasks):
-        dc_arr, dc_b = _dc_lut_arr(dc_t.spec)
-        ac_arr, ac_b = _ac_lut_arr(ac_t.spec)
-        bits = max(dc_b, ac_b)
-        if dc_b < bits:
-            dc_arr = np.repeat(dc_arr, 1 << (bits - dc_b))
-        if ac_b < bits:
-            ac_arr = np.repeat(ac_arr, 1 << (bits - ac_b))
-        parts.append(dc_arr)
-        parts.append(ac_arr)
-        dc_off[i], ac_off[i] = lut_off, lut_off + dc_arr.shape[0]
+        tables, bits = _pair_luts(dc_t.spec, ac_t.spec)
+        key = (dc_t.spec, ac_t.spec)
+        if key not in placed:
+            placed[key] = lut_off
+            parts.append(tables)
+            lut_off += tables.shape[0]
+        stream_off[i] = placed[key]
         lut_bits[i] = bits
-        lut_off += dc_arr.shape[0] + ac_arr.shape[0]
     flat_lut = np.concatenate(parts)
     block_base = np.zeros(n, dtype=np.int64)
     np.cumsum(n_blocks[:-1], out=block_base[1:])
@@ -586,34 +678,41 @@ def decode_planes_batch(
     head = np.minimum(start + _SYNC_WINDOW_BITS, end_bit[sid])
     stop = np.where(last, end_bit[sid], np.roll(head, -1))
 
-    # Cursors are absolute bit positions (uint32 unless the payload is
-    # gigantic); window words and LUT offsets are uint64, LUT entries
-    # and coefficient cursors uint32 (a marker's huge run ends the block
-    # and is caught by the epilogue's coefficient check).
-    pos_t = np.uint32 if trap + 1024 * 8 < 1 << 32 else np.uint64
-    pos = start.astype(pos_t)
-    stop_p = stop.astype(pos_t)
-    trap_p = pos_t(trap)
-    k = np.zeros(lanes, dtype=np.uint32)
-    in_block = np.zeros(lanes, dtype=bool)  # k != 0: the next symbol is AC
+    # Every hot-loop operand is a preallocated array: a scalar operand
+    # costs numpy a conversion per call, and so do mixed dtypes (the
+    # advance is widened on output, the step byte as an input).  Cursors
+    # and LUT offsets are ``intp``, take's native index type.
+    # A lane's coefficient cursor is kept as ``k_row + k``: its row of
+    # ``k_off`` maps the cursor to the table it reads next (DC-pair at
+    # 64 and the unused 0, AC-pair below _PAIR_K, AC-single from there
+    # up), and ``k_cap`` is its block-ended state.
+    pos = start.astype(np.intp)
+    stop_p = stop.astype(np.intp)
+    trap_p = np.intp(trap)
+    table = np.zeros(65, dtype=np.intp)
+    table[1:_PAIR_K] = 1
+    table[_PAIR_K:64] = 2
+    k_off = (stream_off[sid][:, None] + (table << lut_bits[sid][:, None])).ravel()
+    k_row = np.arange(0, lanes * 65, 65, dtype=np.intp)
+    k_cap = k_row + 64
+    kk = k_cap.copy()  # every lane starts at a block start
     sbm = (64 - lut_bits[sid]).astype(np.uint64)
-    dc_off_u = dc_off[sid].astype(np.uint64)
-    ac_off_u = ac_off[sid].astype(np.uint64)
-    # Preallocated hot-loop temporaries — the loop allocates nothing but
-    # the ``np.where`` result per iteration.
-    t0 = np.empty(lanes, dtype=pos_t)
+    THREE = np.full(lanes, 3, dtype=np.intp)
+    SEVEN = np.full(lanes, 7, dtype=np.intp)
+    LOW6 = np.full(lanes, 63, dtype=np.uint32)
+    t0 = np.empty(lanes, dtype=np.intp)
     win = np.empty(lanes, dtype=np.uint64)
-    sh = np.empty(lanes, dtype=np.uint64)
-    run = np.empty(lanes, dtype=np.uint32)
-    adv = np.empty(lanes, dtype=np.uint32)
-    THREE, SEVEN = pos_t(3), pos_t(7)
-    ELEVEN, LOW6, K64 = np.uint32(11), np.uint32(63), np.uint32(64)
+    sh = np.empty(lanes, dtype=np.intp)
+    off = np.empty(lanes, dtype=np.intp)
+    adv = np.empty(lanes, dtype=np.intp)
+    sh_u, win_i = sh.view(np.uint64), win.view(np.intp)
+    top = 3 if sys.byteorder == "little" else 0  # the step byte
     # Every row advances its lane by at least one bit, so this many
     # iterations take every lane past its stop bit.
     cap = int((stop - start).max()) + 2 * _CHECK_EVERY
     done = False
     chunks: List[Tuple[np.ndarray, ...]] = []
-    c_in = c_kn = c_en = c_po = None
+    c_kn = c_en = c_st = c_po = None
     r = _CHUNK
     T = 0
     for t in range(cap):
@@ -623,50 +722,51 @@ def decode_planes_batch(
                 done = True
                 break
         if r == _CHUNK:
-            c_in = np.empty((_CHUNK, lanes), dtype=bool)
-            c_kn = np.empty((_CHUNK, lanes), dtype=np.uint32)
+            c_kn = np.empty((_CHUNK, lanes), dtype=np.intp)
             c_en = np.empty((_CHUNK, lanes), dtype=np.uint32)
-            c_po = np.empty((_CHUNK, lanes), dtype=pos_t)
-            chunks.append((c_in, c_kn, c_en, c_po))
+            c_st = c_en.view(np.int8)[:, top::4]
+            c_po = np.empty((_CHUNK, lanes), dtype=np.intp)
+            chunks.append((c_kn, c_en, c_po))
             r = 0
         np.right_shift(pos, THREE, out=t0)
         # Bound-method take skips the np.take dispatch wrapper — it is
         # measurably cheaper at hot-loop call counts.
         warr.take(t0, out=win)
         np.bitwise_and(pos, SEVEN, out=sh)
-        np.left_shift(win, sh, out=win)
+        np.left_shift(win, sh_u, out=win)
         np.right_shift(win, sbm, out=win)  # the peek, mask-free
-        off = np.where(in_block, ac_off_u, dc_off_u)
-        np.add(off, win, out=off)
+        k_off.take(kk, out=off)
+        np.add(off, win_i, out=off)
         entry = c_en[r]
         flat_lut.take(off, out=entry)
-        np.right_shift(entry, ELEVEN, out=run)
         kn = c_kn[r]
-        np.add(k, run, out=kn)
+        np.add(kk, c_st[r], out=kn)
         np.bitwise_and(entry, LOW6, out=adv)
         row = c_po[r]
         np.add(pos, adv, out=row)
         pos = row
-        in_block = c_in[r]
-        np.less(kn, K64, out=in_block)
-        np.multiply(kn, in_block, out=k)
+        np.minimum(kn, k_cap, out=kk)
         r += 1
         T += 1
     if not done and not bool((np.minimum(pos, trap_p) > stop_p).all()):
         raise CodecError("bitstream underrun")  # unreachable: see cap
 
-    # Epilogue pass 1: each lane's running DC count (its local block
-    # number + 1) per row — a row is a DC symbol when the row before it
-    # ended its block — appended to the chunk's matrices.
+    # Epilogue pass 1: each lane's coefficient cursor after every row
+    # (the walk recorded it offset by ``k_row``), and its running DC
+    # count (its local block number + 1) per row — a row starts with a
+    # DC symbol when the row before it ended its block — appended to
+    # the chunk's matrices.
     carry = np.zeros(lanes, dtype=np.int32)
     ended = np.ones(lanes, dtype=bool)  # every lane starts at a block
     for c, chunk in enumerate(chunks):
         rows = min(_CHUNK, T - c * _CHUNK)
         chunk = tuple(m[:rows] for m in chunk)
+        kn = chunk[0]
+        kn -= k_row[None, :]
         is_dc = np.empty((rows, lanes), dtype=bool)
         is_dc[0] = ended
-        np.logical_not(chunk[0][:-1], out=is_dc[1:])
-        ended = ~chunk[0][-1]
+        np.greater_equal(kn[:-1], 64, out=is_dc[1:])
+        ended = kn[-1] >= 64
         cum = np.cumsum(is_dc, axis=0, dtype=np.int32)
         cum += carry[None, :]
         carry = cum[-1].copy()
@@ -682,14 +782,15 @@ def decode_planes_batch(
     # Epilogue pass 2: keep each lane's rows inside (lo, hi] that fall
     # in its plane's blocks, run the coefficient check, gather the
     # amplitudes and scatter — the same closing moves as decode_plane,
-    # batched per chunk.  Rows are numbered straight into ``out``.
+    # batched per chunk, over a row's last symbol and then a pair's
+    # first.  Rows are numbered straight into ``out``.
     row_base = (off - 1 + block_base[sid]).astype(np.int32)
     row_end = (block_base + n_blocks)[sid].astype(np.int32)
     in_plane = np.zeros(lanes, dtype=np.int64)
     flat_out = out.reshape(-1)
     row0 = 0
-    for c_in, c_kn, c_en, c_po, cum in chunks:
-        rows = c_in.shape[0]
+    for c_kn, c_en, c_po, cum in chunks:
+        rows = c_kn.shape[0]
         gb = np.add(cum, row_base[None, :], out=cum)  # out row per symbol
         real = gb < row_end[None, :]
         # Block numbers never fall along a lane, so each lane's in-plane
@@ -699,30 +800,35 @@ def decode_planes_batch(
         real &= ridx > lo[None, :]
         real &= ridx <= hi[None, :]
         row0 += rows
-        ev = (c_en & np.uint32(0x1F << 6)) != 0  # nonzero amplitude size
-        ev &= real
-        sel = np.flatnonzero(ev)
-        if not sel.size:
-            continue
-        kn = c_kn.ravel().take(sel)
-        if kn.max() > 64:  # coefficient index kn - 1 past the block
-            raise CodecError("corrupt AC coefficient stream")
-        size = (c_en.ravel().take(sel) >> np.uint32(6)) & np.uint32(31)
-        first = c_po.ravel().take(sel) - size
-        word = warr.take(first >> 3)
-        word <<= first & 7
-        word >>= 64 - size
-        amp = word.view(np.int64)
-        neg = (amp >> (size - 1)) == 0
-        # Scatter straight to natural (un-zig-zagged) coefficient order.
-        idx = (gb.ravel().take(sel).astype(np.int64) << 6) | ZIGZAG[kn - 1]
-        flat_out[idx] = amp - neg * ((1 << size) - 1)
+        # The row's last symbol: nonzero amplitude size in bits 6-10.
+        sel = np.flatnonzero(((c_en & np.uint32(0x1F << 6)) != 0) & real)
+        if sel.size:
+            kn = c_kn.ravel().take(sel)
+            if kn.max() > 64:  # coefficient index kn - 1 past the block
+                raise CodecError("corrupt AC coefficient stream")
+            entry = c_en.ravel().take(sel)
+            _scatter(
+                flat_out, warr, gb.ravel().take(sel), kn - 1,
+                (entry >> np.uint32(6)) & np.uint32(31), c_po.ravel().take(sel),
+            )
+        # A pair's first symbol: amplitude size in bits 11-14.
+        sel = np.flatnonzero(((c_en & np.uint32(0xF << 11)) != 0) & real)
+        if sel.size:
+            entry = c_en.ravel().take(sel)
+            step2 = (entry >> np.uint32(19)) & np.uint32(31)
+            d1 = np.where(step2 == 31, 64, step2 + 1)
+            _scatter(
+                flat_out, warr, gb.ravel().take(sel),
+                c_kn.ravel().take(sel) - d1,
+                (entry >> np.uint32(11)) & np.uint32(15),
+                c_po.ravel().take(sel) - ((entry >> np.uint32(15)) & np.uint32(15)),
+            )
     # Bounds check: the last kept row of a stream must end inside it.
     last_row = np.minimum(np.minimum(hi, in_plane - 1), T - 1)
     kept = np.flatnonzero(last_row > lo)
     last_pos = base_bit.copy()
     if kept.size:
-        end = _gather(chunks, last_row[kept], kept)[3]
+        end = _gather(chunks, last_row[kept], kept)[2]
         np.maximum.at(last_pos, sid[kept], end.astype(np.int64))
     if np.any(last_pos > end_bit):
         raise CodecError("bitstream underrun")
@@ -740,6 +846,27 @@ def decode_planes_batch(
         np.cumsum(plane[:, 0], out=plane[:, 0])
         results.append(plane.reshape(int(n_blocks[i]), 8, 8))
     return results
+
+
+def _scatter(
+    flat_out: np.ndarray,
+    warr: np.ndarray,
+    block: np.ndarray,
+    coef: np.ndarray,
+    size: np.ndarray,
+    end: np.ndarray,
+) -> None:
+    """Gather each nonzero's amplitude (``size`` bits ending at bit
+    ``end`` of ``warr``), sign-extend it and write it to coefficient
+    ``coef`` (zig-zag index) of output row ``block``, in natural order."""
+    first = end - size
+    word = warr.take(first >> 3)
+    word <<= (first & 7).astype(np.uint64)
+    word >>= 64 - size
+    amp = word.view(np.int64)
+    neg = (amp >> (size - 1)) == 0
+    idx = (block.astype(np.int64) << 6) | ZIGZAG[coef]
+    flat_out[idx] = amp - neg * ((1 << size) - 1)
 
 
 def _stitch(
@@ -770,7 +897,7 @@ def _stitch(
     lanes = sid.size
     succ = np.flatnonzero(seg > 0)
     pred = succ - 1
-    pos_t = chunks[0][3].dtype
+    pos_t = chunks[0][2].dtype
     # Per lane as a predecessor: rows ending at or before its
     # successor's start and head (thresholds 0 count nothing: every row
     # ends past bit 0).  As a successor: rows ending at or before its
@@ -785,7 +912,7 @@ def _stitch(
     n_head = np.zeros(lanes, dtype=np.int64)
     n_own = np.zeros(lanes, dtype=np.int64)
     for c, chunk in enumerate(chunks):
-        po = chunk[3]
+        po = chunk[2]
         n_start += (po <= nxt_start).sum(axis=0)
         n_head += (po <= nxt_head).sum(axis=0)
         if c * _CHUNK < _SYNC_WINDOW_BITS:
@@ -796,7 +923,7 @@ def _stitch(
     p_pair, p_row = _ranges(n_start, n_head_p)
 
     def keys(pair, row, lane):
-        _, kn, _, po, cum = _gather(chunks, row, lane)
+        kn, _, po, cum = _gather(chunks, row, lane)
         k_after = np.where(kn < 64, kn, 0).astype(np.int64)
         rel = po.astype(np.int64) - start[succ[pair]]
         return (pair << 32) | (rel << 7) | k_after, cum
@@ -836,10 +963,10 @@ def _stitch(
         p = m - 1
         x, bit, block = 0, int(start[f]), 0
         while p > f:
-            cum_p = np.concatenate([c[4][:, p] for c in chunks])
+            cum_p = np.concatenate([c[3][:, p] for c in chunks])
             x = int(np.searchsorted(cum_p, cum_p[lo[p]] + 1))
             if x < T:
-                bit = int(np.concatenate([c[3][:, p] for c in chunks])[x - 1])
+                bit = int(np.concatenate([c[2][:, p] for c in chunks])[x - 1])
                 block = int(cum_p[x] + off[p] - 1)
                 break
             hi[p] = -1

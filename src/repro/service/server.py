@@ -55,7 +55,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import api, obs
 from repro.errors import ConfigError
@@ -140,20 +140,28 @@ _SERVED_COUNTERS = {
 
 
 class TokenBucket:
-    """Classic token bucket: ``rate`` tokens/s, ``burst`` capacity."""
+    """Classic token bucket: ``rate`` tokens/s, ``burst`` capacity,
+    refilled by the seconds ``clock`` reports (the service hands it its
+    event loop's ``time``)."""
 
-    __slots__ = ("rate", "burst", "tokens", "updated")
+    __slots__ = ("rate", "burst", "tokens", "updated", "clock")
 
-    def __init__(self, rate: float, burst: float) -> None:
+    def __init__(
+        self,
+        rate: float,
+        burst: float,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> None:
         self.rate = rate
         self.burst = burst
         self.tokens = burst
-        self.updated = time.monotonic()
+        self.clock = clock
+        self.updated = clock()
 
     def take(self, n: float = 1.0) -> bool:
         if math.isinf(self.rate):
             return True
-        now = time.monotonic()
+        now = self.clock()
         self.tokens = min(
             self.burst, self.tokens + (now - self.updated) * self.rate
         )
@@ -173,15 +181,22 @@ class TokenBucket:
         loses no state, since a lazily recreated bucket starts full."""
         if math.isinf(self.rate):
             return True
-        refill = (time.monotonic() - self.updated) * self.rate
+        refill = (self.clock() - self.updated) * self.rate
         return self.tokens + refill >= self.burst
 
 
 def default_workers() -> int:
-    """Engine threads sized from the host: one per core, floored at 2
-    (compute overlaps disk I/O even on tiny hosts), capped at 32 (the
-    engines are GIL-bound Python; more threads only add contention)."""
-    return min(32, max(2, os.cpu_count() or 2))
+    """Engine threads sized from the host: one per CPU this process may
+    run on (its affinity mask, which ``taskset`` and cgroup pinning
+    narrow; the host's CPU count where the OS has no such mask),
+    floored at 2 (compute overlaps disk I/O even on tiny hosts), capped
+    at 32 (the engines are GIL-bound Python; more threads only add
+    contention)."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 2
+    return min(32, max(2, cpus))
 
 
 @dataclass(frozen=True)
@@ -270,7 +285,9 @@ class SimulationService:
             if len(self._buckets) >= self.config.max_tenants:
                 self._evict_bucket()
             bucket = TokenBucket(
-                self.config.quota_rate, self.config.quota_burst
+                self.config.quota_rate,
+                self.config.quota_burst,
+                asyncio.get_running_loop().time,
             )
             self._buckets[tenant] = bucket
         else:

@@ -12,6 +12,7 @@ which dispatch alone instead of sharing a kernel pass.
 
 import asyncio
 import json
+import os
 import time
 
 import pytest
@@ -24,6 +25,7 @@ from repro.service import (
     ServiceConfig,
     SimulationService,
     TokenBucket,
+    default_workers,
     execute_request,
 )
 from repro.service import batch as batch_mod
@@ -84,6 +86,57 @@ def test_token_bucket_enforces_rate_and_burst():
     infinite = TokenBucket(rate=float("inf"), burst=1.0)
     assert all(infinite.take() for _ in range(1000))
     assert infinite.retry_after() == 0.0
+
+
+def test_token_bucket_refills_rate_times_elapsed_on_its_clock():
+    now = [100.0]
+    bucket = TokenBucket(rate=4.0, burst=10.0, clock=lambda: now[0])
+    assert all(bucket.take() for _ in range(10))
+    assert not bucket.take() and bucket.tokens == 0.0
+    now[0] += 0.25  # 4 tokens/s x 0.25 s = 1 token
+    assert bucket.take() and bucket.tokens == 0.0
+    now[0] += 0.125
+    assert not bucket.take() and bucket.tokens == 0.5
+    assert bucket.retry_after() == 0.125
+    now[0] += 2.375  # exactly back to the burst
+    assert bucket.idle()
+    now[0] += 60.0  # never past it
+    assert bucket.take() and bucket.tokens == 9.0
+
+
+def test_service_buckets_read_the_event_loop_clock():
+    service = SimulationService(ServiceConfig(max_workers=1, quota_rate=5.0))
+
+    async def main():
+        try:
+            req = api.SimulationRequest("Resnet-50", "trainbox", 4)
+            response = await service.handle(_envelope(req, tenant="t"))
+            assert response["status"] == "ok"
+            return asyncio.get_running_loop().time
+        finally:
+            service.close()
+
+    loop_time = asyncio.run(main())
+    assert service._buckets["t"].clock == loop_time
+
+
+@pytest.mark.parametrize(
+    "usable,expected", [({0}, 2), (set(range(6)), 6), (set(range(64)), 32)]
+)
+def test_default_workers_counts_usable_cpus(monkeypatch, usable, expected):
+    # A process pinned to fewer CPUs than the host has (taskset, a
+    # cgroup cpuset) sizes its engine pool by its affinity mask.
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable, raising=False)
+    assert default_workers() == expected
+
+
+def test_default_workers_without_affinity_counts_host_cpus(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert default_workers() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert default_workers() == 2
 
 
 # -- broker behaviour ---------------------------------------------------------
