@@ -427,8 +427,9 @@ class PrepEngine:
     Each worker process (and the serial path) prepares shards through the
     compiled-plan fast path: the pipeline compiles once per worker on the
     first shard — emitting a ``prep.plan_compile`` span/metric — and the
-    plan's pooled arena is reused for every shard after, so steady-state
-    batches allocate nothing (see :mod:`repro.dataprep.plan`).
+    plan's pooled arena is reused for every shard after, so a
+    steady-state batch allocates only the array its last stage writes
+    the batch into (see :mod:`repro.dataprep.plan`).
 
     Parameters
     ----------

@@ -403,21 +403,36 @@ def transform_chunk_images(h: int, w: int) -> int:
 # Lock-step entropy decode beats the per-stream walk once its fixed
 # numpy-dispatch cost per iteration is spread over enough lanes.  The
 # walk splits every stream into segment lanes
-# (:func:`entropy_fast.decode_planes_batch`), so a handful of 256x256
-# images already fill it: timed against the per-image walk on the
-# 2-core VM (best of 15, corpus-like quality-80 images), the
-# group walk broke even at 4-5 images and won 1.4x at 6 and ~3x at 32.
-# This is the calibration point for :func:`lockstep_min_images`;
+# (:func:`entropy_fast.decode_planes_batch`) and decodes a symbol pair
+# per LUT entry, so two or three 256x256 images already fill it.  The
+# group walk (``_entropy_decode_group``) against per-image
+# ``entropy_fast.decode_plane`` on corpus-like quality-80 images, median
+# per-image/group ratio of 21-31 interleaved rounds, one pinned core of
+# the 2-core VM:
+#
+#   images   256x256      128x128      64x64
+#   2        1.11-1.12x   0.37x        0.19x
+#   3        1.48-1.54x
+#   4        1.85-1.92x   0.71x        0.35x
+#   6        2.49x        0.97-1.00x
+#   8        2.85x        1.21-1.25x   0.67x
+#   12                    1.79x        0.94-0.97x
+#   16                    2.08x        1.17-1.20x
+#
+# The one-symbol walk broke even at 4-5 images of 256x256, ~13 of
+# 128x128 and ~25 of 64x64 (calibration 6); the two-symbol walk breaks
+# even below 2, at ~6 and at ~12-13.  Calibration 3 gives crossovers of
+# 3, 6 and 12 through :func:`lockstep_min_images`.
 # ``benchmarks/bench_speed_floors.py::
 # test_jpeg_segmented_lockstep_speedup_at_batch_32`` holds the batch-32
 # ratio to a floor.
-_LOCKSTEP_MIN_IMAGES = 6
+_LOCKSTEP_MIN_IMAGES = 3
 
 # Smaller planes cut fewer segments (each keeps at least
 # ``entropy_fast._MIN_SEGMENT_BLOCKS`` blocks) and amortize the walk's
 # fixed setup over fewer symbols, so they need proportionally more
-# streams: in the same measurement 128x128 planes crossed over at ~13
-# images and 64x64 at ~25, the square-root scaling below.
+# streams, roughly with the square root of the block deficit (the
+# measured crossovers above).
 _LOCKSTEP_REF_BLOCKS = 1024
 
 

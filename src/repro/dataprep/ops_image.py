@@ -271,27 +271,27 @@ def noise_table(sigma: float) -> np.ndarray:
 
 def add_table_noise(
     table: np.ndarray,
-    data: np.ndarray,
-    rngs: Sequence[np.random.Generator],
-    out: np.ndarray,
+    pixels: np.ndarray,
+    rng: np.random.Generator,
+    row: np.ndarray,
 ) -> np.ndarray:
-    """Write ``clip(data[i] + table[u], 0, 255)`` into the int16 ``out[i]``,
-    with one 16-bit uniform ``u`` per element drawn from ``rngs[i]`` —
-    the draws :meth:`GaussianNoise.apply` makes.
+    """Write one sample's ``clip(pixels + table[u], 0, 255)`` into the
+    int16 ``row``, with one 16-bit uniform ``u`` per element drawn from
+    ``rng`` — the draws :meth:`GaussianNoise.apply` makes.
 
-    The gather runs one sample at a time on purpose: ``np.take`` turns
-    its uint16 indices into an intp array, 8 bytes per element, so a
-    batch-wide gather would allocate four times the batch's int16 size.
-    ``data[i] + table[u]`` lies in [-255, 510], so int16 cannot overflow.
+    Batched callers loop over samples on purpose: ``np.take`` turns its
+    uint16 indices into an intp array, 8 bytes per element, so a
+    batch-wide gather would allocate four times the batch's int16 size,
+    and one sample's row stays in cache for the caller's next pass.
+    ``pixels + table[u]`` lies in [-255, 510], so int16 cannot overflow.
     """
-    for row, rng in zip(out, rngs):
-        draws = rng.integers(0, NOISE_LEVELS, size=row.shape, dtype=np.uint16)
-        # Every uint16 draw indexes the 2**16-entry table, so "wrap" never
-        # wraps; unlike the default mode it writes ``out`` unbuffered.
-        np.take(table, draws, out=row, mode="wrap")
-    out += data
-    np.clip(out, 0, 255, out=out)
-    return out
+    draws = rng.integers(0, NOISE_LEVELS, size=row.shape, dtype=np.uint16)
+    # Every uint16 draw indexes the 2**16-entry table, so "wrap" never
+    # wraps; unlike the default mode it writes ``row`` unbuffered.
+    np.take(table, draws, out=row, mode="wrap")
+    row += pixels
+    np.clip(row, 0, 255, out=row)
+    return row
 
 
 @dataclass
@@ -326,9 +326,14 @@ class GaussianNoise(PrepOp):
             return super().apply_batch(batch, rngs)
         if batch.dtype != np.uint8:
             raise DataprepError("gaussian_noise expects uint8 pixels")
-        noisy = np.empty(batch.shape, dtype=np.int16)
-        add_table_noise(noise_table(self.sigma), batch, rngs, noisy)
-        return noisy.astype(np.uint8)
+        table = noise_table(self.sigma)
+        row = np.empty(batch.shape[1:], dtype=np.int16)
+        out = np.empty(batch.shape, dtype=np.uint8)
+        for pixels, rng, dest in zip(batch, rngs, out):
+            noisy = add_table_noise(table, pixels, rng, row)
+            # Post-clip values lie in [0, 255], so the narrowing is exact.
+            np.copyto(dest, noisy, casting="unsafe")
+        return out
 
     def cost(self, spec: SampleSpec) -> Tuple[OpCost, SampleSpec]:
         spec.expect("image_u8", self.name)

@@ -248,10 +248,12 @@ class PrepPipeline:
         When ``plan`` is true (the default) the batch runs through the
         compiled-plan path (:mod:`repro.dataprep.plan`): the pipeline is
         compiled once per (fingerprint, geometry) into fused stages over
-        a pooled arena, and the arena output is copied out (the caller
-        owns its result).  Batches a plan cannot specialize to — ragged
-        geometry, unknown payloads — fall back to the per-op path below;
-        ``plan=False`` pins that per-op path (the benchmark baseline).
+        a pooled arena, and the last stage writes the batch into a fresh
+        array the caller owns (allocated when that stage runs, after the
+        decode's temporaries are gone).  Batches a plan cannot
+        specialize to — ragged geometry, unknown payloads — fall back to
+        the per-op path below; ``plan=False`` pins that per-op path (the
+        benchmark baseline).
         """
         if _batch_len(batch) != len(rngs):
             raise DataprepError(
@@ -266,7 +268,7 @@ class PrepPipeline:
             compiled = try_plan(self, batch)
             if compiled is not None:
                 try:
-                    return compiled.execute(batch, rngs).copy()
+                    return compiled.execute(batch, rngs, out=np.empty)
                 except PlanInapplicable:
                     pass
         data = batch

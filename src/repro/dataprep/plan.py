@@ -10,15 +10,17 @@ speed into pipeline-level speed (the FFCV insight):
   (after a JPEG decode, ``random_crop``+``mirror`` fold into the decode,
   which transforms only each crop window and writes it mirrored into
   the slot; after any other source they become one strided per-sample
-  copy; ``gaussian_noise``+``cast`` share one int16 buffer and never
-  round-trip through uint8);
+  copy; ``gaussian_noise``+``cast`` run one sample at a time through a
+  one-sample int16 row and never round-trip through uint8);
 * **invariant hoisting** — per-batch constants (the noise table, mel
   banks, Hann windows, crop index layouts) are bound at compile time,
   outside the batch loop;
 * **pooled arenas** — every intermediate is a pre-sized slot allocated
-  at compile time, so steady-state ``execute()`` calls allocate nothing
-  beyond codec-internal temporaries that are freed within the call
-  (``tests/dataprep/test_plan.py`` pins the net growth to ~zero).
+  at compile time (or, for an output slot only some callers need, on
+  the first call that needs it), so steady-state ``execute()`` calls
+  allocate nothing beyond codec-internal temporaries that are freed
+  within the call (``tests/dataprep/test_plan.py`` pins the net growth
+  to ~zero).
 
 Plans are compiled once per (pipeline fingerprint, geometry) and
 memoized through :mod:`repro.cache`, so each process — including every
@@ -34,8 +36,10 @@ values, in exactly the order, sample ``i``'s per-sample path would draw
 reordering *within* a sample's stream is not, and no stage does).
 
 ``execute`` returns a view of the plan's output slot — valid until the
-next ``execute`` on the same plan.  Callers that need an owned array
-(e.g. ``run_batch_vectorized``) copy it.
+next ``execute`` on the same plan — unless given an allocator ``out=``:
+then the last stage writes the batch into the array it allocates
+(``run_batch_vectorized`` passes ``np.empty``, so the caller owns its
+result after one write).
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from __future__ import annotations
 import struct
 import time
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -159,11 +163,14 @@ class PlanStage:
     the per-batch constants hoisted at compile time, and
     ``mutates_input`` whether ``run`` writes into the array it receives
     (the compiler copy-protects a caller batch from such a first stage).
+    ``out_layout`` is the ``(shape, dtype)`` of the batch ``run`` can
+    write into a caller's ``out=`` array, ``None`` when it cannot.
     """
 
     fuses: Tuple[str, ...] = ()
     invariants: Tuple[str, ...] = ()
     mutates_input = False
+    out_layout: Optional[Tuple[Tuple[int, ...], np.dtype]] = None
 
     def run(self, data: Any, rngs: Sequence[np.random.Generator]) -> Any:
         raise NotImplementedError
@@ -395,13 +402,20 @@ class MirrorStage(PlanStage):
 
 
 class FusedNoiseCastStage(PlanStage):
-    """``gaussian_noise`` + ``cast`` over one int16 slot: each sample's
-    table offsets are gathered straight into the slot, the add and clip
-    run in place over the whole batch, and the normalize-multiply writes
-    the float32 output slot — the uint8 round-trip between the two ops
-    disappears.  Bit-identity holds because post-clip values are
-    exact integers in [0, 255] and int16 → float32 is exact, so the
-    multiply sees the operands ``cast`` would."""
+    """``gaussian_noise`` + ``cast`` streamed one sample at a time: the
+    sample's noise is drawn and gathered from the table into a
+    one-sample int16 row, added to the pixels and clipped
+    (:func:`~repro.dataprep.ops_image.add_table_noise`), and the
+    normalize-multiply writes that row straight into the sample's float32
+    destination while it is still in cache.  No batch-sized intermediate
+    exists, and the uint8 round-trip between the two ops disappears.
+    Bit-identity holds because post-clip values are exact integers in
+    [0, 255] and int16 → float32 is exact, so the multiply sees the
+    operands ``cast`` would.
+
+    The destination is the caller's ``out=`` array when the stage ends
+    the plan and the caller passes one.  Otherwise it is a float32 arena
+    slot, allocated on the first call that needs it and reused after."""
 
     invariants = ("noise_table",)
 
@@ -410,23 +424,35 @@ class FusedNoiseCastStage(PlanStage):
         self.fuses = (noise.name, castop.name)
         self._table = noise_table(noise.sigma)
         self._scale = np.float32(castop.scale)
-        shape = (geometry.batch_size,) + in_shape
-        self._noisy = np.empty(shape, dtype=np.int16)
-        self._out = np.empty(shape, dtype=np.float32)
+        self._row = np.empty(in_shape, dtype=np.int16)
+        self.out_layout = (
+            (geometry.batch_size,) + tuple(in_shape), np.dtype(np.float32)
+        )
+        self._out: Optional[np.ndarray] = None
 
-    def run(self, data: Any, rngs: Sequence[np.random.Generator]) -> Any:
+    def run(self, data: Any, rngs: Sequence[np.random.Generator],
+            out: Optional[np.ndarray] = None) -> Any:
         if data.dtype != np.uint8:
             raise DataprepError("gaussian_noise expects uint8 pixels")
-        noisy = add_table_noise(self._table, data, rngs, self._noisy)
-        np.multiply(noisy, self._scale, out=self._out)
-        return self._out
+        if out is None:
+            if self._out is None:
+                self._out = np.empty(*self.out_layout)
+            out = self._out
+        for pixels, rng, dest in zip(data, rngs, out):
+            noisy = add_table_noise(self._table, pixels, rng, self._row)
+            np.multiply(noisy, self._scale, out=dest)
+        return out
 
     def slots(self) -> List[Tuple[str, np.ndarray]]:
-        return [("noisy", self._noisy), ("out_f32", self._out)]
+        slots = [("noisy_row", self._row)]
+        if self._out is not None:
+            slots.append(("out_f32", self._out))
+        return slots
 
 
 class NoiseStage(PlanStage):
-    """Standalone ``gaussian_noise`` (uint8 → uint8 through the arena)."""
+    """Standalone ``gaussian_noise`` (uint8 → uint8 through the arena,
+    one sample at a time through a one-sample int16 row)."""
 
     invariants = ("noise_table",)
 
@@ -434,20 +460,22 @@ class NoiseStage(PlanStage):
                  in_shape: Tuple[int, ...]) -> None:
         self.fuses = (noise.name,)
         self._table = noise_table(noise.sigma)
-        shape = (geometry.batch_size,) + in_shape
-        self._noisy = np.empty(shape, dtype=np.int16)
-        self._out = np.empty(shape, dtype=np.uint8)
+        self._row = np.empty(in_shape, dtype=np.int16)
+        self._out = np.empty(
+            (geometry.batch_size,) + in_shape, dtype=np.uint8
+        )
 
     def run(self, data: Any, rngs: Sequence[np.random.Generator]) -> Any:
         if data.dtype != np.uint8:
             raise DataprepError("gaussian_noise expects uint8 pixels")
-        noisy = add_table_noise(self._table, data, rngs, self._noisy)
-        # Post-clip values lie in [0, 255], so the narrowing copy is exact.
-        np.copyto(self._out, noisy, casting="unsafe")
+        for pixels, rng, dest in zip(data, rngs, self._out):
+            noisy = add_table_noise(self._table, pixels, rng, self._row)
+            # Post-clip values lie in [0, 255], so the narrowing is exact.
+            np.copyto(dest, noisy, casting="unsafe")
         return self._out
 
     def slots(self) -> List[Tuple[str, np.ndarray]]:
-        return [("noisy", self._noisy), ("out_u8", self._out)]
+        return [("noisy_row", self._row), ("out_u8", self._out)]
 
 
 class CastStage(PlanStage):
@@ -656,13 +684,23 @@ class PrepPlan:
         self.compile_seconds = compile_seconds
 
     def execute(
-        self, batch: Any, rngs: Sequence[np.random.Generator]
-    ) -> np.ndarray:
+        self,
+        batch: Any,
+        rngs: Sequence[np.random.Generator],
+        out: Optional[Callable[..., np.ndarray]] = None,
+    ) -> Any:
         """Run the compiled pipeline over ``batch``.
 
-        Returns a **view of the plan's output slot**, valid until the
-        next ``execute`` on this plan; copy it to keep it.  Bit-identical
-        to ``run_batch_reference`` on the same streams.
+        Without ``out``, returns a **view of the plan's output slot**,
+        valid until the next ``execute`` on this plan; copy it to keep
+        it.  With ``out``, an allocator such as ``np.empty``, the last
+        stage writes the batch into ``out(shape, dtype)`` and
+        ``execute`` returns that array.  The allocator is called when
+        the last stage runs, so the array is not live during the
+        decode.  A last stage that cannot write in place
+        (``out_layout is None``) costs one ``np.copyto``; a ragged
+        result (a list from a generic stage) is returned as it is.
+        Bit-identical to ``run_batch_reference`` on the same streams.
         """
         n = len(batch)
         if n != self.geometry.batch_size:
@@ -679,14 +717,26 @@ class PrepPlan:
             data, np.ndarray
         ):
             data = np.stack(data)
-        for stage in self.stages:
+        *head, last = self.stages
+        for stage in head:
             data = stage.run(data, rngs)
-        return data
+        if out is None:
+            return last.run(data, rngs)
+        if last.out_layout is not None:
+            return last.run(data, rngs, out=out(*last.out_layout))
+        result = last.run(data, rngs)
+        if not isinstance(result, np.ndarray):
+            return result
+        dest = out(result.shape, result.dtype)
+        np.copyto(dest, result)
+        return dest
+
+    def slots(self) -> List[Tuple[str, np.ndarray]]:
+        """(name, array) pairs of every stage's arena slots."""
+        return [slot for stage in self.stages for slot in stage.slots()]
 
     def arena_nbytes(self) -> int:
-        return sum(
-            arr.nbytes for stage in self.stages for _, arr in stage.slots()
-        )
+        return sum(arr.nbytes for _, arr in self.slots())
 
     def describe(self) -> str:
         lines = [
@@ -698,7 +748,7 @@ class PrepPlan:
                 f" dtype={self.geometry.dtype}"
             ),
             f"  arena: {self.arena_nbytes() / 1e6:.1f} MB in "
-            f"{sum(len(s.slots()) for s in self.stages)} slots",
+            f"{len(self.slots())} slots",
         ]
         for idx, stage in enumerate(self.stages):
             lines.append(f"  [{idx}] {stage.describe()}")

@@ -206,23 +206,36 @@ EXTENSION_WORKLOADS: Dict[str, Workload] = {
 }
 
 
+#: The short names the paper also uses, case-folded.
+_ALIASES = {
+    "tf-sr": "Transformer-SR",
+    "tf-aa": "Transformer-AA",
+    "resnet50": "Resnet-50",
+    "vgg19": "VGG-19",
+}
+
+#: Every registry name and alias, case-folded, to its workload: built
+#: once, so a lookup is one ``str.lower`` and one dict probe.  A Table I
+#: name shadows an extension name that folds the same way.
+_BY_FOLDED_NAME: Dict[str, Workload] = {
+    key.lower(): workload
+    for registry in (EXTENSION_WORKLOADS, TABLE_I)
+    for key, workload in registry.items()
+}
+_BY_FOLDED_NAME.update(
+    (alias, _BY_FOLDED_NAME[target.lower()]) for alias, target in _ALIASES.items()
+)
+
+
 def get_workload(name: str) -> Workload:
     """Look up a workload by name — the seven Table I rows plus the
     extension workloads (case-insensitive; accepts the short TF-SR /
     TF-AA aliases the paper also uses)."""
-    aliases = {
-        "tf-sr": "Transformer-SR",
-        "tf-aa": "Transformer-AA",
-        "resnet50": "Resnet-50",
-        "vgg19": "VGG-19",
-    }
-    canonical = aliases.get(name.lower(), name)
-    for registry in (TABLE_I, EXTENSION_WORKLOADS):
-        for key, workload in registry.items():
-            if key.lower() == canonical.lower():
-                return workload
-    known = sorted(TABLE_I) + sorted(EXTENSION_WORKLOADS)
-    raise ConfigError(f"unknown workload {name!r}; known: {known}")
+    workload = _BY_FOLDED_NAME.get(name.lower())
+    if workload is None:
+        known = sorted(TABLE_I) + sorted(EXTENSION_WORKLOADS)
+        raise ConfigError(f"unknown workload {name!r}; known: {known}")
+    return workload
 
 
 def workload_names() -> List[str]:

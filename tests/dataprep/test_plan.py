@@ -14,7 +14,7 @@ import pytest
 
 from repro import obs
 from repro.cache import clear_memo
-from repro.dataprep import jpeg
+from repro.dataprep import jpeg, run_engine
 from repro.dataprep.ops_audio import audio_pipeline
 from repro.dataprep.ops_image import (
     CastToFloat,
@@ -36,6 +36,7 @@ from repro.dataprep.plan import (
     try_plan,
 )
 from repro.dataprep.png import codec as png
+from repro.datasets.imagenet import synthesize_image
 from repro.errors import DataprepError
 
 
@@ -169,6 +170,149 @@ def test_run_batch_vectorized_routes_through_plan_and_copies():
     arena_out = plan.execute(blobs, spawn_rngs(np.random.default_rng(2), 4))
     assert out1 is not arena_out
     assert np.array_equal(out1, arena_out)
+
+
+def _jpeg_case():
+    return image_pipeline(out_height=32, out_width=32), _jpeg_blobs(4)
+
+
+def _png_case():
+    pipe = image_pipeline(out_height=32, out_width=32, source_format="png")
+    return pipe, [png.encode(img) for img in _images(3, 48, 48, seed=9)]
+
+
+def _audio_case():
+    pcm = np.random.default_rng(6).normal(0, 0.2, (3, 8_000))
+    return audio_pipeline(), pcm
+
+
+_CASES = pytest.mark.parametrize(
+    "case", [_jpeg_case, _png_case, _audio_case], ids=["jpeg", "png", "audio"]
+)
+
+
+def _shares_an_arena_slot(plan, array):
+    return any(np.shares_memory(array, slot) for _, slot in plan.slots())
+
+
+@_CASES
+def test_run_batch_vectorized_results_are_owned(case):
+    """Two results are distinct arrays, neither aliases the plan's arena
+    (which the next batch overwrites), and each is the reference's bits."""
+    pipe, batch = case()
+    n = len(batch)
+    results = [
+        pipe.run_batch_vectorized(batch, spawn_rngs(np.random.default_rng(s), n))
+        for s in (1, 2)
+    ]
+    plan = try_plan(pipe, batch)
+    assert results[0] is not results[1]
+    assert not np.shares_memory(results[0], results[1])
+    for seed, result in zip((1, 2), results):
+        assert not _shares_an_arena_slot(plan, result)
+        reference = pipe.run_batch_reference(
+            batch, spawn_rngs(np.random.default_rng(seed), n)
+        )
+        assert np.array_equal(result, np.stack(reference))
+
+
+@_CASES
+def test_execute_delivers_through_out(case):
+    """``out=`` allocates the caller's batch once, when the last stage
+    runs; the plan writes it and returns it, with the arena's bits."""
+    pipe, batch = case()
+    n = len(batch)
+    plan = try_plan(pipe, batch)
+    arena = plan.execute(batch, spawn_rngs(np.random.default_rng(3), n)).copy()
+    given = []
+
+    def allocate(shape, dtype):
+        given.append(np.full(shape, 7, dtype=dtype))
+        return given[-1]
+
+    got = plan.execute(
+        batch, spawn_rngs(np.random.default_rng(3), n), out=allocate
+    )
+    assert len(given) == 1 and got is given[0]
+    assert not _shares_an_arena_slot(plan, got)
+    assert np.array_equal(got, arena)
+
+
+def test_fused_noise_cast_allocates_its_arena_output_only_on_demand():
+    """The streamed stage writes a caller's ``out=`` directly, so its
+    float32 slot exists only once a caller asks for the arena result."""
+    pipe, batch = _jpeg_case()
+    clear_memo()
+    plan = try_plan(pipe, batch)
+    fused = plan.stages[-1]
+    assert isinstance(fused, FusedNoiseCastStage)
+    assert [name for name, _ in fused.slots()] == ["noisy_row"]
+    pipe.run_batch_vectorized(batch, spawn_rngs(np.random.default_rng(0), 4))
+    assert [name for name, _ in fused.slots()] == ["noisy_row"]
+    plan.execute(batch, spawn_rngs(np.random.default_rng(0), 4))
+    assert [name for name, _ in fused.slots()] == ["noisy_row", "out_f32"]
+
+
+def test_one_worker_engine_bit_identical_to_serial():
+    """In worker mode the plan's result is copied once into the ring;
+    the bits are the serial engine's."""
+    crop = 16
+    pipe = image_pipeline(out_height=crop, out_width=crop)
+
+    def loader(start, count):
+        return _jpeg_blobs(count, 24, 24, seed=100 + start)
+
+    serial = run_engine(pipe, loader, 6, 3, seed=4, num_workers=0)
+    pooled = run_engine(
+        pipe, loader, 6, 3, seed=4, num_workers=1,
+        sample_nbytes=crop * crop * 3 * 4,
+    )
+    assert len(serial) == len(pooled) == 2
+    for a, b in zip(serial, pooled):
+        assert a.dtype == b.dtype == np.float32
+        assert np.array_equal(a, b)
+
+
+#: Arena plus traced transient bytes of one batch-32 ``prep-image``
+#: batch (256x256 JPEGs cropped to 224).  Measured 5.1 + 20.9 = 26.0 MB
+#: with the streamed noise+cast tail; the batch-wide int16 and float32
+#: slots and the copy-out it replaced read 33.7 + 19.4 = 53.1 MB.  Any
+#: batch-sized buffer coming back (9.6 MB int16, 19.3 MB float32)
+#: crosses the bound.
+IMAGE_BATCH_MEMORY_BUDGET_MB = 32.0
+
+
+def test_image_plan_batch_memory_budget():
+    """``plan.arena_nbytes()`` plus the ``tracemalloc`` peak of one warmed
+    batch-32 ``run_batch_vectorized`` stays under the budget.  Traced
+    allocations, unlike RSS, do not depend on the allocator's mode."""
+    n = 32
+    rng = np.random.default_rng([1, 1])
+    images = [
+        synthesize_image(rng, 256, 256, int(rng.integers(0, 1000)))
+        for _ in range(n)
+    ]
+    blobs = jpeg.encode_batch(images, quality=80)
+    pipe = image_pipeline()
+    clear_memo()  # an arena-result execute elsewhere would add out_f32
+    for seed in range(2):
+        pipe.run_batch_vectorized(blobs, spawn_rngs(np.random.default_rng(seed), n))
+    plan = try_plan(pipe, blobs)
+    rngs = spawn_rngs(np.random.default_rng(5), n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        out = pipe.run_batch_vectorized(blobs, rngs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n, 224, 224, 3)
+    total_mb = (plan.arena_nbytes() + peak - base) / 1e6
+    assert total_mb < IMAGE_BATCH_MEMORY_BUDGET_MB, (
+        f"arena {plan.arena_nbytes() / 1e6:.1f} MB + transient "
+        f"{(peak - base) / 1e6:.1f} MB = {total_mb:.1f} MB"
+    )
 
 
 def test_plan_false_pins_per_op_path_bit_identically():

@@ -14,6 +14,7 @@ from repro.workloads import (
     implied_utilization,
     workload_names,
 )
+from repro.workloads.registry import EXTENSION_WORKLOADS
 from repro import units
 
 
@@ -63,6 +64,28 @@ def test_aliases_and_case_insensitive_lookup():
 def test_unknown_workload():
     with pytest.raises(ConfigError):
         get_workload("GPT-7")
+
+
+def test_lookup_index_covers_every_name_alias_and_case():
+    for registry in (TABLE_I, EXTENSION_WORKLOADS):
+        for name, workload in registry.items():
+            for spelling in (name, name.lower(), name.upper(), name.swapcase()):
+                assert get_workload(spelling) is workload
+    for alias, name in (
+        ("tf-sr", "Transformer-SR"),
+        ("Tf-Aa", "Transformer-AA"),
+        ("RESNET50", "Resnet-50"),
+        ("Vgg19", "VGG-19"),
+    ):
+        assert get_workload(alias) is TABLE_I[name]
+
+
+@pytest.mark.parametrize("name", ["GPT-7", "", "resnet", "tf-sr ", "Resnet_50"])
+def test_unknown_workload_error_lists_every_known_name(name):
+    known = sorted(TABLE_I) + sorted(EXTENSION_WORKLOADS)
+    with pytest.raises(ConfigError) as err:
+        get_workload(name)
+    assert str(err.value) == f"unknown workload {name!r}; known: {known}"
 
 
 def test_accelerator_spec_matches_table():
