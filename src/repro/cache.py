@@ -32,9 +32,9 @@ import contextlib
 import dataclasses
 import enum
 import hashlib
+import itertools
 import json
 import os
-import tempfile
 import threading
 import time
 from dataclasses import dataclass
@@ -357,6 +357,31 @@ class CacheStats:
         self.quarantined = 0
 
 
+#: ``os.open`` flags of an entry read and of a put's private temp file
+#: (``O_EXCL``: the name is new, as ``mkstemp`` guarantees).
+_CLOEXEC = getattr(os, "O_CLOEXEC", 0)
+_READ_FLAGS = os.O_RDONLY | _CLOEXEC
+_CREATE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | _CLOEXEC
+#: Bytes asked of each ``os.read``; an entry is a few KB, so one read
+#: returns it whole and a second one sees EOF.
+_READ_CHUNK = 1 << 16
+
+
+def _read_file(path: str) -> bytes:
+    """The whole content of ``path``: one ``open``, reads to EOF, one
+    ``close``."""
+    fd = os.open(path, _READ_FLAGS)
+    try:
+        chunks = []
+        while True:
+            chunk = os.read(fd, _READ_CHUNK)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+
+
 class ResultCache:
     """A directory of JSON entries keyed by content hash.
 
@@ -369,6 +394,17 @@ class ResultCache:
     can see and inspect disk-tier rot instead of it silently vanishing;
     quarantined files are invisible to lookups and removed by
     :meth:`clear`.
+
+    I/O per operation, on plain ``str`` paths and raw file descriptors:
+
+    * ``get``: ``os.open``, ``os.read`` until EOF, ``os.close``, then
+      ``json.loads`` on the bytes; a miss is one failed ``os.open``.
+    * ``put``: one ``json.dumps``; ``os.open`` of a new
+      ``.tmp-<pid>-<thread>-<n>.json`` in the entry's shard (mode
+      ``0o600``, ``O_EXCL``), ``os.write`` until every byte is out,
+      ``os.close`` and ``os.replace`` onto the entry.  A shard is
+      created only when that ``os.open`` finds it missing, so a warm
+      put makes no ``mkdir``.
 
     Concurrency: reads are always safe (writes land via atomic rename,
     and a torn or half-written entry fails validation and reports a
@@ -389,6 +425,8 @@ class ResultCache:
         self.version = version
         self.locked = locked
         self.stats = CacheStats()
+        self._root = os.fspath(self.directory)
+        self._tmp_seq = itertools.count()
 
     def _path(self, key: str) -> Path:
         return self.directory / key[:2] / f"{key}.json"
@@ -404,10 +442,10 @@ class ResultCache:
 
     def get(self, key: str) -> Optional[dict]:
         """The cached payload for ``key``, or None on miss."""
-        path = self._path(key)
+        path = f"{self._root}/{key[:2]}/{key}.json"
         with obs.span("cache.get", cat="cache"):
             try:
-                raw = path.read_text()
+                raw = _read_file(path)
             except OSError:
                 self.stats.misses += 1
                 obs.inc("cache.misses")
@@ -438,23 +476,26 @@ class ResultCache:
         In ``locked`` mode the write holds the per-key
         :class:`CacheLock`, so concurrent processes sharing the
         directory serialize on the entry (single writer)."""
-        path = self._path(key)
+        shard = f"{self._root}/{key[:2]}"
         with obs.span("cache.put", cat="cache"):
-            path.parent.mkdir(parents=True, exist_ok=True)
             guard = self.lock(key) if self.locked else contextlib.nullcontext()
             with guard:
                 # One ``dumps`` call runs the C encoder; ``json.dump``
-                # streams through the pure-Python one.
-                text = json.dumps(
+                # streams through the pure-Python one.  The text is
+                # ASCII (``ensure_ascii``), so its bytes are the ones a
+                # text-mode write would put on disk.
+                data = json.dumps(
                     {"version": self.version, "key": key, "result": result}
-                )
-                fd, tmp = tempfile.mkstemp(
-                    prefix=".tmp-", suffix=".json", dir=path.parent
-                )
+                ).encode("ascii")
+                tmp, fd = self._create_tmp(shard)
                 try:
-                    with os.fdopen(fd, "w") as handle:
-                        handle.write(text)
-                    os.replace(tmp, path)
+                    try:
+                        done = os.write(fd, data)
+                        while done < len(data):
+                            done += os.write(fd, memoryview(data)[done:])
+                    finally:
+                        os.close(fd)
+                    os.replace(tmp, f"{shard}/{key}.json")
                 except OSError:
                     try:
                         os.unlink(tmp)
@@ -464,20 +505,40 @@ class ResultCache:
         self.stats.stores += 1
         obs.inc("cache.stores")
 
-    def _quarantine(self, path: Path) -> None:
+    def _create_tmp(self, shard: str) -> Tuple[str, int]:
+        """Create a new private temp file in ``shard``: its path and an
+        fd open for writing.  A missing shard is created and the open
+        retried once; a name left behind by a dead writer with the same
+        pid and thread is skipped."""
+        created = False
+        while True:
+            tmp = (
+                f"{shard}/.tmp-{os.getpid()}-{threading.get_ident()}"
+                f"-{next(self._tmp_seq)}.json"
+            )
+            try:
+                return tmp, os.open(tmp, _CREATE_FLAGS, 0o600)
+            except FileExistsError:
+                continue
+            except FileNotFoundError:
+                if created:
+                    raise
+                os.makedirs(shard, exist_ok=True)
+                created = True
+
+    def _quarantine(self, path: str) -> None:
         """Move an invalid entry aside as ``<name>.corrupt`` instead of
         deleting it — evidence for operators, invisible to lookups (the
         original path is gone, so the key reads as a miss until
         rewritten).  A rename race (another reader quarantining the same
         file) is harmless; deletion is the fallback if rename fails."""
-        target = path.with_name(path.name + ".corrupt")
         try:
-            os.replace(path, target)
+            os.replace(path, path + ".corrupt")
             self.stats.quarantined += 1
             obs.inc("cache.quarantined")
         except OSError:
             try:
-                path.unlink()
+                os.unlink(path)
             except OSError:
                 pass
 

@@ -22,6 +22,7 @@ optionally mirrored, transforming only the blocks the window touches.
 from __future__ import annotations
 
 import contextlib
+import math
 import struct
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -404,51 +405,66 @@ def transform_chunk_images(h: int, w: int) -> int:
 # numpy-dispatch cost per iteration is spread over enough lanes.  The
 # walk splits every stream into segment lanes
 # (:func:`entropy_fast.decode_planes_batch`) and decodes a symbol pair
-# per LUT entry, so two or three 256x256 images already fill it.  The
-# group walk (``_entropy_decode_group``) against per-image
+# per LUT entry, so two 256x256 images already fill it.  The group walk
+# (``_entropy_decode_group``) against per-image
 # ``entropy_fast.decode_plane`` on corpus-like quality-80 images, median
-# per-image/group ratio of 21-31 interleaved rounds, one pinned core of
-# the 2-core VM:
+# per-image/group ratio of 25 interleaved rounds, one pinned core of
+# the 2-core VM (two runs; a range gives both):
 #
-#   images   256x256      128x128      64x64
-#   2        1.11-1.12x   0.37x        0.19x
-#   3        1.48-1.54x
-#   4        1.85-1.92x   0.71x        0.35x
-#   6        2.49x        0.97-1.00x
-#   8        2.85x        1.21-1.25x   0.67x
-#   12                    1.79x        0.94-0.97x
-#   16                    2.08x        1.17-1.20x
+#   images   256x256      192x192   128x128      96x96     64x64
+#   2        1.14-1.15x
+#   3        1.46-1.50x   1.02x
+#   4        1.92x        1.26x     0.75x
+#   5                     1.46x     0.83-0.89x
+#   6                               1.03-1.04x
+#   7                               1.14-1.19x
+#   8                               1.28-1.35x   1.00x     0.66x
+#   9                                            1.04x
+#   10                                           1.10x     0.80x
+#   11                                           1.24x     0.91x
+#   12                                                     0.98-0.99x
+#   13                                                     1.05x
+#   14                                                     1.08-1.13x
 #
-# The one-symbol walk broke even at 4-5 images of 256x256, ~13 of
-# 128x128 and ~25 of 64x64 (calibration 6); the two-symbol walk breaks
-# even below 2, at ~6 and at ~12-13.  Calibration 3 gives crossovers of
-# 3, 6 and 12 through :func:`lockstep_min_images`.
+# So the group walk pays from 2 images of 256x256, 7 of 128x128 and 13
+# of 64x64: each halving of the side multiplies the crossover by ~3.5
+# and then ~1.9, which no single power of the block deficit fits (the
+# square-root rule of the one-symbol walk left 128x128x6 and 64x64x12
+# on the group walk at 0.94-1.00x).
 # ``benchmarks/bench_speed_floors.py::
 # test_jpeg_segmented_lockstep_speedup_at_batch_32`` holds the batch-32
 # ratio to a floor.
-_LOCKSTEP_MIN_IMAGES = 3
 
-# Smaller planes cut fewer segments (each keeps at least
-# ``entropy_fast._MIN_SEGMENT_BLOCKS`` blocks) and amortize the walk's
-# fixed setup over fewer symbols, so they need proportionally more
-# streams, roughly with the square root of the block deficit (the
-# measured crossovers above).
-_LOCKSTEP_REF_BLOCKS = 1024
+#: The fewest streams a lock-step walk ever takes.
+_LOCKSTEP_MIN_IMAGES = 2
+
+#: The measured crossovers above as (luma 8x8 blocks per plane, images),
+#: largest plane first.
+_LOCKSTEP_CROSSOVERS = ((1024, 2), (256, 7), (64, 13))
 
 
 def lockstep_min_images(luma_blocks: int) -> int:
-    """The measured lock-step crossover (in streams) for planes of
-    ``luma_blocks`` 8x8 blocks.
+    """The lock-step crossover (in streams) for planes of ``luma_blocks``
+    8x8 blocks.
 
-    Derived from the calibrated 256x256 crossover: the per-iteration
-    dispatch cost is geometry-independent, but the fixed per-stream
-    setup is amortized over fewer symbols on small planes, pushing the
-    crossover up roughly with the square root of the block deficit.
+    A plane at least as large as the first measured one takes its
+    crossover; between two measured planes the crossover is interpolated
+    geometrically in the block count (192x192 gives 3, 96x96 gives 9,
+    as measured); below the smallest it grows with the square root of
+    the block deficit, as the fixed per-stream setup is amortized over
+    fewer symbols.
     """
-    if luma_blocks <= 0:
-        return _LOCKSTEP_MIN_IMAGES
-    scale = max(1.0, _LOCKSTEP_REF_BLOCKS / luma_blocks) ** 0.5
-    return max(2, int(round(_LOCKSTEP_MIN_IMAGES * scale)))
+    blocks, images = _LOCKSTEP_CROSSOVERS[0]
+    if luma_blocks < blocks:
+        for small, small_images in _LOCKSTEP_CROSSOVERS[1:]:
+            if luma_blocks >= small:
+                t = math.log(blocks / luma_blocks) / math.log(blocks / small)
+                images = round(images * (small_images / images) ** t)
+                break
+            blocks, images = small, small_images
+        else:
+            images = round(images * math.sqrt(blocks / max(1, luma_blocks)))
+    return max(_LOCKSTEP_MIN_IMAGES, images)
 
 
 def _decode_plane_reference(

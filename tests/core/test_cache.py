@@ -3,7 +3,11 @@
 import dataclasses
 import hashlib
 import json
+import os
+import shutil
+import stat
 import sys
+import tempfile
 import threading
 
 import pytest
@@ -375,3 +379,184 @@ def test_cache_clear(tmp_path):
     assert len(cache) == 3
     assert cache.clear() == 3
     assert len(cache) == 0
+
+
+# -- entry I/O: raw descriptors, no file objects -----------------------------
+
+
+def _entry_bytes(key, result):
+    return json.dumps(
+        {"version": CACHE_VERSION, "key": key, "result": result}
+    ).encode("ascii")
+
+
+def _leftover_tmps(root):
+    return [p.name for p in root.rglob(".tmp-*")]
+
+
+def test_put_completes_an_entry_through_short_writes(tmp_path, monkeypatch):
+    real_write = os.write
+    sizes = []
+
+    def short_write(fd, data):
+        sizes.append(real_write(fd, bytes(data[:7])))
+        return sizes[-1]
+
+    cache = ResultCache(tmp_path)
+    key = fingerprint("short-writes")
+    result = {"v": 0.1 + 0.2, "name": "x" * 50}
+    monkeypatch.setattr(os, "write", short_write)
+    cache.put(key, result)
+    monkeypatch.undo()
+    want = _entry_bytes(key, result)
+    assert len(sizes) == -(-len(want) // 7) and max(sizes) == 7
+    assert cache._path(key).read_bytes() == want
+    assert cache.get(key) == result
+    assert _leftover_tmps(tmp_path) == []
+
+
+def test_put_recreates_a_shard_removed_under_a_live_cache(tmp_path):
+    cache = ResultCache(tmp_path)
+    key = fingerprint("shard-removed")
+    cache.put(key, {"v": 1})
+    shutil.rmtree(cache._path(key).parent)
+    assert cache.get(key) is None
+    cache.put(key, {"v": 2})
+    assert cache.get(key) == {"v": 2}
+    assert cache.stats.stores == 2
+
+
+def test_failed_replace_raises_and_leaves_no_tmp(tmp_path, monkeypatch):
+    cache = ResultCache(tmp_path)
+    key = fingerprint("replace-fails")
+
+    def failing_replace(src, dst):
+        raise OSError("injected replace failure")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="injected"):
+        cache.put(key, {"v": 1})
+    monkeypatch.undo()
+    assert _leftover_tmps(tmp_path) == []
+    assert not cache._path(key).exists()
+    assert cache.stats.stores == 0
+
+
+def test_entry_bytes_and_mode_match_a_mkstemp_entry(tmp_path):
+    cache = ResultCache(tmp_path / "cache")
+    key = fingerprint("bytes-and-mode")
+    result = {"v": 0.1 + 0.2, "inf": float("inf"), "s": "café", "n": None}
+    cache.put(key, result)
+    path = cache._path(key)
+    assert path.read_bytes() == _entry_bytes(key, result)
+    fd, reference = tempfile.mkstemp(dir=tmp_path)
+    os.close(fd)
+    mode = stat.S_IMODE(os.stat(path).st_mode)
+    assert mode == stat.S_IMODE(os.stat(reference).st_mode) == 0o600
+
+
+def test_entry_written_with_mkstemp_and_a_text_write_is_a_hit(tmp_path):
+    cache = ResultCache(tmp_path)
+    key = fingerprint("old-writer")
+    result = {"v": 0.1 + 0.2, "list": [1, 2.5, None]}
+    path = cache._path(key)
+    path.parent.mkdir(parents=True)
+    fd, tmp = tempfile.mkstemp(prefix=".tmp-", suffix=".json", dir=path.parent)
+    with os.fdopen(fd, "w") as handle:
+        handle.write(
+            json.dumps({"version": CACHE_VERSION, "key": key, "result": result})
+        )
+    os.replace(tmp, path)
+    assert cache.get(key) == result
+    assert cache.stats == CacheStats(hits=1)
+
+
+def test_entry_that_is_not_utf8_is_quarantined_not_raised(tmp_path):
+    """The entry's bytes go straight to ``json.loads``, so undecodable
+    bytes are a malformed entry like any other: a miss, quarantined."""
+    cache = ResultCache(tmp_path)
+    key = fingerprint("not-utf8")
+    cache.put(key, {"v": 1})
+    path = cache._path(key)
+    path.write_bytes(b"\x80\x81 not utf-8")
+    assert cache.get(key) is None
+    assert cache.stats.discards == 1 and cache.stats.quarantined == 1
+    assert not path.exists()
+
+
+def _count_os_calls(monkeypatch, names):
+    calls = {name: 0 for name in names}
+    for name in names:
+        real = getattr(os, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(os, name, counted)
+    return calls
+
+
+def test_os_calls_per_warm_put_and_per_get(tmp_path, monkeypatch):
+    """One ``open`` and one ``replace`` per warm put and no ``mkdir``;
+    one ``open`` per lookup, hit or miss.  Counts, not timings, so a
+    reintroduced per-put ``mkdir`` or a second open fails on any host."""
+    cache = ResultCache(tmp_path)
+    key = fingerprint("count-os-calls")
+    cache.put(key, {"v": 0})  # cold: creates the shard
+    names = ("open", "replace", "mkdir", "makedirs", "write", "close")
+    calls = _count_os_calls(monkeypatch, names)
+    cache.put(key, {"v": 1})
+    assert calls == {
+        "open": 1, "replace": 1, "mkdir": 0, "makedirs": 0, "write": 1,
+        "close": 1,
+    }
+    calls.update(dict.fromkeys(names, 0))
+    assert cache.get(key) == {"v": 1}
+    assert calls["open"] == 1 and calls["close"] == 1
+    calls.update(dict.fromkeys(names, 0))
+    assert cache.get(fingerprint("count-os-calls", "absent")) is None
+    assert calls["open"] == 1 and calls["close"] == 0
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+)
+def test_mixed_operations_leak_no_descriptors(tmp_path, monkeypatch):
+    """Raw descriptors raise no ``ResourceWarning`` when dropped, so
+    only the process's open-fd count shows a leak: it is unchanged
+    after 1,000 hits, misses, puts, quarantines and failed writes."""
+    cache = ResultCache(tmp_path)
+    real_write = os.write
+    failing = []
+
+    def write(fd, data):
+        if failing:
+            raise OSError("injected write failure")
+        return real_write(fd, data)
+
+    monkeypatch.setattr(os, "write", write)
+    cache.put(fingerprint("fd-warm"), {"v": 0})
+    cache.get(fingerprint("fd-warm"))
+    before = len(os.listdir("/proc/self/fd"))
+    for i in range(1000):
+        key = fingerprint("fd", i % 50)
+        op = i % 5
+        if op == 0:
+            cache.put(key, {"i": i})
+        elif op == 1:
+            cache.get(key)
+        elif op == 2:
+            assert cache.get(fingerprint("fd-miss", i)) is None
+        elif op == 3:
+            cache.put(key, {"i": i})
+            cache._path(key).write_bytes(b"{ torn")
+            assert cache.get(key) is None
+        else:
+            failing.append(True)
+            with pytest.raises(OSError, match="injected"):
+                cache.put(key, {"i": i})
+            failing.clear()
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert cache.stats.quarantined == 200
+    assert _leftover_tmps(tmp_path) == []

@@ -81,7 +81,7 @@ def _distinct_blobs(h, w, subsample):
     return _REFERENCES[key]
 
 
-@pytest.mark.parametrize("batch", [1, 2, 3, 5, 6, 7, 33])
+@pytest.mark.parametrize("batch", [1, 2, 3, 5, 6, 7, 33, 36])
 @pytest.mark.parametrize("geometry", BATCH_GEOMETRIES)
 def test_decode_batch_any_size_matches_reference(geometry, batch):
     h, w, subsample = geometry
@@ -89,7 +89,7 @@ def test_decode_batch_any_size_matches_reference(geometry, batch):
     if h * w > 60_000:
         plane = codec._plane_geometry(subsample, h, w).luma_shape
         luma_blocks = (plane[0] // 8) * (plane[1] // 8)
-        assert codec.lockstep_min_images(luma_blocks) == 3
+        assert codec.lockstep_min_images(luma_blocks) == 2
     if (h, w) in TRANSFORM_CHUNKS:
         assert codec.transform_chunk_images(h, w) == TRANSFORM_CHUNKS[(h, w)]
     for blob, ref in zip(blobs, refs):
@@ -102,6 +102,22 @@ def test_decode_batch_any_size_matches_reference(geometry, batch):
     for k, i in enumerate(order):
         assert np.array_equal(decoded[k], refs[i])
         assert np.array_equal(arena[k], refs[i])
+
+
+def test_lockstep_crossovers_are_the_measured_ones():
+    """The group walk pays from 2 images of 256x256, 7 of 128x128 and 13
+    of 64x64 (the table in ``codec``); sizes between interpolate, and
+    no plane size lowers the crossover as the plane shrinks."""
+    pinned = {
+        side: codec.lockstep_min_images((side // 8) ** 2)
+        for side in (256, 128, 64)
+    }
+    assert pinned == {256: 2, 128: 7, 64: 13}
+    assert codec.lockstep_min_images(24 * 24) == 3  # 192x192
+    assert codec.lockstep_min_images(12 * 12) == 9  # 96x96
+    crossovers = [codec.lockstep_min_images(b) for b in range(1, 4097)]
+    assert crossovers == sorted(crossovers, reverse=True)
+    assert min(crossovers) == 2
 
 
 def test_pack_bits_matches_bitwriter():
