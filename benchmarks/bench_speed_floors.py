@@ -23,6 +23,8 @@ host's speed:
   full decode plus the plan's crop-and-mirror copy, batch 32.
 * the lock-step entropy walk alone ≥3.5× ``decode_plane`` on every plane
   of the same 32 corpus-like 256×256 frames.
+* the noise stage's 16-bit draws as raw PCG64 words ≥1.5× ``integers``
+  for a batch of 32 224×224×3 samples.
 
 Every path pair is checked bit-identical **before** anything is timed:
 a fast path that is wrong never produces a number.  Plain pytest, no
@@ -56,6 +58,9 @@ MIN_SEGMENTED_LOCKSTEP_SPEEDUP = 1.3
 #: Six fresh-process runs of 30 interleaved rounds on a 2-core VM read
 #: 1.11-1.22x; the shared entropy walk is about half of either side.
 MIN_WINDOWED_DECODE_SPEEDUP = 1.05
+#: Raw PCG64 words against ``integers`` for the noise stage's 16-bit
+#: draws, 32 samples of 224x224x3: about 2.3x on a 2-core VM.
+MIN_NOISE_RAW_DRAW_SPEEDUP = 1.5
 #: The entropy stage alone at batch 32.  Six fresh-process runs of 30
 #: interleaved rounds on a 2-core VM read 4.07-5.17x with two-symbol
 #: rows; the one-symbol walk before them read 3.13-3.31x.
@@ -476,6 +481,41 @@ def test_jpeg_windowed_decode_speedup():
     speedup = _interleaved_ratio(decode_windows, decode_then_copy, repeats)
     print(f"JPEG windowed decode vs full decode + crop copy, batch 32: {speedup:.2f}x")
     assert speedup >= MIN_WINDOWED_DECODE_SPEEDUP
+
+
+def test_noise_raw_draw_speedup():
+    """The noise draws of a ``prep-image`` batch (32 samples of
+    224×224×3 on their ``sample_rng`` streams): ``uniform_uint16``'s raw
+    PCG64 words against ``rng.integers(0, 65536, dtype=uint16)``, timed
+    interleaved.  Values and the generator state after the draw are
+    checked equal first."""
+    from repro.dataprep.ops_image import uniform_uint16
+    from repro.dataprep.pipeline import sample_rng
+
+    batch, shape, repeats = 32, (224, 224, 3), 30
+    for i in range(batch):
+        raw, ref = sample_rng(1, i), sample_rng(1, i)
+        assert np.array_equal(
+            uniform_uint16(raw, shape),
+            ref.integers(0, 65536, size=shape, dtype=np.uint16),
+        )
+        assert raw.bit_generator.state == ref.bit_generator.state
+    raw_streams = [sample_rng(2, i) for i in range(batch)]
+    ref_streams = [sample_rng(2, i) for i in range(batch)]
+
+    # Each draw is dropped before the next, as the noise stage drops its
+    # draws: keeping all 32 would time fresh-page faults, not draws.
+    def raw_draws():
+        for rng in raw_streams:
+            uniform_uint16(rng, shape)
+
+    def integer_draws():
+        for rng in ref_streams:
+            rng.integers(0, 65536, size=shape, dtype=np.uint16)
+
+    speedup = _interleaved_ratio(raw_draws, integer_draws, repeats)
+    print(f"noise draws, raw PCG64 words vs integers, batch 32: {speedup:.2f}x")
+    assert speedup >= MIN_NOISE_RAW_DRAW_SPEEDUP
 
 
 # -- sweep ratios -------------------------------------------------------------

@@ -40,7 +40,7 @@ import time
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from repro import obs
 from repro.errors import ConfigError
@@ -542,13 +542,21 @@ class ResultCache:
             except OSError:
                 pass
 
+    def _entries(self) -> Iterator[Path]:
+        """Every live entry file.  Entries are named by their hex key;
+        ``*.json`` also matches a writer's ``.tmp-*.json`` (pathlib globs
+        match dot files), so dot files are skipped."""
+        return (
+            path for path in self.directory.glob("*/*.json")
+            if not path.name.startswith(".")
+        )
+
     def clear(self) -> int:
         """Delete every entry (quarantined ones too); returns the number
-        of live entries removed."""
+        of live entries removed.  A writer's temp file is left alone: it
+        is no entry, and removing a live writer's would fail its put."""
         removed = 0
-        if not self.directory.exists():
-            return 0
-        for path in self.directory.glob("*/*.json"):
+        for path in self._entries():
             try:
                 path.unlink()
                 removed += 1
@@ -562,6 +570,4 @@ class ResultCache:
         return removed
 
     def __len__(self) -> int:
-        if not self.directory.exists():
-            return 0
-        return sum(1 for _ in self.directory.glob("*/*.json"))
+        return sum(1 for _ in self._entries())

@@ -568,7 +568,12 @@ def _transform(
     inverse transformed; the chunk's windows share the widest such span
     (:func:`_mcu_span`), so their blocks stack into one tall plane per
     component — the mirror image of :func:`encode_batch`'s layout: the
-    per-plane ops are local to row groups, so images never mix.  Colour
+    per-plane ops are local to row groups, so images never mix.  A plane
+    is dequantized and inverse transformed by :func:`dct.idct_plane` in
+    three whole-array calls (a widening multiply and two matrix
+    products, the second writing straight into the plane); it equals
+    ``quant.dequantize`` → ``dct.idct2`` → ``dct.unblockify`` bit for
+    bit, without their copies.  Colour
     conversion covers only the windows, widened to whole chroma cells
     (:func:`_colour_span`).  Every step is the same per-block or
     per-pixel float64 arithmetic as the full-frame decode, so a window's
@@ -597,11 +602,9 @@ def _transform(
             for blocks, r, c in zip(per_image, first_r, first_c)
         ]
         stacked = picked[0] if n == 1 else np.concatenate(picked)
-        coeffs = quant.dequantize(stacked, qtable).reshape(-1, 8, 8)
-        rows, cols = span_r * per * 8, span_c * per * 8
-        plane = dct.unblockify(dct.idct2(coeffs), (n * rows, cols))
+        plane = dct.idct_plane(stacked, qtable)
         plane += 128.0
-        planes.append(plane.reshape(n, rows, cols))
+        planes.append(plane.reshape(n, span_r * per * 8, span_c * per * 8))
 
     cell = 2 if first.subsample else 1
     tops = [w.top - r * mcu for w, r in zip(windows, first_r)]

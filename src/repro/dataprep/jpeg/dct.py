@@ -65,6 +65,31 @@ def idct2(coeffs: np.ndarray) -> np.ndarray:
     return _IDCT @ coeffs @ _IDCT.T
 
 
+def idct_plane(quantized: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Dequantize and inverse transform an (R, C, 8, 8) grid of quantized
+    integer blocks into a fresh 8R×8C float64 plane.
+
+    Bit-identical to ``unblockify(idct2(dequantize(quantized, table)
+    .reshape(-1, 8, 8)), (8 * R, 8 * C))`` in three whole-array calls:
+    one multiply that widens to float64 in the same pass (exact: every
+    product of an int32 and a table entry fits in 53 bits), then the
+    same two matrix products per block, the second one writing through a
+    block view of the plane, so the copies of ``astype`` and
+    :func:`unblockify` disappear.  Each block of that view is a
+    row-strided 8×8 matrix, which ``matmul`` handles as it does a
+    contiguous one.  The plane reuses the dequantized coefficients'
+    buffer, free once the first product is taken, so the call allocates
+    two plane-sized arrays, not three.
+    """
+    r, c = quantized.shape[:2]
+    coeffs = np.multiply(quantized, table, dtype=np.float64)
+    partial = np.matmul(_IDCT, coeffs)
+    plane = coeffs.reshape(r * BLOCK, c * BLOCK)
+    blocks = plane.reshape(r, BLOCK, c, BLOCK).transpose(0, 2, 1, 3)
+    np.matmul(partial, _IDCT.T, out=blocks)
+    return plane
+
+
 def pad_to_blocks(plane: np.ndarray) -> np.ndarray:
     """Edge-pad a plane so both dims are multiples of the block size."""
     h, w = plane.shape

@@ -381,6 +381,21 @@ def test_cache_clear(tmp_path):
     assert len(cache) == 0
 
 
+def test_writer_temp_file_is_not_an_entry(tmp_path):
+    """A ``.tmp-*.json`` left in a shard (a writer mid-put, or one that
+    was killed) is neither counted nor reported as a removed entry."""
+    cache = ResultCache(tmp_path)
+    key = fingerprint("tmp", 0)
+    cache.put(key, {"i": 0})
+    (tmp_path / key[:2] / ".tmp-999-1-0.json").write_text("{")
+    assert len(cache) == 1
+    cache.put(fingerprint("tmp", 1), {"i": 1})
+    assert len(cache) == 2
+    assert cache.clear() == 2
+    assert len(cache) == 0
+    assert cache.get(key) is None
+
+
 # -- entry I/O: raw descriptors, no file objects -----------------------------
 
 
