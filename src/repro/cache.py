@@ -28,7 +28,6 @@ self-invalidate.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import enum
 import hashlib
@@ -36,7 +35,6 @@ import itertools
 import json
 import os
 import threading
-import time
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
@@ -216,129 +214,6 @@ def memo_size() -> int:
     return len(_MEMO)
 
 
-# -- cross-process locking ---------------------------------------------------
-
-#: Seconds a writer waits for a contended entry lock before giving up.
-LOCK_TIMEOUT_S = 10.0
-#: Age in seconds past which a lock stamp is reclaimed as orphaned.
-LOCK_STALE_AFTER_S = 30.0
-
-
-class LockTimeout(ConfigError):
-    """A :class:`CacheLock` could not be acquired within its timeout."""
-
-
-class CacheLock:
-    """Single-writer advisory lock for a shared cache directory.
-
-    Implemented as an atomically-created lock *directory* (``os.mkdir``
-    is atomic on POSIX and Windows alike) stamped with the owner's pid.
-    A lock whose owner process is dead, or whose stamp is older than
-    ``stale_after`` seconds, is **reclaimed**: the contender atomically
-    renames the stale lock aside (only one renamer can win) and retries,
-    so a writer killed mid-put can never wedge the cache.
-
-    Usage::
-
-        with CacheLock(path.with_suffix(".lock")):
-            ...  # single writer for the guarded entry
-    """
-
-    def __init__(
-        self,
-        path: os.PathLike,
-        timeout: float = LOCK_TIMEOUT_S,
-        stale_after: float = LOCK_STALE_AFTER_S,
-        poll: float = 0.005,
-    ) -> None:
-        self.path = Path(path)
-        self.timeout = timeout
-        self.stale_after = stale_after
-        self.poll = poll
-
-    def _stamp(self) -> None:
-        try:
-            (self.path / "owner").write_text(str(os.getpid()))
-        except OSError:
-            pass
-
-    def _is_stale(self) -> bool:
-        try:
-            age = time.time() - self.path.stat().st_mtime
-        except OSError:
-            return False  # vanished: owner released it, not stale
-        if age > self.stale_after:
-            return True
-        try:
-            pid = int((self.path / "owner").read_text())
-        except (OSError, ValueError):
-            # Not yet stamped; judge by age alone (above).
-            return False
-        if pid == os.getpid():
-            return False
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return True  # owner died without releasing
-        except (PermissionError, OSError):
-            return False
-        return False
-
-    def _reclaim(self) -> None:
-        """Atomically move the stale lock aside and delete it; only one
-        contender's rename can succeed, so reclaim itself never races."""
-        trash = self.path.with_name(
-            f"{self.path.name}.stale-{os.getpid()}-{time.monotonic_ns()}"
-        )
-        try:
-            os.rename(self.path, trash)
-        except OSError:
-            return  # someone else reclaimed (or the owner released)
-        obs.inc("cache.locks_reclaimed")
-        try:
-            for child in trash.iterdir():
-                child.unlink()
-            trash.rmdir()
-        except OSError:
-            pass
-
-    def acquire(self) -> "CacheLock":
-        deadline = time.monotonic() + self.timeout
-        while True:
-            try:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                os.mkdir(self.path)
-                self._stamp()
-                obs.inc("cache.locks_acquired")
-                return self
-            except FileExistsError:
-                if self._is_stale():
-                    self._reclaim()
-                    continue
-                if time.monotonic() >= deadline:
-                    raise LockTimeout(
-                        f"could not acquire cache lock {self.path} within "
-                        f"{self.timeout:g}s (live owner holds it)"
-                    ) from None
-                time.sleep(self.poll)
-
-    def release(self) -> None:
-        try:
-            (self.path / "owner").unlink()
-        except OSError:
-            pass
-        try:
-            os.rmdir(self.path)
-        except OSError:
-            pass
-
-    def __enter__(self) -> "CacheLock":
-        return self.acquire()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.release()
-
-
 # -- persistent result cache -------------------------------------------------
 
 
@@ -351,10 +226,6 @@ class CacheStats:
     stores: int = 0
     discards: int = 0
     quarantined: int = 0
-
-    def reset(self) -> None:
-        self.hits = self.misses = self.stores = self.discards = 0
-        self.quarantined = 0
 
 
 #: ``os.open`` flags of an entry read and of a put's private temp file
@@ -406,39 +277,23 @@ class ResultCache:
       created only when that ``os.open`` finds it missing, so a warm
       put makes no ``mkdir``.
 
-    Concurrency: reads are always safe (writes land via atomic rename,
-    and a torn or half-written entry fails validation and reports a
-    miss).  With ``locked=True`` every ``put`` additionally takes a
-    per-key :class:`CacheLock`, making the directory safe to **share
-    between processes** (the service's shared tier): exactly one writer
-    touches an entry at a time, and a lock orphaned by a killed writer
-    is reclaimed instead of wedging the store.
+    Concurrency: the directory may be **shared** by any number of
+    threads and processes (several servers, sweeps) with no lock.  A
+    writer never touches a file another one can see until its
+    ``os.replace``, so a reader finds either no entry or a whole one;
+    keys are content hashes, so concurrent writers of one key write
+    equal bytes and the last rename wins harmlessly.
     """
 
-    def __init__(
-        self,
-        directory: os.PathLike,
-        version: int = CACHE_VERSION,
-        locked: bool = False,
-    ):
+    def __init__(self, directory: os.PathLike, version: int = CACHE_VERSION):
         self.directory = Path(directory)
         self.version = version
-        self.locked = locked
         self.stats = CacheStats()
         self._root = os.fspath(self.directory)
         self._tmp_seq = itertools.count()
 
     def _path(self, key: str) -> Path:
         return self.directory / key[:2] / f"{key}.json"
-
-    def lock(self, key: str) -> CacheLock:
-        """The per-entry writer lock (independent of ``locked`` mode)."""
-        path = self._path(key)
-        return CacheLock(
-            path.with_name(path.name + ".lock"),
-            timeout=LOCK_TIMEOUT_S,
-            stale_after=LOCK_STALE_AFTER_S,
-        )
 
     def get(self, key: str) -> Optional[dict]:
         """The cached payload for ``key``, or None on miss."""
@@ -471,37 +326,31 @@ class ResultCache:
             return entry["result"]
 
     def put(self, key: str, result: dict) -> None:
-        """Store ``result`` (a JSON-encodable dict) under ``key``.
-
-        In ``locked`` mode the write holds the per-key
-        :class:`CacheLock`, so concurrent processes sharing the
-        directory serialize on the entry (single writer)."""
+        """Store ``result`` (a JSON-encodable dict) under ``key``."""
         shard = f"{self._root}/{key[:2]}"
         with obs.span("cache.put", cat="cache"):
-            guard = self.lock(key) if self.locked else contextlib.nullcontext()
-            with guard:
-                # One ``dumps`` call runs the C encoder; ``json.dump``
-                # streams through the pure-Python one.  The text is
-                # ASCII (``ensure_ascii``), so its bytes are the ones a
-                # text-mode write would put on disk.
-                data = json.dumps(
-                    {"version": self.version, "key": key, "result": result}
-                ).encode("ascii")
-                tmp, fd = self._create_tmp(shard)
+            # One ``dumps`` call runs the C encoder; ``json.dump`` streams
+            # through the pure-Python one.  The text is ASCII
+            # (``ensure_ascii``), so its bytes are the ones a text-mode
+            # write would put on disk.
+            data = json.dumps(
+                {"version": self.version, "key": key, "result": result}
+            ).encode("ascii")
+            tmp, fd = self._create_tmp(shard)
+            try:
                 try:
-                    try:
-                        done = os.write(fd, data)
-                        while done < len(data):
-                            done += os.write(fd, memoryview(data)[done:])
-                    finally:
-                        os.close(fd)
-                    os.replace(tmp, f"{shard}/{key}.json")
+                    done = os.write(fd, data)
+                    while done < len(data):
+                        done += os.write(fd, memoryview(data)[done:])
+                finally:
+                    os.close(fd)
+                os.replace(tmp, f"{shard}/{key}.json")
+            except OSError:
+                try:
+                    os.unlink(tmp)
                 except OSError:
-                    try:
-                        os.unlink(tmp)
-                    except OSError:
-                        pass
-                    raise
+                    pass
+                raise
         self.stats.stores += 1
         obs.inc("cache.stores")
 

@@ -534,7 +534,6 @@ def _service_config(args: argparse.Namespace):
         quota_burst=args.quota_burst,
         max_tenants=args.max_tenants,
         cache_dir=args.cache_dir,
-        shared_dir=args.shared_dir,
         max_batch_points=args.max_batch_points,
         drain_timeout=args.drain_timeout,
     )
@@ -922,11 +921,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--cache-dir", default=None,
-        help="private on-disk result tier for this server",
-    )
-    p.add_argument(
-        "--shared-dir", default=None,
-        help="shared cross-process result tier (single-writer locking)",
+        help="on-disk result tier; several servers and `repro sweep "
+        "--cache-dir` runs may share one directory",
     )
     p.add_argument(
         "--drain-timeout", type=float, default=10.0,

@@ -6,8 +6,8 @@ newline-delimited JSON protocol (:mod:`~repro.service.protocol`), with
 admission control with backpressure and per-tenant token-bucket quotas.
 Every request decomposes into keyed work items, and one scheduler
 (:mod:`~repro.service.batch`) owns their memo, single-flight coalescing,
-disk → shared cache tiers, dispatch and write-back, stitching distinct
-analytical points into shared vectorized kernel dispatches.  The
+disk tier and dispatch, stitching distinct analytical points into
+shared vectorized kernel dispatches.  The
 resilience layer adds per-request deadlines, cancellation through
 waiter refcounts, graceful drain on SIGTERM, and a deterministic chaos
 drill (:mod:`~repro.service.chaos`, driven by

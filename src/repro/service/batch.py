@@ -1,5 +1,5 @@
 """The service's work scheduler: every request is a set of keyed work
-items, and this module owns them from lookup to write-back.
+items, and this module owns them from lookup to store.
 
 :func:`work_items` decomposes a request.  ``simulate`` and ``sweep``
 requests of every engine become their evaluation points
@@ -11,7 +11,7 @@ service share warm cache entries.  A fault-schedule request is one item
 keyed by the request fingerprint and priced whole by
 :func:`~repro.service.server.execute_request`.  A profiled request
 decomposes exactly like an unprofiled one: its items share the memo,
-single-flight, the tiers and kernel dispatches, and a dispatch runs
+single-flight, the disk tier and kernel dispatches, and a dispatch runs
 under a tracer when any of its items was started by a profiled request.
 
 :class:`BatchScheduler` owns, for every item alike:
@@ -35,10 +35,10 @@ under a tracer when any of its items was started by a profiled request.
   other item dispatches at once as its own executor task, priced by
   :func:`~repro.core.sweeps.evaluate_point`, so a DES run never holds
   kernel batch-mates;
-* **the cache tiers** — a dispatch scans the private disk tier, then the
-  shared tier (backfilling shared hits to disk), and writes what it
-  priced to the disk tier and, deferred off the request path, to the
-  shared tier under its cross-process lock;
+* **the disk tier** — a dispatch looks each item up in the
+  ``cache_dir`` :class:`~repro.cache.ResultCache` (which several servers
+  and sweeps may share) and writes what it priced there, on its
+  executor thread;
 * **error isolation** — a failing item fails only the requests that
   contain it, with the very exception its engine raised; a dispatch that
   dies wholesale fails each of its items with an ``internal error: ...``
@@ -79,7 +79,7 @@ __all__ = [
 ]
 
 #: Where an item's payload came from, cheapest first.
-SOURCES = ("memo", "coalesced", "disk", "shared", "computed")
+SOURCES = ("memo", "coalesced", "disk", "computed")
 
 
 def work_items(request) -> Tuple[str, List[Tuple[str, Any]]]:
@@ -159,8 +159,8 @@ def _merge_spans(summaries: List[list], top: int = 10) -> list:
 
 
 class BatchScheduler:
-    """Memo, single-flight, dispatch, cache tiers and write-back for the
-    work items of one :class:`~repro.service.server.SimulationService`.
+    """Memo, single-flight, dispatch and the disk tier for the work
+    items of one :class:`~repro.service.server.SimulationService`.
 
     All state but the executor body is touched only on the service's
     event-loop thread.  ``run_request`` is the sole entry: it serves a
@@ -182,16 +182,10 @@ class BatchScheduler:
             if config.cache_dir is not None
             else None
         )
-        self._shared = (
-            ResultCache(config.shared_dir, locked=True)
-            if config.shared_dir is not None
-            else None
-        )
         if service._chaos is not None:
-            # Fault-wrap the disk tiers: chaos decides per operation
+            # Fault-wrap the disk tier: chaos decides per operation
             # whether a deterministic OSError fires before the real I/O.
             self._disk = service._chaos.wrap_cache(self._disk)
-            self._shared = service._chaos.wrap_cache(self._shared)
         self._memo: "collections.OrderedDict[str, Dict]" = (
             collections.OrderedDict()
         )
@@ -200,8 +194,6 @@ class BatchScheduler:
         self._flush_soon = False  # a call_soon flush is pending
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._dispatches: set = set()
-        self._writeback: "collections.deque" = collections.deque()
-        self._writeback_task: Optional[asyncio.Future] = None
         self._closed = False
 
     def __len__(self) -> int:
@@ -353,7 +345,7 @@ class BatchScheduler:
         if item in self._queue:
             self._queue.remove(item)
         elif item.job is None or not item.job.cancel():
-            return  # already computing: it runs on for the cache tiers
+            return  # already computing: it runs on for the disk tier
         self._inflight.pop(item.key, None)
         item.future.cancel()
         self.service._inc("service.batch_point_abandoned")
@@ -406,7 +398,6 @@ class BatchScheduler:
             svc._inc(name, value)
         if manifest is not None:
             svc.registry.merge_manifest(manifest)
-        self._kick_writeback()
         for item in items:
             self._inflight.pop(item.key, None)
             if item.future.done():
@@ -423,7 +414,7 @@ class BatchScheduler:
     def _compute_batch(
         self, items: List[_Item]
     ) -> Tuple[Dict[str, Any], Dict, Dict[str, int], Optional[list]]:
-        """Executor-thread body of one dispatch: tiers, then pricing.
+        """Executor-thread body of one dispatch: disk tier, then pricing.
 
         A kernel dispatch prices its analytical points in one pass; a
         lone item is priced on its own.  Returns ``(per-key
@@ -451,7 +442,7 @@ class BatchScheduler:
                     if found is None:
                         todo.append(item)
                     else:
-                        out[item.key] = found
+                        out[item.key] = found, "disk"
                         tally["service.batch_point_disk"] += 1
                 if kernel and todo:
                     # Single-flight gives every key one item, so no
@@ -498,86 +489,26 @@ class BatchScheduler:
 
         return server.execute_request(work)
 
-    # -- cache tiers (executor threads) --------------------------------------
+    # -- the disk tier (executor threads) -----------------------------------
 
-    def _lookup(self, key: str, tally) -> Optional[Tuple[Dict, str]]:
-        """The disk tier, then the shared tier (backfilled to disk)."""
-        for tier, cache in (("disk", self._disk), ("shared", self._shared)):
-            if cache is None:
-                continue
-            try:
-                payload = cache.get(key)
-            except OSError:
-                tally["service.cache_errors"] += 1
-                continue
-            if payload is not None:
-                if tier == "shared":
-                    self._put_disk(key, payload, tally)
-                return payload, tier
-        return None
+    def _lookup(self, key: str, tally) -> Optional[Dict]:
+        """The disk tier's payload for ``key``, or None."""
+        if self._disk is None:
+            return None
+        try:
+            return self._disk.get(key)
+        except OSError:
+            tally["service.cache_errors"] += 1
+            return None
 
-    def _put_disk(self, key: str, payload: Dict, tally) -> None:
+    def _store(self, key: str, payload: Dict, tally) -> Tuple[Dict, str]:
+        """Write a priced payload through; returns ``(payload, tier)``."""
         if self._disk is not None:
             try:
                 self._disk.put(key, payload)
             except OSError:
                 tally["service.cache_errors"] += 1
-
-    def _store(self, key: str, payload: Dict, tally) -> Tuple[Dict, str]:
-        """Write a priced payload through; returns ``(payload, tier)``."""
-        self._put_disk(key, payload, tally)
-        if self._shared is not None:
-            # Shared writes take a cross-process lock; defer them off the
-            # request path (drain and close flush the queue).
-            self._writeback.append((key, payload))
         return payload, "computed"
-
-    # -- deferred shared-tier write-backs ------------------------------------
-
-    def _kick_writeback(self) -> None:
-        """Loop thread: start a background flush unless one is running."""
-        if not self._writeback:
-            return
-        if self._writeback_task is not None and not self._writeback_task.done():
-            return
-        try:
-            task = self._loop.run_in_executor(
-                self._executor, self._flush_writebacks
-            )
-        except RuntimeError:
-            return  # executor already shut down; the final flush covers it
-        self._writeback_task = task
-        task.add_done_callback(self._writeback_done)
-
-    def _writeback_done(self, task) -> None:
-        if not task.cancelled() and task.exception() is None:
-            self._count_flush(task.result())
-
-    def _flush_writebacks(self) -> Tuple[int, int]:
-        """Drain the write-back queue; returns ``(flushed, errors)``.
-        Runs on an executor thread (or synchronously at shutdown); the
-        deque is thread-safe, so a concurrent flush just finds it empty.
-        """
-        flushed = errors = 0
-        while True:
-            try:
-                key, payload = self._writeback.popleft()
-            except IndexError:
-                break
-            try:
-                self._shared.put(key, payload)
-                flushed += 1
-            except (OSError, ConfigError):
-                errors += 1
-        return flushed, errors
-
-    def _count_flush(self, result: Tuple[int, int]) -> int:
-        flushed, errors = result
-        if flushed:
-            self.service._inc("service.writebacks_flushed", flushed)
-        if errors:
-            self.service._inc("service.cache_errors", errors)
-        return flushed
 
     # -- shutdown ------------------------------------------------------------
 
@@ -594,29 +525,22 @@ class BatchScheduler:
                 item.future.exception()
 
     def close(self) -> None:
-        """Synchronous shutdown: fail queued items, wait for engine work,
-        flush the write-back queue."""
+        """Synchronous shutdown: fail queued items, wait for engine work."""
         self._fail_queued()
         self._executor.shutdown(wait=True)
-        self._count_flush(self._flush_writebacks())
 
-    async def aclose(self, timeout: Optional[float] = None) -> int:
-        """Graceful shutdown; returns the write-backs flushed.
+    async def aclose(self, timeout: Optional[float] = None) -> None:
+        """Graceful shutdown.
 
         In-flight dispatches scatter first (bounded by ``timeout`` when
         the caller's drain already gave up — a wedged kernel must not
-        wedge shutdown too).  The engine pool stops BEFORE the final
-        flush: a compute still running could otherwise queue a
-        write-back after the flush and strand it.  Both run on the
-        loop's default executor (ours is being shut down).
+        wedge shutdown too); then the engine pool stops, on the loop's
+        default executor (ours is being shut down).  A dispatch stores
+        what it priced before it scatters, so nothing is left to flush.
         """
         self._fail_queued()
         if self._dispatches:
             await asyncio.wait(list(self._dispatches), timeout=timeout)
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(
+        await asyncio.get_running_loop().run_in_executor(
             None, self._executor.shutdown, timeout is None
-        )
-        return self._count_flush(
-            await loop.run_in_executor(None, self._flush_writebacks)
         )

@@ -130,8 +130,7 @@ class ChaosReport:
             f"dropped, {self.deadline_probes} deadline probes; injected "
             f"[{injected or 'nothing'}]; drained "
             f"{'clean' if self.drain.get('drained') else 'DIRTY'} "
-            f"(stranded {self.drain.get('stranded')}, "
-            f"{self.drain.get('writebacks_flushed')} write-backs flushed)"
+            f"(stranded {self.drain.get('stranded')})"
         )
 
 
@@ -142,7 +141,6 @@ _OUTCOME_COUNTERS = (
     "service.coalesced",
     "service.computed",
     "service.disk_hits",
-    "service.shared_hits",
     "service.rejected_quota",
     "service.rejected_backpressure",
     "service.rejected_draining",
@@ -165,7 +163,7 @@ def run_chaos_drill(
     ChaosInjector` wired through every layer — executor-task exceptions
     and added latency on items priced alone, point- and dispatch-level
     faults in kernel dispatches (a dead dispatch fails each of its items
-    with an ``internal error``), OSErrors from both disk tiers, and
+    with an ``internal error``), OSErrors from the disk tier, and
     client connections slammed mid-request.  Every client resends failed
     requests (safe: idempotent by fingerprint; injected faults heal on
     resend) until it holds an ``ok`` answer for each, then the drill
@@ -177,9 +175,10 @@ def run_chaos_drill(
     * **accounting balance** — the terminal-outcome counters partition
       ``service.requests`` exactly (nothing double-counted, nothing
       lost), with cancellations and deadline rejections included;
-    * **clean drain** — stopping the server completes in-flight work,
-      reports zero stranded futures, and leaves the deferred shared-tier
-      write-back queue empty.
+    * **disk faults counted** — every injected disk fault hit the one
+      disk tier and was counted as ``service.cache_errors``;
+    * **clean drain** — stopping the server completes in-flight work and
+      reports zero stranded futures.
 
     Deterministic per seed in every *decision* (which work item
     faults, which dispatch ordinals die, which connections drop);
@@ -216,9 +215,7 @@ def run_chaos_drill(
         max_workers=2,
         max_pending=4 * len(unique) * dup_factor,
     )
-    config = dataclasses.replace(
-        config, cache_dir=tmp / "disk", shared_dir=tmp / "shared"
-    )
+    config = dataclasses.replace(config, cache_dir=tmp / "disk")
 
     failures: List[str] = []
     ok = [0] * n_clients
@@ -364,16 +361,19 @@ def run_chaos_drill(
                 f"{counters.get('service.batch_dispatch_errors', 0)}"
             )
 
-        # Clean drain: everything scattered, nothing stranded, the
-        # write-back queue flushed to the shared tier.
+        # Every injected disk fault hit the one tier and was counted.
+        disk_faults = faults.get("disk_error", 0)
+        cache_errors = counters.get("service.cache_errors", 0)
+        if not disk_faults or cache_errors != disk_faults:
+            raise ConfigError(
+                f"chaos drill (seed {seed}): {disk_faults} disk faults "
+                f"injected, {cache_errors} counted as service.cache_errors"
+            )
+
+        # Clean drain: everything scattered, nothing stranded.
         if not drain.get("drained") or drain.get("stranded", 1) != 0:
             raise ConfigError(
                 f"chaos drill (seed {seed}): dirty drain: {drain}"
-            )
-        if len(service._batch._writeback) != 0:
-            raise ConfigError(
-                f"chaos drill (seed {seed}): "
-                f"{len(service._batch._writeback)} write-backs stranded"
             )
 
         return ChaosReport(

@@ -26,7 +26,7 @@ Fault kinds and where they bite:
   explicit ordinal list, not a rate, so a drill knows exactly how many
   dispatches die (``service.batch_dispatch_errors`` must equal it).
 * ``disk_error`` — :class:`ChaosResultCache` raises ``OSError`` from a
-  cache tier operation; tiers degrade (``service.cache_errors``), the
+  disk-tier get or put; the tier degrades (``service.cache_errors``), the
   request is still answered bit-identically.
 * ``drop_connection`` — decided for the drill's client loop, which
   slams the socket mid-request to exercise EOF cancellation.

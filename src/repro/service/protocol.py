@@ -30,7 +30,8 @@ Response envelope::
 ``meta.served_by`` on ok responses names the costliest source among
 the request's work items, cheapest first: ``memo`` (in-process LRU),
 ``coalesced`` (attached to identical work already in flight),
-``disk`` or ``shared`` (the on-disk tiers), ``computed`` (priced by an
+``disk`` (the ``cache_dir`` result store, which several servers may
+share), ``computed`` (priced by an
 engine — for analytical points usually in a kernel dispatch shared with
 other tenants' points; same bits either way).
 ``rejected`` means the request was turned away but may

@@ -10,9 +10,9 @@ module is the broker in front of the work scheduler
   (:func:`~repro.service.batch.work_items`) — evaluation points for
   ``simulate``/``sweep``, profiled or not, one whole-request item for
   fault schedules — and the scheduler owns the memo, single-flight
-  coalescing, the disk → shared cache tiers, dispatch and write-back for
-  all of them; the broker only admits requests and assembles responses,
-  bit-identical to :func:`execute_request`;
+  coalescing, the disk tier and dispatch for all of them; the broker
+  only admits requests and assembles responses, bit-identical to
+  :func:`execute_request`;
 * **admission control** — a draining server answers
   ``rejected/draining``; per-tenant token buckets bound each tenant's
   request rate (``rejected/quota``); at most ``max_pending`` requests may
@@ -28,9 +28,8 @@ module is the broker in front of the work scheduler
   items the same way;
 * **graceful drain** — SIGTERM (or :meth:`SimulationServer.close`) stops
   admitting work (``rejected/draining``), completes in-flight requests
-  under ``drain_timeout``, flushes the deferred shared-tier write-back
-  queue, and reports drained stats (zero stranded futures on a clean
-  drain);
+  under ``drain_timeout``, and reports drained stats (zero stranded
+  futures on a clean drain);
 * **chaos hooks** — a :class:`~repro.service.chaos.ChaosInjector` can be
   threaded through the service to inject compute faults and latency,
   kernel-dispatch faults and disk-tier I/O faults deterministically
@@ -134,7 +133,6 @@ _SERVED_COUNTERS = {
     "memo": "service.memo_hits",
     "coalesced": "service.coalesced",
     "disk": "service.disk_hits",
-    "shared": "service.shared_hits",
     "computed": "service.computed",
 }
 
@@ -214,8 +212,7 @@ class ServiceConfig:
     quota_rate: float = math.inf  # tokens/s granted per tenant
     quota_burst: float = 256.0   # tenant burst capacity
     max_tenants: int = 1024      # live token buckets (LRU-evicted beyond)
-    cache_dir: Optional[Path] = None    # private on-disk tier
-    shared_dir: Optional[Path] = None   # cross-process tier (locked writes)
+    cache_dir: Optional[Path] = None    # on-disk tier (may be shared)
     max_batch_points: int = 256  # points per kernel dispatch (at most)
     drain_timeout: float = 10.0  # graceful-drain budget (seconds)
 
@@ -326,7 +323,6 @@ class SimulationService:
             "batch_queued": len(batch),
             "tenants": len(self._buckets),
             "draining": self._draining,
-            "writeback_queued": len(batch._writeback),
             "config": {
                 "max_workers": self.config.workers,
                 "max_pending": self.config.max_pending,
@@ -343,11 +339,6 @@ class SimulationService:
                 "cache_dir": (
                     str(self.config.cache_dir)
                     if self.config.cache_dir
-                    else None
-                ),
-                "shared_dir": (
-                    str(self.config.shared_dir)
-                    if self.config.shared_dir
                     else None
                 ),
             },
@@ -497,17 +488,15 @@ class SimulationService:
 
     def close(self) -> None:
         """Synchronous shutdown (tests, abrupt paths): fail queued items,
-        wait for in-flight engine work, flush write-backs."""
+        wait for in-flight engine work."""
         self._batch.close()
 
     async def aclose(self) -> Dict:
         """Graceful shutdown: drain, scatter dispatches, stop the
-        executor, flush the write-back queue; returns the drain report
-        (also kept as ``last_drain``)."""
+        executor; returns the drain report (also kept as
+        ``last_drain``)."""
         report = await self.drain()
-        report["writebacks_flushed"] = await self._batch.aclose(
-            timeout=None if report["drained"] else 1.0
-        )
+        await self._batch.aclose(timeout=None if report["drained"] else 1.0)
         report["stranded"] = len(self._batch._inflight)
         if report["drained"] and report["stranded"] == 0:
             self._inc("service.drained_clean")
@@ -703,8 +692,8 @@ def serve(
     """Run a server until interrupted (the ``repro serve`` entry).
 
     SIGTERM (and Ctrl-C) drain gracefully: the listener closes, admitted
-    work completes under the drain budget, deferred shared-tier
-    write-backs flush, and only then does the process exit.
+    work completes under the drain budget, and only then does the
+    process exit.
     """
     try:
         asyncio.run(

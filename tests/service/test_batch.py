@@ -576,37 +576,28 @@ def test_points_served_from_disk_after_restart(tmp_path):
     assert counters.get("service.batch_point_kernel", 0) == 0
 
 
-def test_shared_tier_backfills_private_disk(tmp_path):
-    shared = tmp_path / "shared"
-    seeder = SimulationService(
-        ServiceConfig(
-            max_workers=2,
-            cache_dir=tmp_path / "a",
-            shared_dir=shared,
-        )
-    )
-    [r1] = _gather(seeder, [_envelope(REQ)])
+def test_two_services_share_one_cache_dir(tmp_path):
+    # Two live services on one cache_dir: the point the first one priced
+    # is served from disk by the second, byte for byte.
+    config = ServiceConfig(max_workers=2, cache_dir=tmp_path / "cache")
+    first, second = SimulationService(config), SimulationService(config)
 
-    other = SimulationService(
-        ServiceConfig(
-            max_workers=2,
-            cache_dir=tmp_path / "b",
-            shared_dir=shared,
-        )
-    )
-    [r2] = _gather(other, [_envelope(REQ)])
-    assert r2["payload"] == r1["payload"]
-    assert r2["meta"]["served_by"] == "shared"
-    assert _counters(other)["service.batch_point_disk"] == 1
-    # ...and the private tier was backfilled for next time.
-    backfilled = SimulationService(
-        ServiceConfig(
-            max_workers=2, cache_dir=tmp_path / "b"
-        )
-    )
-    [r3] = _gather(backfilled, [_envelope(REQ)])
-    assert r3["payload"] == r1["payload"]
-    assert _counters(backfilled)["service.batch_point_disk"] == 1
+    async def main():
+        try:
+            r1 = await first.handle(_envelope(REQ))
+            return r1, await second.handle(_envelope(REQ))
+        finally:
+            await first.aclose()
+            await second.aclose()
+
+    r1, r2 = asyncio.run(main())
+    assert r1["meta"]["served_by"] == "computed"
+    assert r2["status"] == "ok"
+    assert r2["meta"]["served_by"] == "disk"
+    assert json.dumps(r2["payload"]) == json.dumps(r1["payload"])
+    counters = _counters(second)
+    assert counters["service.batch_point_disk"] == 1
+    assert counters.get("service.batch_point_kernel", 0) == 0
 
 
 def test_sweep_cache_interop(tmp_path):

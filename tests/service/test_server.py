@@ -256,41 +256,33 @@ def test_tenant_quota_rejects_over_budget():
 
 
 def test_disk_and_shared_tiers(tmp_path):
-    # The tiers on a whole-request item (a fault schedule, keyed by its
-    # fingerprint); point items are covered in tests/service/test_batch.py.
+    # The disk tier on a whole-request item (a fault schedule, keyed by
+    # its fingerprint); point items are covered in
+    # tests/service/test_batch.py.
     fault = _fault()
-    shared = tmp_path / "shared"
-    first = SimulationService(
-        ServiceConfig(
-            max_workers=1, cache_dir=tmp_path / "a", shared_dir=shared
-        )
-    )
-    [r1] = _gather(first, [_envelope(fault)])
+    config = ServiceConfig(max_workers=1, cache_dir=tmp_path / "cache")
+    first, other = SimulationService(config), SimulationService(config)
+
+    async def main():
+        try:
+            r1 = await first.handle(_envelope(fault))
+            return r1, await other.handle(_envelope(fault))
+        finally:
+            first.close()
+            other.close()
+
+    r1, r3 = asyncio.run(main())
     assert r1["meta"]["served_by"] == "computed"
 
-    # A restarted server with the same private dir serves from disk.
-    again = SimulationService(
-        ServiceConfig(max_workers=1, cache_dir=tmp_path / "a")
-    )
+    # A restarted server with the same dir serves from disk.
+    again = SimulationService(config)
     [r2] = _gather(again, [_envelope(fault)])
     assert r2["meta"]["served_by"] == "disk"
     assert r2["payload"] == r1["payload"]
 
-    # A different server sharing only the shared tier serves from it.
-    other = SimulationService(
-        ServiceConfig(
-            max_workers=1, cache_dir=tmp_path / "b", shared_dir=shared
-        )
-    )
-    [r3] = _gather(other, [_envelope(fault)])
-    assert r3["meta"]["served_by"] == "shared"
-    assert r3["payload"] == r1["payload"]
-    # ...and backfilled its private tier for next time.
-    backfilled = SimulationService(
-        ServiceConfig(max_workers=1, cache_dir=tmp_path / "b")
-    )
-    [r4] = _gather(backfilled, [_envelope(fault)])
-    assert r4["meta"]["served_by"] == "disk"
+    # A second live server sharing the dir serves from it, byte for byte.
+    assert r3["meta"]["served_by"] == "disk"
+    assert json.dumps(r3["payload"]) == json.dumps(r1["payload"])
 
 
 def test_bad_requests_answer_error_not_crash():
