@@ -17,8 +17,9 @@ The whole layer is **zero-overhead when disabled**: nothing is active
 unless a :func:`session` installs a tracer and/or registry, and every
 helper's disabled path is a single thread-local load and branch — no
 allocation, no clock read (a test pins the no-op behaviour).  Sessions
-are **per-thread**: the service layer runs concurrent requests on a
-thread pool, each under its own hermetic instruments.
+are **per-thread**, and :class:`isolated` shuts the caller's instruments
+out of a run: the service layer prices work on its event-loop thread
+and on a thread pool, each dispatch under its own hermetic instruments.
 
 Usage::
 
@@ -71,6 +72,7 @@ __all__ = [
     "current_tracer",
     "inc",
     "instant",
+    "isolated",
     "load_manifest",
     "model_span",
     "observe",
@@ -140,6 +142,18 @@ class session:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         _STATE.tracer, _STATE.metrics = self._saved
+
+
+class isolated(session):
+    """A :class:`session` that installs exactly its instruments: ``None``
+    disables one instead of leaving the caller's in place.  For work run
+    on a thread whose caller may hold instruments of its own (the
+    service's event loop), so none of the work reaches them."""
+
+    def __enter__(self) -> "isolated":
+        self._saved = (current_tracer(), current_metrics())
+        _STATE.tracer, _STATE.metrics = self._tracer, self._metrics
+        return self
 
 
 def span(name: str, cat: str = "span", **args: Any):

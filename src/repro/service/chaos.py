@@ -85,7 +85,7 @@ class ServiceChaosSpec:
     """The frozen fault plan: seed + per-kind rates.
 
     ``dispatch_fault_ordinals`` lists the kernel dispatches (counted
-    from 0 in the order engine threads start them) that die wholesale.
+    from 0 in the order the event loop prices them) that die wholesale.
 
     ``decide(kind, token)`` maps into ``[0, 1)`` via a keyed hash; a
     fault fires when that value falls under the kind's rate.  Content
@@ -129,8 +129,9 @@ class ServiceChaosSpec:
 class ChaosInjector:
     """Stateful fault driver shared by the service and the drill.
 
-    Thread-safe: compute and dispatch hooks run on executor threads,
-    connection-drop decisions on client threads.  ``counts`` (via
+    Thread-safe: compute hooks run on engine threads, dispatch and
+    point hooks on the service's event-loop thread, disk hooks on
+    either, connection-drop decisions on client threads.  ``counts`` (via
     :meth:`snapshot`) tallies the faults actually injected.
     """
 
@@ -172,7 +173,7 @@ class ChaosInjector:
             raise ChaosError(f"chaos: injected compute fault ({key[:12]})")
 
     def before_dispatch(self) -> None:
-        """Kernel dispatch, executor thread: ordinal-listed dispatches die
+        """Kernel dispatch, event-loop thread: ordinal-listed dispatches die
         wholesale.  Ordinals, not hashes: a drill knows how many
         dispatches it kills, whatever points they hold."""
         with self._lock:

@@ -13,9 +13,11 @@ def engine_gate(monkeypatch):
 
     A test holds an engine thread busy by sending a fault-schedule
     request (priced whole, on a thread of its own) and frees it with
-    ``gate.set()``; queued analytical points stay queued until then.
-    The gate opens at teardown (and any wait gives up after 30 s), so a
-    failing test cannot wedge executor shutdown."""
+    ``gate.set()``; lone items (DES points, fault schedules) queued
+    behind it wait until then, while analytical points, priced on the
+    event loop, do not wait at all.  The gate opens at teardown (and any
+    wait gives up after 30 s), so a failing test cannot wedge executor
+    shutdown."""
     gate = threading.Event()
     real = server_mod.execute_request
 

@@ -1,6 +1,6 @@
 """CLI round-trips for the service: batch flags through ``serve``'s
-config plumbing, and the pipelined ``client --requests-file`` mode
-against a live server."""
+config plumbing, the ``chaos --service`` drill's exit status, and the
+pipelined ``client --requests-file`` mode against a live server."""
 
 import json
 
@@ -46,6 +46,30 @@ def test_chaos_service_flags_parse():
     assert args.seed is None  # falls back to the default seed pair
     args = _parse(["chaos", "--service", "--seed", "3", "--seed", "9"])
     assert args.seed == [3, 9]
+
+
+def test_chaos_service_drill_passes_a_seed(capsys):
+    # The live drill end to end: its kernel-dispatch faults fire on the
+    # service's event-loop thread, its lone-item faults on engine threads.
+    assert cli.main(["chaos", "--service", "--seed", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "injected [" in out
+    assert "service chaos drill passed (seed 5)" in out
+
+
+def test_chaos_service_drill_failure_exits_1(monkeypatch, capsys):
+    from repro.errors import ConfigError
+    from repro.service import bench
+
+    def broken(seed):
+        raise ConfigError(f"accounting does not balance (seed {seed})")
+
+    monkeypatch.setattr(bench, "run_chaos_drill", broken)
+    assert cli.main(["chaos", "--service", "--seed", "5"]) == 1
+    captured = capsys.readouterr()
+    assert "SERVICE CHAOS FAILURE" in captured.err
+    assert "accounting does not balance (seed 5)" in captured.err
+    assert "passed" not in captured.out
 
 
 def test_serve_auto_workers_and_memo_default():

@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro import api
+from repro.core.sweeps import cache_key
 from repro.errors import ConfigError
 from repro.service import (
     RetryPolicy,
@@ -32,6 +33,8 @@ REQ = api.SimulationRequest("Resnet-50", "trainbox", 64)
 FAULT = api.FaultScheduleRequest(
     "Resnet-50", "trainbox", 16, events=(), horizon=60.0
 )
+#: A DES point: a lone item that queues for an engine thread.
+DES = api.SimulationRequest("Resnet-50", "trainbox", 16, engine="des")
 
 
 def _envelope(request, rid=1, tenant="t", **extra):
@@ -56,6 +59,8 @@ def _slow_engine(monkeypatch, seconds, ran=None):
 
 def _inflight(service, request):
     """Whether the request's (single) work item is queued or running."""
+    if isinstance(request, api.SimulationRequest):
+        return cache_key(request.points()[0]) in service._batch._inflight
     return request.fingerprint() in service._batch._inflight
 
 
@@ -190,9 +195,9 @@ def test_deadline_expired_in_executor_queue_skips_the_engine(monkeypatch):
 
 def test_batch_deadline_abandons_sole_waiter_point(engine_gate):
     # The only engine thread is held and the budget is tiny: the
-    # deadline fires while the point is still queued, and releasing the
-    # last waiter reference abandons the point before it ever reaches
-    # the kernel.
+    # deadline fires while the DES point is still queued behind it, and
+    # releasing the last waiter reference abandons the point before it
+    # ever reaches an engine.
     service = SimulationService(ServiceConfig(max_workers=1))
 
     async def main():
@@ -202,7 +207,7 @@ def test_batch_deadline_abandons_sole_waiter_point(engine_gate):
             )
             while not _inflight(service, FAULT):
                 await asyncio.sleep(0.001)
-            return await service.handle(_envelope(REQ, deadline_ms=30))
+            return await service.handle(_envelope(DES, deadline_ms=30))
         finally:
             engine_gate.set()
             await holder
@@ -213,7 +218,7 @@ def test_batch_deadline_abandons_sole_waiter_point(engine_gate):
     assert response["error"]["code"] == "deadline_exceeded"
     counters = _counters(service)
     assert counters["service.batch_point_abandoned"] == 1
-    assert counters.get("service.batch_dispatches", 0) == 0
+    assert counters["service.batch_point_scalar"] == 1  # the holder only
 
 
 # -- a dead kernel dispatch ---------------------------------------------------
@@ -314,9 +319,9 @@ def test_disconnect_mid_request_resolves_coalesced_waiter(monkeypatch):
 
 
 def test_disconnect_abandons_sole_waiter_batch_point(engine_gate):
-    # The only client interested in a queued batch point disconnects
+    # The only client interested in a queued DES point disconnects
     # while the only engine thread is held: the point is abandoned
-    # before it ever reaches the kernel.
+    # before it ever reaches an engine.
     config = ServiceConfig(max_workers=1)
     with ServerThread(config) as srv:
         service = srv.service
@@ -324,8 +329,8 @@ def test_disconnect_abandons_sole_waiter_batch_point(engine_gate):
             holder._send(holder._envelope(FAULT, False, None))
             _poll(lambda: _inflight(service, FAULT))
             doomed = ServiceClient(*srv.address)
-            doomed._send(doomed._envelope(REQ, False, None))
-            _poll(lambda: service.stats()["batch_queued"] >= 1)
+            doomed._send(doomed._envelope(DES, False, None))
+            _poll(lambda: _inflight(service, DES))
             doomed.close()
             _poll(
                 lambda: _counters(service).get(
@@ -334,9 +339,10 @@ def test_disconnect_abandons_sole_waiter_batch_point(engine_gate):
             )
             counters = _counters(service)
             assert counters["service.cancelled"] == 1
-            assert counters.get("service.batch_dispatches", 0) == 0
+            assert counters.get("service.batch_point_scalar", 0) == 0
             engine_gate.set()
             assert holder._recv()["status"] == "ok"
+            assert _counters(service)["service.batch_point_scalar"] == 1
 
 
 # -- frame cap ----------------------------------------------------------------
