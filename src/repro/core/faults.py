@@ -44,9 +44,6 @@ class FaultSet:
     def of(*device_ids: str) -> "FaultSet":
         return FaultSet(frozenset(device_ids))
 
-    def __len__(self) -> int:
-        return len(self.device_ids)
-
 
 def inject_faults(server: ServerModel, faults: FaultSet) -> ServerModel:
     """A degraded copy of ``server`` with the failed devices removed from
@@ -195,16 +192,6 @@ class TimelineSegment:
             "bottleneck": self.bottleneck,
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict) -> "TimelineSegment":
-        return cls(
-            start=data["start"],
-            end=data["end"],
-            failed=tuple(data["failed"]),
-            throughput=data["throughput"],
-            bottleneck=data["bottleneck"],
-        )
-
 
 @dataclass(frozen=True)
 class DegradedTimeline:
@@ -251,12 +238,6 @@ class DegradedTimeline:
         round-trip through JSON exactly, so a served timeline is
         bit-for-bit the priced one)."""
         return {"segments": [s.to_dict() for s in self.segments]}
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "DegradedTimeline":
-        return cls(
-            tuple(TimelineSegment.from_dict(s) for s in data["segments"])
-        )
 
 
 def price_schedule(

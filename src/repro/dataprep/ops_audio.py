@@ -332,25 +332,6 @@ class Mfcc(PrepOp):
         basis *= np.sqrt(2.0 / mels)
         return (data.astype(np.float64) @ basis.T).astype(np.float32)
 
-    def apply_batch(
-        self, batch: Any, rngs: Sequence[np.random.Generator]
-    ) -> Any:
-        if not isinstance(batch, np.ndarray):
-            return super().apply_batch(batch, rngs)
-        if batch.ndim != 3:
-            raise DataprepError("mfcc expects (N x frames x mels)")
-        mels = batch.shape[2]
-        if self.n_coefficients > mels:
-            raise DataprepError(
-                f"cannot keep {self.n_coefficients} coefficients of {mels} mels"
-            )
-        n = np.arange(mels)
-        k = np.arange(self.n_coefficients)[:, None]
-        basis = np.cos(np.pi * k * (2 * n + 1) / (2 * mels))
-        basis[0] *= 1.0 / np.sqrt(2.0)
-        basis *= np.sqrt(2.0 / mels)
-        return (batch.astype(np.float64) @ basis.T).astype(np.float32)
-
     def cost(self, spec: SampleSpec) -> Tuple[OpCost, SampleSpec]:
         spec.expect("mel", self.name)
         frames, mels = spec.shape

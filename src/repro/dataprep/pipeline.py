@@ -251,9 +251,9 @@ class PrepPipeline:
         a pooled arena, and the last stage writes the batch into a fresh
         array the caller owns (allocated when that stage runs, after the
         decode's temporaries are gone).  Batches a plan cannot
-        specialize to — ragged geometry, unknown payloads — fall back to
-        the per-op path below; ``plan=False`` pins that per-op path (the
-        benchmark baseline).
+        specialize to — ragged geometry, unknown payloads, an op with no
+        plan stage — fall back to the per-op path below; ``plan=False``
+        pins that per-op path (the benchmark baseline).
         """
         if _batch_len(batch) != len(rngs):
             raise DataprepError(

@@ -47,6 +47,7 @@ from __future__ import annotations
 import struct
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,7 +58,7 @@ from repro.dataprep import ops_audio, ops_image
 from repro.dataprep.audio import mel as melmod, stft as stftmod
 from repro.dataprep.jpeg import codec as jpeg_codec
 from repro.dataprep.ops_image import add_table_noise, noise_table
-from repro.dataprep.pipeline import PrepPipeline, SampleSpec
+from repro.dataprep.pipeline import PrepPipeline
 from repro.dataprep.png import codec as png_codec
 
 __all__ = [
@@ -73,8 +74,8 @@ __all__ = [
 
 class PlanInapplicable(DataprepError):
     """This pipeline/batch combination cannot take the planned path
-    (ragged geometry, unknown payloads, …); callers fall back to the
-    per-op vectorized path."""
+    (ragged geometry, unknown payloads, an op no stage covers, …);
+    callers fall back to the per-op vectorized path."""
 
 
 @dataclass(frozen=True)
@@ -515,17 +516,20 @@ class SpectrogramStage(PlanStage):
         n = geometry.batch_size
         (self._n_samples,) = geometry.sample_shape
         self._int_input = np.dtype(geometry.dtype) == np.dtype(np.int16)
-        frames = stftmod.num_frames(
-            self._n_samples, op.hop_length, op.win_length
-        )
+        frames, bins = self.out_shape(op, self._n_samples)
         self._frames = frames
         padded_len = (frames - 1) * op.hop_length + op.win_length
-        bins = op.n_fft // 2 + 1
         self._padded = np.zeros((n, padded_len), dtype=np.float64)
         self._windows = np.empty((n, frames, op.win_length), dtype=np.float64)
         self._power = np.empty((n * frames, bins), dtype=np.float64)
         self._imag_sq = np.empty((n * frames, bins), dtype=np.float64)
         self._out = np.empty((n, frames, bins), dtype=np.float32)
+
+    @staticmethod
+    def out_shape(op: Any, n_samples: int) -> Tuple[int, int]:
+        """Per-sample ``(frames, bins)`` of ``op`` over ``n_samples``."""
+        frames = stftmod.num_frames(n_samples, op.hop_length, op.win_length)
+        return frames, op.n_fft // 2 + 1
 
     def run(self, data: Any, rngs: Sequence[np.random.Generator]) -> Any:
         op = self._op
@@ -617,7 +621,7 @@ class NormalizeStage(PlanStage):
     arena slots.  All arithmetic stays in float32 — a float32 array's
     ``.mean()``/``.std()`` are float32 scalars, so the per-sample
     reference never leaves float32 either (compiled only for float32
-    inputs; anything else takes the generic stage)."""
+    inputs; a pipeline that normalizes anything else is not planned)."""
 
     def __init__(self, op: Any, geometry: PlanGeometry,
                  in_shape: Tuple[int, ...]) -> None:
@@ -643,24 +647,6 @@ class NormalizeStage(PlanStage):
             ("divisors", self._divisors),
             ("out_f32", self._buf),
         ]
-
-
-class OpStage(PlanStage):
-    """Fallback stage delegating to the op's ``apply_batch`` — correct
-    for any op, but without fusion or arena binding.  An op may mutate
-    the stack it receives, so this stage is marked mutating."""
-
-    mutates_input = True
-
-    def __init__(self, op: Any) -> None:
-        self.fuses = (op.name,)
-        self._op = op
-
-    def run(self, data: Any, rngs: Sequence[np.random.Generator]) -> Any:
-        return self._op.apply_batch(data, rngs)
-
-    def describe(self) -> str:
-        return super().describe() + "  (generic apply_batch)"
 
 
 # -- the plan ----------------------------------------------------------------
@@ -698,8 +684,7 @@ class PrepPlan:
         ``execute`` returns that array.  The allocator is called when
         the last stage runs, so the array is not live during the
         decode.  A last stage that cannot write in place
-        (``out_layout is None``) costs one ``np.copyto``; a ragged
-        result (a list from a generic stage) is returned as it is.
+        (``out_layout is None``) costs one ``np.copyto``.
         Bit-identical to ``run_batch_reference`` on the same streams.
         """
         n = len(batch)
@@ -725,8 +710,6 @@ class PrepPlan:
         if last.out_layout is not None:
             return last.run(data, rngs, out=out(*last.out_layout))
         result = last.run(data, rngs)
-        if not isinstance(result, np.ndarray):
-            return result
         dest = out(result.shape, result.dtype)
         np.copyto(dest, result)
         return dest
@@ -797,116 +780,121 @@ def _compile(
     pipeline: PrepPipeline, geometry: PlanGeometry, fp: str
 ) -> PrepPlan:
     start = time.perf_counter()
+    builders = _stage_builders(pipeline.ops, geometry)
     with obs.span(
         "prep.plan_compile",
         cat="prep",
         pipeline=pipeline.name,
         batch=geometry.batch_size,
     ):
-        stages: List[PlanStage] = []
-        shape: Optional[Tuple[int, ...]] = geometry.sample_shape
-        dtype: Optional[str] = (
-            "uint8" if geometry.input_kind in ("jpeg", "png")
-            else geometry.dtype
-        )
-        ops = pipeline.ops
-        i = 0
-        while i < len(ops):
-            op = ops[i]
-            nxt = ops[i + 1] if i + 1 < len(ops) else None
-            if shape is None:
-                # A generic stage upstream lost shape/dtype tracking:
-                # every remaining stage must stay generic.
-                stages.append(OpStage(op))
-                i += 1
-                continue
-            if isinstance(op, ops_image.DecodeJpeg) and i == 0 and (
-                geometry.input_kind == "jpeg"
-            ):
-                crop, mirror = _crop_and_mirror_after(ops, i, shape)
-                stages.append(DecodeJpegStage(op, geometry, crop, mirror))
-                dtype = "uint8"
-                if crop is not None:
-                    shape = (crop.out_height, crop.out_width) + shape[2:]
-                i += 1 + (crop is not None) + (mirror is not None)
-                continue
-            elif isinstance(op, ops_image.DecodePng) and i == 0 and (
-                geometry.input_kind == "png"
-            ):
-                stages.append(DecodePngStage(op, geometry))
-                dtype = "uint8"
-            elif (
-                isinstance(op, ops_image.RandomCrop)
-                and isinstance(nxt, ops_image.Mirror)
-                and dtype == "uint8"
-                and len(shape) == 3
-            ):
-                stages.append(
-                    FusedCropMirrorStage(op, nxt, geometry, shape)
-                )
-                shape = (op.out_height, op.out_width) + shape[2:]
-                i += 2
-                continue
-            elif (
-                isinstance(op, ops_image.RandomCrop)
-                and dtype == "uint8"
-                and len(shape) == 3
-            ):
-                stages.append(CropStage(op, geometry, shape))
-                shape = (op.out_height, op.out_width) + shape[2:]
-            elif (
-                isinstance(op, ops_image.Mirror)
-                and dtype == "uint8"
-                and len(shape) == 3
-            ):
-                stages.append(MirrorStage(op, geometry, shape))
-            elif isinstance(op, ops_image.GaussianNoise) and isinstance(
-                nxt, ops_image.CastToFloat
-            ):
-                stages.append(
-                    FusedNoiseCastStage(op, nxt, geometry, shape)
-                )
-                dtype = "float32"
-                i += 2
-                continue
-            elif isinstance(op, ops_image.GaussianNoise):
-                stages.append(NoiseStage(op, geometry, shape))
-                dtype = "uint8"
-            elif isinstance(op, ops_image.CastToFloat):
-                stages.append(CastStage(op, geometry, shape))
-                dtype = "float32"
-            elif (
-                isinstance(op, ops_audio.Spectrogram)
-                and i == 0
-                and len(shape) == 1
-            ):
-                stage = SpectrogramStage(op, geometry)
-                stages.append(stage)
-                shape = stage._out.shape[1:]
-                dtype = "float32"
-            elif isinstance(op, ops_audio.MelFilterBank) and len(shape) == 2:
-                stages.append(MelStage(op, geometry, shape))
-                shape = (shape[0], op.n_mels)
-                dtype = "float32"
-            elif isinstance(op, ops_audio.SpecMasking):
-                stages.append(MaskingStage(op))
-            elif (
-                isinstance(op, ops_audio.Normalize)
-                and len(shape) == 2
-                and dtype == "float32"
-            ):
-                stages.append(NormalizeStage(op, geometry, shape))
-            else:
-                stages.append(OpStage(op))
-                shape = None
-                dtype = None
-            i += 1
-        if stages and stages[0].mutates_input:
-            stages.insert(0, CopyInStage(geometry))
+        stages = [build() for build in builders]
     elapsed = time.perf_counter() - start
     obs.inc("prep.plan_compile_total")
     obs.observe("prep.plan_compile_ms", elapsed * 1e3)
     return PrepPlan(pipeline.name, fp, geometry, stages, elapsed)
+
+
+def _stage_builders(
+    ops: Sequence[Any], geometry: PlanGeometry
+) -> List[partial]:
+    """One constructor per stage, in order, for ``ops`` over batches of
+    ``geometry``; nothing is allocated until they are called.  Raises
+    :class:`PlanInapplicable` when an op has no dedicated stage for the
+    shape and dtype that reach it."""
+    builders: List[partial] = []
+    shape: Tuple[int, ...] = geometry.sample_shape
+    dtype = (
+        "uint8" if geometry.input_kind in ("jpeg", "png") else geometry.dtype
+    )
+    i = 0
+    while i < len(ops):
+        op = ops[i]
+        nxt = ops[i + 1] if i + 1 < len(ops) else None
+        if isinstance(op, ops_image.DecodeJpeg) and i == 0 and (
+            geometry.input_kind == "jpeg"
+        ):
+            crop, mirror = _crop_and_mirror_after(ops, i, shape)
+            builders.append(
+                partial(DecodeJpegStage, op, geometry, crop, mirror)
+            )
+            dtype = "uint8"
+            if crop is not None:
+                shape = (crop.out_height, crop.out_width) + shape[2:]
+            i += 1 + (crop is not None) + (mirror is not None)
+            continue
+        elif isinstance(op, ops_image.DecodePng) and i == 0 and (
+            geometry.input_kind == "png"
+        ):
+            builders.append(partial(DecodePngStage, op, geometry))
+            dtype = "uint8"
+        elif (
+            isinstance(op, ops_image.RandomCrop)
+            and isinstance(nxt, ops_image.Mirror)
+            and dtype == "uint8"
+            and len(shape) == 3
+        ):
+            builders.append(
+                partial(FusedCropMirrorStage, op, nxt, geometry, shape)
+            )
+            shape = (op.out_height, op.out_width) + shape[2:]
+            i += 2
+            continue
+        elif (
+            isinstance(op, ops_image.RandomCrop)
+            and dtype == "uint8"
+            and len(shape) == 3
+        ):
+            builders.append(partial(CropStage, op, geometry, shape))
+            shape = (op.out_height, op.out_width) + shape[2:]
+        elif (
+            isinstance(op, ops_image.Mirror)
+            and dtype == "uint8"
+            and len(shape) == 3
+        ):
+            builders.append(partial(MirrorStage, op, geometry, shape))
+        elif isinstance(op, ops_image.GaussianNoise) and isinstance(
+            nxt, ops_image.CastToFloat
+        ):
+            builders.append(
+                partial(FusedNoiseCastStage, op, nxt, geometry, shape)
+            )
+            dtype = "float32"
+            i += 2
+            continue
+        elif isinstance(op, ops_image.GaussianNoise):
+            builders.append(partial(NoiseStage, op, geometry, shape))
+            dtype = "uint8"
+        elif isinstance(op, ops_image.CastToFloat):
+            builders.append(partial(CastStage, op, geometry, shape))
+            dtype = "float32"
+        elif (
+            isinstance(op, ops_audio.Spectrogram)
+            and i == 0
+            and len(shape) == 1
+        ):
+            builders.append(partial(SpectrogramStage, op, geometry))
+            shape = SpectrogramStage.out_shape(op, shape[0])
+            dtype = "float32"
+        elif isinstance(op, ops_audio.MelFilterBank) and len(shape) == 2:
+            builders.append(partial(MelStage, op, geometry, shape))
+            shape = (shape[0], op.n_mels)
+            dtype = "float32"
+        elif isinstance(op, ops_audio.SpecMasking):
+            builders.append(partial(MaskingStage, op))
+        elif (
+            isinstance(op, ops_audio.Normalize)
+            and len(shape) == 2
+            and dtype == "float32"
+        ):
+            builders.append(partial(NormalizeStage, op, geometry, shape))
+        else:
+            raise PlanInapplicable(
+                f"no plan stage for {op.name!r} over {dtype}{list(shape)}"
+            )
+        i += 1
+    if builders and builders[0].func.mutates_input:
+        builders.insert(0, partial(CopyInStage, geometry))
+    return builders
 
 
 def _crop_and_mirror_after(
@@ -932,9 +920,11 @@ def try_plan(pipeline: PrepPipeline, batch: Any) -> Optional[PrepPlan]:
     pipeline/batch combination cannot take the planned path."""
     try:
         geometry = geometry_for_batch(pipeline, batch)
+    except Exception:
+        # Unplannable batches; malformed payloads surface their real
+        # error on the per-op path.
+        return None
+    try:
+        return compile_plan(pipeline, geometry)
     except PlanInapplicable:
         return None
-    except Exception:
-        # Malformed payloads surface their real error on the per-op path.
-        return None
-    return compile_plan(pipeline, geometry)

@@ -9,7 +9,7 @@ consume the dataset end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -131,10 +131,6 @@ class SyntheticImageDataset:
         image, label = self.raw_item(index)
         return encode(image, quality=self.quality), label
 
-    def __iter__(self) -> Iterator[Tuple[bytes, int]]:
-        for i in range(self.num_items):
-            yield self[i]
-
     def batch(self, start: int, count: int) -> List[Tuple[bytes, int]]:
         """Items ``start .. start+count`` encoded in one batched codec
         call: all images share a shape, so the DCT/quantization stages run
@@ -158,26 +154,4 @@ class SyntheticImageDataset:
         sizes = [len(blob) for blob, _ in self.batch(0, probe)]
         return SampleSpec(
             "jpeg", (self.height, self.width, 3), float(np.mean(sizes))
-        )
-
-    def shard_loader(self) -> "ImageShardLoader":
-        """A picklable loader for :class:`repro.dataprep.engine.PrepEngine`."""
-        return ImageShardLoader(self)
-
-
-@dataclass(frozen=True)
-class ImageShardLoader:
-    """Shard loader feeding the prep engine: JPEG blobs for a global
-    sample range.  The dataset regenerates items deterministically from
-    its seed, so workers need no data transfer — only this descriptor."""
-
-    dataset: SyntheticImageDataset
-
-    def __call__(self, start: int, count: int) -> List[bytes]:
-        return [blob for blob, _ in self.dataset.batch(start, count)]
-
-    def labels(self, start: int, count: int) -> np.ndarray:
-        """Labels for the same range (cheap: no pixels generated)."""
-        return np.array(
-            [self.dataset.label_of(start + i) for i in range(count)]
         )

@@ -9,7 +9,7 @@ average (§III-B1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -116,44 +116,8 @@ class SyntheticSpeechDataset:
             speaker,
         )
 
-    def __iter__(self) -> Iterator[Tuple[np.ndarray, int]]:
-        for i in range(self.num_items):
-            yield self[i]
-
     def measured_spec(self, probe_items: int = 4) -> SampleSpec:
         probe = min(probe_items, self.num_items)
         sizes = [self[i][0].shape[0] for i in range(probe)]
         mean_samples = int(np.mean(sizes))
         return SampleSpec("audio_pcm", (mean_samples,), float(mean_samples * 2))
-
-    def batch(self, start: int, count: int) -> List[Tuple[np.ndarray, int]]:
-        """Items ``start .. start+count``.  Utterances are ragged in
-        general, so the batch is a list; with ``duration_jitter=0``
-        every item has the same length and the prep pipeline's batched
-        (stacked) path — and the multi-process engine — apply."""
-        if count <= 0:
-            raise DataprepError("batch count must be positive")
-        if not 0 <= start <= self.num_items - count:
-            raise IndexError(f"batch [{start}, {start + count}) out of range")
-        return [self[start + i] for i in range(count)]
-
-    def shard_loader(self) -> "SpeechShardLoader":
-        """A picklable loader for :class:`repro.dataprep.engine.PrepEngine`
-        (worker mode needs ``duration_jitter=0`` so batches stack)."""
-        return SpeechShardLoader(self)
-
-
-@dataclass(frozen=True)
-class SpeechShardLoader:
-    """Shard loader feeding the prep engine: PCM streams for a global
-    sample range, regenerated deterministically on any worker."""
-
-    dataset: SyntheticSpeechDataset
-
-    def __call__(self, start: int, count: int) -> List[np.ndarray]:
-        return [pcm for pcm, _ in self.dataset.batch(start, count)]
-
-    def labels(self, start: int, count: int) -> np.ndarray:
-        return np.array(
-            [(start + i) % self.dataset.num_speakers for i in range(count)]
-        )

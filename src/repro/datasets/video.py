@@ -9,12 +9,12 @@ with :func:`repro.dataprep.ops_video.encode_clip`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.errors import DataprepError
-from repro.dataprep.ops_video import encode_clip, pack_clip
+from repro.dataprep.ops_video import encode_clip
 from repro.dataprep.pipeline import SampleSpec
 from repro.datasets.imagenet import synthesize_image
 
@@ -110,36 +110,6 @@ class SyntheticVideoDataset:
         clip, label = self.raw_item(index)
         return encode_clip(list(clip), quality=self.quality), label
 
-    def __iter__(self) -> Iterator[Tuple[bytes, int]]:
-        for i in range(self.num_items):
-            yield self[i]
-
-    def batch(self, start: int, count: int) -> List[Tuple[bytes, int]]:
-        """Items ``start .. start+count`` with every clip's frames fed
-        through one batched JPEG encode (all frames share a shape, so
-        the whole batch's DCT/quantize stages run over one tall stack).
-        Item ``i`` is byte-identical to ``self[start + i]``."""
-        if count <= 0:
-            raise DataprepError("batch count must be positive")
-        if not 0 <= start <= self.num_items - count:
-            raise IndexError(f"batch [{start}, {start + count}) out of range")
-        from repro.dataprep.jpeg import encode_batch
-
-        pairs = [self.raw_item(start + i) for i in range(count)]
-        flat = encode_batch(
-            [frame for clip, _ in pairs for frame in clip],
-            quality=self.quality,
-        )
-        out = []
-        t = self.frames_per_clip
-        for j, (_, label) in enumerate(pairs):
-            out.append((pack_clip(flat[j * t : (j + 1) * t]), label))
-        return out
-
-    def shard_loader(self) -> "VideoShardLoader":
-        """A picklable loader for :class:`repro.dataprep.engine.PrepEngine`."""
-        return VideoShardLoader(self)
-
     def measured_spec(self, probe_items: int = 2) -> SampleSpec:
         probe = min(probe_items, self.num_items)
         sizes = [len(self[i][0]) for i in range(probe)]
@@ -147,20 +117,4 @@ class SyntheticVideoDataset:
             "video_mjpeg",
             (self.frames_per_clip, self.height, self.width, 3),
             float(np.mean(sizes)),
-        )
-
-
-@dataclass(frozen=True)
-class VideoShardLoader:
-    """Shard loader feeding the prep engine: clip containers for a
-    global sample range, regenerated deterministically on any worker."""
-
-    dataset: SyntheticVideoDataset
-
-    def __call__(self, start: int, count: int) -> List[bytes]:
-        return [clip for clip, _ in self.dataset.batch(start, count)]
-
-    def labels(self, start: int, count: int) -> np.ndarray:
-        return np.array(
-            [self.dataset.label_of(start + i) for i in range(count)]
         )

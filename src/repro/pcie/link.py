@@ -84,12 +84,6 @@ class Link:
     def directed(self, direction: LinkDirection) -> "DirectedLink":
         return DirectedLink(self, direction)
 
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"{self.parent_id}<->{self.child_id} "
-            f"({self.gen.name} x{self.lanes}, {self.bandwidth / units.GB:.1f} GB/s)"
-        )
-
 
 @dataclass(frozen=True)
 class DirectedLink:

@@ -308,11 +308,6 @@ class ServiceClient:
             raise ServiceError(f"stats failed: {response.get('error')}")
         return response["payload"]
 
-    def raw(self, envelope: Dict) -> Dict:
-        """Send an arbitrary envelope (protocol tests, ``repro client``)."""
-        self._send(envelope)
-        return self._recv()
-
     def close(self) -> None:
         if self._reader is not None:
             try:

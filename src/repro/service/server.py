@@ -639,6 +639,14 @@ class SimulationServer:
         work completes and is answered), then tear down idle
         connections.  Returns the service's drain report."""
         if self._server is not None:
+            # Stop accepting, then yield once so a connection the loop
+            # already accepted attaches its transport: closing the
+            # server first makes that transport's creation fail and
+            # leaves its socket open.
+            loop = asyncio.get_running_loop()
+            for sock in self._server.sockets:
+                loop.remove_reader(sock.fileno())
+            await asyncio.sleep(0)
             self._server.close()
             await self._server.wait_closed()
             self._server = None

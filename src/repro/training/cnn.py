@@ -225,7 +225,3 @@ class ConvNet:
         k = min(k, logits.shape[1])
         top = np.argsort(-logits, axis=1)[:, :k]
         return float((top == labels[:, None]).any(axis=1).mean())
-
-    @property
-    def model_bytes(self) -> int:
-        return int(self.flat_params().nbytes)

@@ -47,6 +47,27 @@ def test_plan_command(capsys):
     assert "meets target" in out
 
 
+def test_plan_describe_reports_each_compiled_pipeline(capsys):
+    # The greps of CI's compiled prep plan smoke, in process.
+    assert main(["plan", "describe", "image", "--size", "64", "-b", "8"]) == 0
+    image = capsys.readouterr().out
+    assert "[0] decode_jpeg+random_crop+mirror " in image
+    assert "lockstep_min=" in image
+    assert "noise_table" in image
+    assert main(["plan", "describe", "audio", "-b", "8"]) == 0
+    audio = capsys.readouterr().out
+    assert "[0] spectrogram " in audio
+    assert "hann_window" in audio
+    assert main(
+        ["plan", "describe", "image-png", "--size", "64", "-b", "8"]
+    ) == 0
+    png = capsys.readouterr().out
+    assert "[0] decode_png " in png
+    assert "deflate_luts" not in png
+    with pytest.raises(SystemExit, match="unknown pipeline 'foo'"):
+        main(["plan", "describe", "foo"])
+
+
 def test_simulate_engine_flag(capsys):
     assert main(["simulate", "Resnet-50", "-n", "8", "-e", "des"]) == 0
     out = capsys.readouterr().out

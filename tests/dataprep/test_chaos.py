@@ -10,6 +10,7 @@ the single bad sample with a deterministic fill, so parallel and serial
 runs under the same chaos still agree bit-for-bit.
 """
 
+import pickle
 import time
 
 import numpy as np
@@ -287,6 +288,18 @@ def test_wrap_loader_identity_without_payload_faults():
     second = wrapped(0, 4)  # transient: second load reads clean bytes
     assert first != second
     assert second == _loader(0, 4)
+
+
+def test_pickled_chaos_loader_counts_loads_afresh():
+    # A spawned worker receives the loader by pickle; its first load of
+    # a corrupt shard glitches again, as a fresh process's read would.
+    wrapped = wrap_loader(_loader, ChaosSpec(seed=7, corrupt={0}), 4)
+    first = wrapped(0, 4)
+    assert first != _loader(0, 4)
+    clone = pickle.loads(pickle.dumps(wrapped))
+    assert clone(0, 4) == first
+    assert clone(0, 4) == _loader(0, 4)
+    assert wrapped(0, 4) == _loader(0, 4)
 
 
 def test_drill_covers_every_failure_mode():

@@ -15,7 +15,7 @@ import pytest
 from repro import obs
 from repro.cache import clear_memo
 from repro.dataprep import jpeg, run_engine
-from repro.dataprep.ops_audio import audio_pipeline
+from repro.dataprep.ops_audio import Mfcc, audio_pipeline
 from repro.dataprep.ops_image import (
     CastToFloat,
     GaussianNoise,
@@ -337,6 +337,61 @@ def test_mixed_geometry_falls_back_bit_identically():
     reference = pipe.run_batch_reference(blobs, rngs)
     for i, ref in enumerate(reference):
         assert np.array_equal(ref, out[i])
+
+
+def test_pipeline_with_an_unplanned_op_takes_the_per_op_route():
+    """No plan stage covers ``mfcc``: the compiler refuses the pipeline
+    before it builds any stage, ``try_plan`` returns ``None``, and the
+    batch takes the per-op route with the reference's bits."""
+    pipe = PrepPipeline(audio_pipeline().ops + [Mfcc()], name="audio-mfcc")
+    pcm = (
+        np.clip(np.random.default_rng(5).normal(0, 0.2, (3, 8_000)), -1, 1)
+        * 32767
+    ).astype(np.int16)
+    clear_memo()
+    registry = obs.MetricsRegistry()
+    with obs.session(metrics=registry):
+        assert try_plan(pipe, pcm) is None
+        with pytest.raises(PlanInapplicable, match="mfcc"):
+            compile_plan(pipe, geometry_for_batch(pipe, pcm))
+    assert "prep.plan_compile_total" not in registry.to_manifest()["counters"]
+    out = pipe.run_batch_vectorized(
+        pcm, spawn_rngs(np.random.default_rng(8), 3)
+    )
+    reference = pipe.run_batch_reference(
+        pcm, spawn_rngs(np.random.default_rng(8), 3)
+    )
+    assert out.dtype == np.float32
+    for i, ref in enumerate(reference):
+        assert np.array_equal(ref, out[i]), f"sample {i} differs"
+
+
+def test_standalone_stages_bind_their_arena_slots():
+    """A crop, mirror or cast with no neighbour to fuse with compiles to
+    its own stage; each reports its slots, the arena is their sum, and
+    ``execute`` serves a view of the last slot.  A mirror that starts
+    the plan flips in place, so the caller's batch is copied in first."""
+    batch = np.stack(_images(3, 16, 16, seed=19))
+    crop = PrepPipeline(
+        [RandomCrop(out_height=8, out_width=8), CastToFloat()], name="crop"
+    )
+    plan = _assert_matches_reference(crop, batch, 3)
+    assert [name for name, _ in plan.slots()] == ["cropped", "out_f32"]
+    assert plan.arena_nbytes() == 3 * 8 * 8 * 3 * (1 + 4)
+    mirror = PrepPipeline(
+        [Mirror(probability=0.5), CastToFloat()], name="mirror"
+    )
+    plan = _assert_matches_reference(mirror, batch, 3)
+    assert [name for name, _ in plan.slots()] == [
+        "copy", "mirror_scratch", "out_f32"
+    ]
+    assert plan.arena_nbytes() == 3 * 768 + 768 + 3 * 768 * 4
+    text = plan.describe()
+    assert "[0] <copy-in>  slots[copy:uint8[3, 16, 16, 3]]" in text
+    assert "[1] mirror  slots[mirror_scratch:uint8[16, 16, 3]]" in text
+    assert "[2] cast  slots[out_f32:float32[3, 16, 16, 3]]" in text
+    out = plan.execute(batch, spawn_rngs(np.random.default_rng(0), 3))
+    assert np.shares_memory(out, plan.slots()[-1][1])
 
 
 def test_plan_memoized_per_fingerprint_and_geometry():

@@ -19,6 +19,17 @@ def test_items_are_int16_pcm():
     assert 0 <= speaker < ds.num_speakers
 
 
+def test_iteration_and_len():
+    # Iteration runs on __getitem__, which ends it with IndexError.
+    ds = SyntheticSpeechDataset(num_items=3, mean_duration_s=0.1)
+    items = list(ds)
+    assert len(items) == len(ds) == 3
+    for i, (pcm, speaker) in enumerate(items):
+        assert np.array_equal(pcm, ds[i][0]) and speaker == ds[i][1]
+    with pytest.raises(IndexError):
+        ds[3]
+
+
 def test_determinism():
     a = SyntheticSpeechDataset(num_items=2, mean_duration_s=0.3, seed=5)
     b = SyntheticSpeechDataset(num_items=2, mean_duration_s=0.3, seed=5)

@@ -28,6 +28,15 @@ def test_motion_exists_between_frames():
     assert not np.array_equal(clip[0], clip[-1])
 
 
+def test_iteration_and_len():
+    # Iteration runs on __getitem__, which ends it with IndexError.
+    ds = SyntheticVideoDataset(num_items=2, frames_per_clip=2, height=16, width=16)
+    assert list(ds) == [ds[0], ds[1]]
+    assert len(ds) == 2
+    with pytest.raises(IndexError):
+        ds[2]
+
+
 def test_determinism():
     a = SyntheticVideoDataset(num_items=2, frames_per_clip=3, seed=3)
     b = SyntheticVideoDataset(num_items=2, frames_per_clip=3, seed=3)

@@ -5,13 +5,17 @@ load the data-prep execution stack (engine, plan, codecs, shared
 memory) or the client side of the service; the packages re-export their
 public names lazily, and the op descriptions the simulator prices defer
 the codecs to the code that runs them.  Each check runs in a fresh
-interpreter, where ``sys.modules`` holds only what the imports loaded.
+interpreter, where ``sys.modules`` holds only what the imports loaded;
+the ``dir()`` listing is also checked in this one.
 """
 
+import importlib
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -105,3 +109,11 @@ def test_every_lazy_export_resolves_and_is_listed():
         "print(json.dumps(problems))\n"
     )
     assert problems == []
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_dir_lists_every_lazy_export(package):
+    pkg = importlib.import_module(package)
+    listed = dir(pkg)
+    assert listed == sorted(listed)
+    assert set(pkg.__all__) <= set(listed)

@@ -1,13 +1,23 @@
 """CLI round-trips for the service: batch flags through ``serve``'s
-config plumbing, the ``chaos --service`` drill's exit status, and the
-pipelined ``client --requests-file`` mode against a live server."""
+config plumbing, ``repro serve`` as its own process, the ``chaos
+--service`` drill's exit status, and the pipelined ``client
+--requests-file`` mode against a live server."""
 
 import json
+import os
+import re
+import select
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro import api, cli
 from repro.service import ServerThread, ServiceClient
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def _parse(argv):
@@ -127,3 +137,27 @@ def test_client_requests_file_rejects_garbage(tmp_path):
         assert "not JSON" in str(exc)
     else:
         raise AssertionError("garbage JSONL must SystemExit")
+
+
+def test_serve_process_answers_then_drains_on_sigterm():
+    paths = [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(
+        os.environ, PYTHONPATH=os.pathsep.join(paths), PYTHONUNBUFFERED="1"
+    )
+    argv = [sys.executable, "-m", "repro", "serve", "--port", "0",
+            "--workers", "1", "--drain-timeout", "5"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, text=True,
+                          env=env) as proc:
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 60.0)
+            assert ready, "repro serve announced nothing within 60 s"
+            banner = proc.stdout.readline()
+            match = re.search(r"listening on ([\d.]+):(\d+) ", banner)
+            assert match, banner
+            with ServiceClient(match[1], int(match[2])) as client:
+                assert client.ping()["status"] == "ok"
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()

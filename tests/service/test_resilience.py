@@ -23,6 +23,7 @@ from repro.service import (
     ServerThread,
     ServiceClient,
     ServiceConfig,
+    SimulationServer,
     SimulationService,
     protocol,
 )
@@ -448,6 +449,30 @@ def test_server_thread_drain_report_is_clean():
     assert report is not None
     assert report["drained"] is True
     assert report["stranded"] == 0
+
+
+def test_close_tears_down_a_connection_accepted_as_it_begins():
+    # The loop accepts the client in the step before close() starts, so
+    # its transport is not made yet; closing the listener first failed
+    # that transport's creation (logged in debug mode) and leaked the
+    # server's end of the socket.
+    errors = []
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        loop.set_exception_handler(lambda _, ctx: errors.append(ctx))
+        server = SimulationServer(
+            SimulationService(ServiceConfig(max_workers=1))
+        )
+        address = await server.start()
+        with socket.create_connection(address, timeout=5.0) as sock:
+            await asyncio.sleep(0)  # the loop sees the listener readable
+            await asyncio.sleep(0)  # ... and accepts
+            await server.close()
+            assert sock.recv(1) == b""  # the server closed its end
+
+    asyncio.run(main(), debug=True)
+    assert errors == []
 
 
 def test_server_thread_stop_is_idempotent():
